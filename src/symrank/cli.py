@@ -199,7 +199,7 @@ def cmd_experiment(args) -> int:
             seed=seed,
             value_dedup=bool(cfg.get("value_dedup", False)),
             tree=tree_params,
-        ), workers=args.workers)
+        ))
     elif mode == "candidates":
         report = run_candidates_experiment(CandidatesExperimentConfig(
             truth=cfg["truth"],
@@ -211,7 +211,7 @@ def cmd_experiment(args) -> int:
             methods=methods,
             seed=seed,
             tree=tree_params,
-        ), workers=args.workers)
+        ))
     elif mode == "csv":
         ds = load_csv(cfg["input"], cfg["response"])
         active = cfg.get("active_variables")
@@ -230,7 +230,6 @@ def cmd_experiment(args) -> int:
             repeats=int(cfg.get("repeats", 1)),
             tree=tree_params,
             value_dedup=bool(cfg.get("value_dedup", False)),
-            workers=args.workers,
         )
     else:
         raise SymrankError(f"unknown experiment mode {mode!r}")
@@ -378,8 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None,
                    help="fallback seed when the config omits one")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker threads (SYMRANK_THREADS caps this)")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(fn=cmd_experiment)
 

@@ -10,9 +10,7 @@ their worst in-range sentinel, so selection stays total.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,15 +23,14 @@ from .core import (
     unary as unary_expr,
     var,
 )
-from .errors import (
-    KTooLarge,
-    LengthMismatch,
-    NoPositives,
-    SizeMismatch,
-    ZeroVariance,
-    TiesPresent,
+from .errors import KTooLarge, LengthMismatch, NoPositives, SizeMismatch
+from .stats import (
+    chatterjee_scores,
+    kendall_scores,
+    pearson_scores,
+    spearman_scores,
+    t0_scores,
 )
-from .stats import chatterjee_xi, kendall_tau, pearson, spearman, t0_divergence
 from .symgen import (
     Architecture,
     UnaryOp,
@@ -61,7 +58,6 @@ __all__ = [
     "selection_boundary_tie",
     "synth_3var",
     "synth_candidates",
-    "worker_count",
 ]
 
 SCORE_METHODS = ("t0", "pearson", "spearman", "kendall", "chatterjee", "tree-importance")
@@ -94,6 +90,15 @@ class TreeParams:
     depth: int = 3
 
 
+_BATCHED_SCORERS = {
+    "t0": t0_scores,
+    "pearson": lambda z, y: np.abs(pearson_scores(z, y)),
+    "spearman": lambda z, y: np.abs(spearman_scores(z, y)),
+    "kendall": lambda z, y: np.abs(kendall_scores(z, y)),
+    "chatterjee": chatterjee_scores,
+}
+
+
 def score_features(fm: FeatureMatrix, y, method: str, *, seed: int = 0,
                    tree_params: TreeParams = TreeParams()) -> MethodScore:
     """Score every feature column against the response with one method.
@@ -103,36 +108,13 @@ def score_features(fm: FeatureMatrix, y, method: str, *, seed: int = 0,
     the concordant divergence and the split importance handle them natively.
     """
     y = np.asarray(y, dtype=float)
-    z = fm.z
     if method not in SCORE_METHODS:
         raise LengthMismatch(f"unknown method {method!r}; choose from {SCORE_METHODS}")
     if method == "tree-importance":
-        scores = ensemble_importance(z, y, tree_params.n_trees, tree_params.depth, seed)
+        scores = ensemble_importance(fm.z, y, tree_params.n_trees, tree_params.depth, seed)
         return MethodScore(method, scores, "higher")
-    out = np.empty(z.shape[1])
-    for j in range(z.shape[1]):
-        col = z[:, j]
-        if method == "t0":
-            out[j] = t0_divergence(col, y)
-        elif method == "pearson":
-            try:
-                out[j] = abs(pearson(col, y))
-            except ZeroVariance:
-                out[j] = 0.0
-        elif method == "spearman":
-            try:
-                out[j] = abs(spearman(col, y))
-            except ZeroVariance:
-                out[j] = 0.0
-        elif method == "kendall":
-            out[j] = abs(kendall_tau(col, y))
-        else:  # chatterjee
-            try:
-                out[j] = chatterjee_xi(col, y)
-            except TiesPresent:
-                out[j] = -1.0
     direction = "lower" if method == "t0" else "higher"
-    return MethodScore(method, out, direction)
+    return MethodScore(method, _BATCHED_SCORERS[method](fm.z, y), direction)
 
 
 def select_top(scores: MethodScore, k: int) -> list[int]:
@@ -264,22 +246,9 @@ def synth_candidates(n: int, truth, candidates, noise_var: float, seed: int = 0,
 # experiment harness
 # ---------------------------------------------------------------------------
 
-def worker_count(requested: int | None = None) -> int:
-    """Worker pool size; the SYMRANK_THREADS environment variable caps it."""
-    n = requested if requested else min(8, os.cpu_count() or 1)
-    cap = os.environ.get("SYMRANK_THREADS")
-    if cap:
-        n = min(n, max(1, int(cap)))
-    return max(1, int(n))
-
-
-def _run_repeats(job, repeats: int, workers: int | None) -> list:
-    """Evaluate job(r) for each repeat; ordered, deterministic reduction."""
-    n_workers = worker_count(workers)
-    if n_workers == 1 or repeats == 1:
-        return [job(r) for r in range(repeats)]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(job, range(repeats)))
+def _run_repeats(job, repeats: int) -> list:
+    """Evaluate job(r) for each repeat, in order."""
+    return [job(r) for r in range(repeats)]
 
 
 @dataclass(frozen=True)
@@ -343,8 +312,7 @@ def _score_and_select(fm, y, method, n_selected, seed, tree_params):
     return ms, selection, tie, elapsed
 
 
-def run_signal_experiment(cfg: SignalExperimentConfig,
-                          workers: int | None = None) -> ExperimentReport:
+def run_signal_experiment(cfg: SignalExperimentConfig) -> ExperimentReport:
     """Selection quality per (architecture, noise, method) over repeats.
 
     Each repeat re-derives its RNG stream from (seed, repeat), so datasets at
@@ -379,7 +347,7 @@ def run_signal_experiment(cfg: SignalExperimentConfig,
                     }
         return out
 
-    per_repeat = _run_repeats(job, cfg.repeats, workers)
+    per_repeat = _run_repeats(job, cfg.repeats)
 
     runs: list[dict] = []
     runtimes: dict[str, float] = {}
@@ -417,8 +385,7 @@ def run_signal_experiment(cfg: SignalExperimentConfig,
     return ExperimentReport(_config_dict(cfg), runs, runtimes)
 
 
-def run_candidates_experiment(cfg: CandidatesExperimentConfig,
-                              workers: int | None = None) -> ExperimentReport:
+def run_candidates_experiment(cfg: CandidatesExperimentConfig) -> ExperimentReport:
     """Inclusion frequency of each candidate transform over repeats.
 
     The truth must be one of the candidates (matched by its expression
@@ -443,7 +410,7 @@ def run_candidates_experiment(cfg: CandidatesExperimentConfig,
             out[method] = {"selection": sel, "tie": tie, "elapsed": elapsed}
         return out
 
-    per_repeat = _run_repeats(job, cfg.repeats, workers)
+    per_repeat = _run_repeats(job, cfg.repeats)
 
     methods_out = []
     runtimes: dict[str, float] = {}
@@ -479,8 +446,7 @@ def run_csv_experiment(ds: Dataset, architectures, unary_ops, binary_ops,
                        methods, n_selected: int, seed: int,
                        active_variables=None, repeats: int = 1,
                        tree: TreeParams = TreeParams(),
-                       value_dedup: bool = False,
-                       workers: int | None = None) -> ExperimentReport:
+                       value_dedup: bool = False) -> ExperimentReport:
     """Architecture expansion and selection on a fixed ingested dataset.
 
     Only seed-dependent methods vary across repeats. PR/AIP columns appear
@@ -505,7 +471,7 @@ def run_csv_experiment(ds: Dataset, architectures, unary_ops, binary_ops,
                                "elapsed": elapsed, "score": ms}
             return out
 
-        per_repeat = _run_repeats(job, repeats, workers)
+        per_repeat = _run_repeats(job, repeats)
         methods_out = []
         for method in methods:
             cells = [rep_r[method] for rep_r in per_repeat]

@@ -1,34 +1,41 @@
 """Rank statistics: the concordant divergence, classical correlations, and
 the pairwise ranking quality metric with its optimal permutation.
 
+Each feature-response statistic has a per-column reference function and a
+column-batched ``*_scores`` scorer over an (n, q) feature matrix.
+
 All functions are pure and safe for concurrent invocation on shared inputs.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
+from scipy.stats import kendalltau, rankdata
 
 from .core import RankPermutation
 from .errors import LengthMismatch, TiesInResponse, TiesPresent, ZeroVariance
 
 __all__ = [
     "bayes_permutation",
+    "chatterjee_scores",
     "chatterjee_xi",
+    "kendall_scores",
     "kendall_tau",
     "pearson",
+    "pearson_scores",
     "ranking_metric_T",
     "spearman",
+    "spearman_scores",
     "t0_divergence",
-    "t0_divergence_fast",
+    "t0_scores",
 ]
 
 
-def _paired(u, y) -> tuple[np.ndarray, np.ndarray]:
+def _paired(u, y, ndim: int = 1) -> tuple[np.ndarray, np.ndarray]:
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
-    if u.ndim != 1 or y.ndim != 1 or u.shape[0] != y.shape[0]:
-        raise LengthMismatch(f"paired vectors of shapes {u.shape} and {y.shape}")
+    if u.ndim != ndim or y.ndim != 1 or u.shape[0] != y.shape[0]:
+        raise LengthMismatch(f"paired arrays of shapes {u.shape} and {y.shape}")
     if u.shape[0] < 2:
         raise LengthMismatch("need at least two observations")
     return u, y
@@ -47,7 +54,8 @@ def t0_divergence(u, y) -> float:
     a concordant pair contributes 0. Zero exactly when the feature ranks the
     responses concordantly with strict feature order; always >= 0.
 
-    This is the O(n^2) pair-enumeration reference path.
+    This is the O(n^2) pair-enumeration reference path; :func:`t0_scores`
+    computes it from midranks.
     """
     u, y = _paired(u, y)
     n = u.shape[0]
@@ -60,70 +68,6 @@ def t0_divergence(u, y) -> float:
     hits = ((du >= 0) & (dy < 0)) | ((du < 0) & (dy >= 0))
     np.fill_diagonal(hits, False)
     total = float(np.sum(ady, where=hits))
-    return 2.0 * total / (n * (n - 1))
-
-
-class _Fenwick:
-    """Prefix sums over feature ranks carrying (count, sum of y)."""
-
-    def __init__(self, size: int):
-        self.count = [0] * (size + 1)
-        self.ysum = [0.0] * (size + 1)
-
-    def add(self, i: int, y: float) -> None:
-        i += 1
-        while i < len(self.count):
-            self.count[i] += 1
-            self.ysum[i] += y
-            i += i & (-i)
-
-    def prefix(self, i: int) -> tuple[int, float]:
-        """count and y-sum over ranks 0..i inclusive."""
-        i += 1
-        c, s = 0, 0.0
-        while i > 0:
-            c += self.count[i]
-            s += self.ysum[i]
-            i -= i & (-i)
-        return c, s
-
-
-def t0_divergence_fast(u, y) -> float:
-    """O(n log n) path for :func:`t0_divergence`; agrees with the reference.
-
-    Processes points in increasing response order, counting earlier points
-    with strictly larger (weight 2) or equal (weight 1) feature value via a
-    Fenwick tree over dense feature ranks.
-    """
-    u, y = _paired(u, y)
-    n = u.shape[0]
-    if np.unique(y).size != n:
-        raise TiesInResponse("response vector contains exact ties")
-    order = np.argsort(y, kind="stable")
-    u_sorted = u[order]
-    y_sorted = y[order]
-    _, ranks = np.unique(u_sorted, return_inverse=True)
-    n_ranks = int(ranks.max()) + 1
-    tree = _Fenwick(n_ranks)
-    total = 0.0
-    all_count, all_sum = 0, 0.0
-    for j in range(n):
-        r = int(ranks[j])
-        yj = float(y_sorted[j])
-        le_count, le_sum = tree.prefix(r)
-        if r > 0:
-            lt_count, lt_sum = tree.prefix(r - 1)
-        else:
-            lt_count, lt_sum = 0, 0.0
-        gt_count = all_count - le_count
-        gt_sum = all_sum - le_sum
-        eq_count = le_count - lt_count
-        eq_sum = le_sum - lt_sum
-        # earlier points have smaller y, so each pair contributes y_j - y_i
-        total += 2.0 * (yj * gt_count - gt_sum) + (yj * eq_count - eq_sum)
-        tree.add(r, yj)
-        all_count += 1
-        all_sum += yj
     return 2.0 * total / (n * (n - 1))
 
 
@@ -148,11 +92,11 @@ def pearson(u, y) -> float:
     u, y = _paired(u, y)
     du = u - u.mean()
     dy = y - y.mean()
-    su = float(np.sqrt(np.sum(du**2)))
-    sy = float(np.sqrt(np.sum(dy**2)))
-    if su == 0.0 or sy == 0.0:
+    spread = float(np.sqrt(np.sum(du**2))) * float(np.sqrt(np.sum(dy**2)))
+    # exact equality too: the rounded mean of a constant like 0.1 can differ from it
+    if spread == 0.0 or np.all(u == u[0]) or np.all(y == y[0]):
         raise ZeroVariance("pearson needs nonzero variance in both arguments")
-    return float(np.dot(du, dy) / (su * sy))
+    return float(np.dot(du, dy) / spread)
 
 
 def spearman(u, y) -> float:
@@ -176,6 +120,97 @@ def chatterjee_xi(u, y) -> float:
     y_by_u = y[order]
     r = rankdata(y_by_u, method="ordinal")
     return 1.0 - 3.0 * float(np.sum(np.abs(np.diff(r)))) / (n * n - 1)
+
+
+# ---------------------------------------------------------------------------
+# column-batched scorers
+# ---------------------------------------------------------------------------
+#
+# Columns become contiguous rows and every sum reduces one row on its own,
+# never through a matrix product, so equal columns score bit-identically
+# wherever they sit and selection ties still break toward the lowest index.
+
+def _rows(z, y) -> tuple[np.ndarray, np.ndarray]:
+    """Feature columns as contiguous (q, n) rows, and the response."""
+    z, y = _paired(z, y, ndim=2)
+    return np.ascontiguousarray(z.T), y
+
+
+def t0_scores(z, y) -> np.ndarray:
+    """:func:`t0_divergence` of every column, from midranks in O(q n log n).
+
+    With r the feature's midranks and y_(k) the k-th smallest response,
+    t0 = 2/(n(n-1)) [sum_k (2k-n-1) y_(k) - 2 sum_i (r_i - (n+1)/2) y_i].
+    The first term is the same for every feature, so t0 ranks features by
+    the covariance between their midranks and the raw response: the larger
+    the covariance, the smaller t0. Summed in increasing-response order the
+    bracket is 2 sum_k (k - r_(k)) y_(k), whose gaps k - r_(k) are exact
+    half-integers, all zero for a strictly concordant feature.
+    """
+    rows, y = _rows(z, y)
+    n = y.shape[0]
+    order = np.argsort(y, kind="stable")
+    ys = y[order]
+    if np.any(ys[1:] == ys[:-1]):
+        raise TiesInResponse("response vector contains exact ties")
+    gaps = np.arange(1.0, n + 1.0) - rankdata(rows[:, order], axis=1)
+    # the gaps sum to zero, so centring y changes nothing but the rounding
+    total = (gaps * (ys - ys.mean())).sum(axis=1)
+    return 4.0 * total / (n * (n - 1))
+
+
+def pearson_scores(z, y) -> np.ndarray:
+    """:func:`pearson` of every column, bit for bit; 0.0 in place of ZeroVariance."""
+    rows, y = _rows(z, y)
+    dz = rows - rows.mean(axis=1, keepdims=True)
+    dy = y - y.mean()
+    spread = np.sqrt((dz**2).sum(axis=1)) * np.sqrt((dy**2).sum())
+    live = (spread > 0) & ~np.all(rows == rows[:, :1], axis=1) & ~np.all(y == y[0])
+    out = np.zeros(rows.shape[0])
+    # vecdot runs the same BLAS dot per row as the np.dot in :func:`pearson`
+    out[live] = np.vecdot(dz[live], dy) / spread[live]
+    return out
+
+
+def spearman_scores(z, y) -> np.ndarray:
+    """:func:`spearman` of every column, bit for bit; 0.0 in place of ZeroVariance."""
+    return pearson_scores(rankdata(z, axis=0), rankdata(y))
+
+
+def kendall_scores(z, y) -> np.ndarray:
+    """:func:`kendall_tau` of every column in O(q n log n), bit for bit.
+
+    scipy's tau-b (Knight's algorithm) is S / sqrt((n0-n1)(n0-n2)) for the
+    integer S = concordant - discordant, with n0 = n(n-1)/2 pairs of which n1
+    tie in the column and n2 in y. S is recovered by rounding and divided as
+    :func:`kendall_tau` divides it. Constant columns score 0.0.
+    """
+    rows, y = _rows(z, y)
+    n = y.shape[0]
+    # n0 - n1 = sum of (min-rank - 1): each value pairs untied with those below
+    untied = rankdata(rows, method="min", axis=1).sum(axis=1) - n
+    y_untied = rankdata(y, method="min").sum() - n
+    out = np.zeros(rows.shape[0])
+    for j in np.flatnonzero((untied > 0) & (y_untied > 0)):
+        root = np.sqrt(untied[j]) * np.sqrt(y_untied)
+        out[j] = round(kendalltau(rows[j], y).statistic * root) / (n * (n - 1) / 2)
+    return out
+
+
+def chatterjee_scores(z, y) -> np.ndarray:
+    """:func:`chatterjee_xi` of every column, bit for bit; -1.0 in place of
+    TiesPresent."""
+    rows, y = _rows(z, y)
+    n = y.shape[0]
+    if np.unique(y).size != n:
+        return np.full(rows.shape[0], -1.0)
+    order = np.argsort(rows, axis=1, kind="stable")
+    tie_free = np.all(np.diff(np.take_along_axis(rows, order, axis=1), axis=1) != 0,
+                      axis=1)
+    # y is tie-free, so its ranks in feature order are its overall ranks
+    steps = np.abs(np.diff(rankdata(y, method="ordinal")[order], axis=1)).sum(axis=1)
+    xi = 1.0 - 3.0 * steps / (n * n - 1)
+    return np.where(tie_free, xi, -1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,23 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import rankdata
 
 from symrank.core import RankPermutation, derive_rng
 from symrank.errors import LengthMismatch, TiesInResponse, TiesPresent, ZeroVariance
 from symrank.stats import (
     bayes_permutation,
+    chatterjee_scores,
     chatterjee_xi,
+    kendall_scores,
     kendall_tau,
     pearson,
+    pearson_scores,
     ranking_metric_T,
     spearman,
+    spearman_scores,
     t0_divergence,
-    t0_divergence_fast,
+    t0_scores,
 )
 
 
@@ -100,8 +105,23 @@ class TestT0:
             y = np.arange(n, dtype=float) * rng.uniform(0.5, 2.0)
             rng.shuffle(y)
             ref = t0_divergence(u, y)
-            fast = t0_divergence_fast(u, y)
+            fast = t0_scores(u[:, None], y)[0]
             assert fast == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+    def test_ranks_features_by_midrank_response_covariance(self):
+        # t0 = 2/(n(n-1)) [sum_k (2k-n-1) y_(k) - 2 sum_i (r_i - (n+1)/2) y_i]:
+        # the first term is shared, so a larger covariance means a smaller t0
+        rng = derive_rng(10)
+        n, q = 40, 8
+        y = rng.normal(size=n)
+        z = np.round(rng.normal(size=(n, q)) + np.linspace(0, 2, q) * y[:, None], 1)
+        t0 = np.array([t0_divergence(z[:, j], y) for j in range(q)])
+        cov = (rankdata(z, axis=0) - (n + 1) / 2).T @ y
+        shared = (2 * np.arange(1, n + 1) - n - 1) @ np.sort(y)
+        assert t0 == pytest.approx(2.0 * (shared - 2.0 * cov) / (n * (n - 1)),
+                                   rel=1e-12, abs=1e-12)
+        assert np.unique(cov).size == q
+        assert np.argsort(t0).tolist() == np.argsort(-cov).tolist()
 
     def test_inactive_variable_bounded_away_from_zero(self):
         rng = derive_rng(9)
@@ -157,6 +177,8 @@ class TestPearsonSpearman:
     def test_zero_variance(self):
         with pytest.raises(ZeroVariance):
             pearson([1, 1, 1], [1, 2, 3])
+        with pytest.raises(ZeroVariance):  # its rounded mean is not 0.1
+            pearson(np.full(20, 0.1), np.arange(20.0))
         with pytest.raises(ZeroVariance):
             spearman([2, 2, 2], [1, 2, 3])
 
@@ -247,3 +269,63 @@ class TestBayesPermutation:
         mu = np.asarray(mu)
         for g in (np.exp, lambda v: v**3, lambda v: 0.5 * v - 3):
             assert bayes_permutation(g(mu)).order == bayes_permutation(mu).order
+
+
+# ---------------------------------------------------------------------------
+# column-batched scorers against the per-column oracles
+# ---------------------------------------------------------------------------
+
+@st.composite
+def scoring_inputs(draw):
+    """A tie-free response and five columns: a tie-heavy base, a constant,
+    a copy of the base, its cube (rank-equivalent), and a tie-free column."""
+    n = draw(st.integers(2, 30))
+    y = np.array(draw(st.lists(
+        st.floats(-100, 100, allow_subnormal=False), min_size=n, max_size=n,
+        unique=True)))
+    base = np.array(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))) / 10
+    const = draw(st.sampled_from([0.1, 3.0, -7.25]))
+    tie_free = y[np.array(draw(st.permutations(range(n))))]
+    z = np.column_stack([base, np.full(n, const), base.copy(), base**3, tie_free])
+    return z, y
+
+
+def _oracle(fn, col, y, sentinel):
+    try:
+        return fn(col, y)
+    except (ZeroVariance, TiesPresent):
+        return sentinel
+
+
+class TestBatchedScorers:
+    @given(scoring_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_agree_with_per_column_oracles(self, inputs):
+        z, y = inputs
+        t0 = t0_scores(z, y)
+        kendall = kendall_scores(z, y)
+        chatterjee = chatterjee_scores(z, y)
+        pearson_r = pearson_scores(z, y)
+        spearman_r = spearman_scores(z, y)
+        for j in range(z.shape[1]):
+            col = z[:, j]
+            ref = t0_divergence(col, y)
+            assert abs(t0[j] - ref) <= 1e-12 * max(1.0, ref)
+            assert kendall[j] == kendall_tau(col, y)
+            assert chatterjee[j] == _oracle(chatterjee_xi, col, y, -1.0)
+            assert pearson_r[j] == _oracle(pearson, col, y, 0.0)
+            assert spearman_r[j] == _oracle(spearman, col, y, 0.0)
+        # columns 0, 2 are equal; 3 is rank-equivalent to them
+        for scores in (t0, kendall, chatterjee, spearman_r):
+            assert scores[0] == scores[2] == scores[3]
+        assert pearson_r[0] == pearson_r[2]
+
+    def test_t0_response_ties_rejected(self):
+        with pytest.raises(TiesInResponse):
+            t0_scores(np.eye(3), [1.0, 1.0, 2.0])
+
+    def test_shape_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            t0_scores(np.zeros((3, 2)), [1.0, 2.0])
+        with pytest.raises(LengthMismatch):
+            kendall_scores(np.zeros(3), [1.0, 2.0, 3.0])
