@@ -250,15 +250,17 @@ def make_partition2(y, left, right=None) -> Partition2:
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
     left = tuple(sorted(int(i) for i in left))
+    left_set = set(left)
     if right is None:
-        right = tuple(i for i in range(n) if i not in set(left))
+        right = tuple(i for i in range(n) if i not in left_set)
     else:
         right = tuple(sorted(int(i) for i in right))
     if not left or not right:
         raise EmptySide("both partition sides must be nonempty")
-    if set(left) & set(right):
+    right_set = set(right)
+    if left_set & right_set:
         raise DimensionMismatch("partition sides overlap")
-    if set(left) | set(right) != set(range(n)):
+    if left_set | right_set != set(range(n)):
         raise DimensionMismatch("partition sides must cover all indices")
     mean_l, sse_l = _group_stats(y, left)
     mean_r, sse_r = _group_stats(y, right)

@@ -194,8 +194,7 @@ def _closed_range(seg: MonotoneSegment, interval: Interval) -> tuple[float, floa
     return (va, vb) if va <= vb else (vb, va)
 
 
-def preimage_count(t: PiecewiseMonotone, c: float, interval: Interval,
-                   tol: float = DEFAULT_BISECT_TOL) -> int:
+def preimage_count(t: PiecewiseMonotone, c: float, interval: Interval) -> int:
     """1 when c lies in the closed range of t over the interval, else 0.
 
     The interval must sit inside a single monotone segment. When the count
@@ -203,7 +202,6 @@ def preimage_count(t: PiecewiseMonotone, c: float, interval: Interval,
     """
     seg = _enclosing_segment(t, interval)
     lo_r, hi_r = _closed_range(seg, interval)
-    del tol  # counting needs only the range; tol applies to location
     return 1 if lo_r <= c <= hi_r else 0
 
 

@@ -103,20 +103,36 @@ def split_means(y, left_mask) -> tuple[float, float]:
 
 
 def _column_split_losses(z_sorted: np.ndarray, y_sorted: np.ndarray) -> np.ndarray:
-    """Two-sided SSE for every cut position, inf where the cut is inadmissible.
+    """Two-sided SSE for every cut position of every row, inf where inadmissible.
 
-    Position m (1-based) puts the m smallest column values on the left; a cut
-    is admissible only between distinct column values.
+    Each of the w rows holds one column's m node values in increasing order,
+    with the node's responses in that same order. Position p (1-based) puts
+    the p smallest values on the left; a cut is admissible only between
+    distinct column values.
     """
-    n = y_sorted.shape[0]
-    s1 = np.cumsum(y_sorted, axis=0)
-    s2 = np.cumsum(y_sorted**2, axis=0)
-    sizes = np.arange(1, n, dtype=float)[:, None]
-    sse_l = s2[:-1] - s1[:-1] ** 2 / sizes
-    sse_r = (s2[-1] - s2[:-1]) - (s1[-1] - s1[:-1]) ** 2 / (n - sizes)
+    m = y_sorted.shape[1]
+    s1 = np.cumsum(y_sorted, axis=1)
+    s2 = np.cumsum(y_sorted**2, axis=1)
+    sizes = np.arange(1, m, dtype=float)
+    sse_l = s2[:, :-1] - s1[:, :-1] ** 2 / sizes
+    sse_r = (s2[:, -1:] - s2[:, :-1]) - (s1[:, -1:] - s1[:, :-1]) ** 2 / (m - sizes)
     losses = sse_l + sse_r
-    losses[z_sorted[:-1] >= z_sorted[1:]] = np.inf
+    losses[z_sorted[:, :-1] >= z_sorted[:, 1:]] = np.inf
     return losses
+
+
+def _best_cut(z_sorted: np.ndarray, y_sorted: np.ndarray) -> tuple[int, float]:
+    """(row, threshold) of the loss-minimizing cut over presorted rows.
+
+    The first minimum in row-major order resolves exact loss ties to the
+    first row, then the smallest threshold. Raises Unsplittable when no row
+    admits a two-sided cut.
+    """
+    losses = _column_split_losses(z_sorted, y_sorted)  # (w, m-1)
+    k, pos = divmod(int(np.argmin(losses)), losses.shape[1])
+    if not np.isfinite(losses[k, pos]):
+        raise Unsplittable("no column admits a two-sided split")
+    return k, float(z_sorted[k, pos])
 
 
 def best_split(data, y) -> SplitRule:
@@ -129,20 +145,10 @@ def best_split(data, y) -> SplitRule:
     """
     z = _matrix(data)
     y = np.asarray(y, dtype=float)
-    n, q = z.shape
-    if n < 2 or np.all(y == y[0]):
+    if z.shape[0] < 2 or np.all(y == y[0]):
         raise Unsplittable("node needs >= 2 samples and non-constant response")
-    order = np.argsort(z, axis=0, kind="stable")
-    z_sorted = np.take_along_axis(z, order, axis=0)
-    y_sorted = y[order]
-    losses = _column_split_losses(z_sorted, y_sorted)  # (n-1, q)
-    col_pos = np.argmin(losses, axis=0)  # first minimum: smallest threshold
-    col_best = losses[col_pos, np.arange(q)]
-    k = int(np.argmin(col_best))  # first minimum: smallest coordinate
-    if not np.isfinite(col_best[k]):
-        raise Unsplittable("no column admits a two-sided split")
-    m = int(col_pos[k])
-    return SplitRule(k, float(z_sorted[m, k]))
+    order = np.argsort(z.T, axis=1, kind="stable")
+    return SplitRule(*_best_cut(np.take_along_axis(z.T, order, axis=1), y[order]))
 
 
 def split_rule_loss(data, y, rule: SplitRule) -> float:
@@ -176,27 +182,45 @@ def log_principal_decision_ratio(data, y, rule1: SplitRule, rule2: SplitRule) ->
 def grow_tree(data, y, depth: int, min_leaf: int = 1) -> TreeNode:
     """Recursively split until depth K, size < 2*min_leaf, or unsplittable.
 
-    Degenerate nodes become leaves carrying the sample mean.
+    Degenerate nodes become leaves carrying the sample mean. Each column is
+    sorted once (the CART presort); a node passes its per-column row orders
+    to its children by stable filtering, so a node costs O(m*q) for m rows.
     """
     z = _matrix(data)
     y = np.asarray(y, dtype=float)
-    q = z.shape[1]
+    n, q = z.shape
+    zt = np.ascontiguousarray(z.T)
+    z_flat = zt.ravel()
+    col_starts = (np.arange(q) * n)[:, None]
+    left_side = np.zeros(n, dtype=bool)  # scratch, valid at the current node's rows
 
-    def build(idx: np.ndarray, remaining: int) -> TreeNode:
-        node_idx = tuple(int(i) for i in idx)
+    def build(idx: np.ndarray, orders: np.ndarray, remaining: int) -> TreeNode:
+        # idx: the node's rows, increasing; orders: (q, m) its rows sorted per column
+        node_idx = tuple(idx.tolist())
         y_node = y[idx]
-        if remaining <= 0 or idx.size < 2 * min_leaf:
-            return TreeNode(node_idx, q, mean=float(y_node.mean()))
-        try:
-            rule = best_split(z[idx], y_node)
-        except Unsplittable:
-            return TreeNode(node_idx, q, mean=float(y_node.mean()))
-        mask = z[idx, rule.coordinate] <= rule.threshold
-        left = build(idx[mask], remaining - 1)
-        right = build(idx[~mask], remaining - 1)
-        return TreeNode(node_idx, q, split=rule, left=left, right=right)
+        if remaining > 0 and idx.size >= max(2 * min_leaf, 2) \
+                and not np.all(y_node == y_node[0]):
+            try:
+                k, threshold = _best_cut(z_flat.take(orders + col_starts), y.take(orders))
+            except Unsplittable:
+                pass
+            else:
+                on_left = zt[k].take(idx) <= threshold
+                left_side[idx] = on_left
+                go_left = left_side.take(orders).ravel()
+                n_left = int(np.count_nonzero(on_left))
+                flat = orders.ravel()
+                left = build(np.compress(on_left, idx),
+                             np.compress(go_left, flat).reshape(q, n_left),
+                             remaining - 1)
+                right = build(np.compress(~on_left, idx),
+                              np.compress(~go_left, flat).reshape(q, idx.size - n_left),
+                              remaining - 1)
+                return TreeNode(node_idx, q, split=SplitRule(k, threshold),
+                                left=left, right=right)
+        return TreeNode(node_idx, q, mean=float(y_node.mean()))
 
-    return build(np.arange(z.shape[0]), depth)
+    return build(np.arange(n), np.argsort(zt, axis=1, kind="stable"), depth)
 
 
 def predict(tree: TreeNode, row) -> float:
@@ -213,8 +237,22 @@ def predict(tree: TreeNode, row) -> float:
 
 
 def predict_rows(tree: TreeNode, data) -> np.ndarray:
+    """Leaf mean of every row; each node splits its row indices with one mask."""
     z = _matrix(data)
-    return np.array([predict(tree, z[i]) for i in range(z.shape[0])])
+    if z.shape[1] != tree.n_features:
+        raise ColumnMismatch(
+            f"rows have {z.shape[1]} columns, tree was grown on {tree.n_features}")
+    out = np.empty(z.shape[0])
+    stack = [(tree, np.arange(z.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        if node.is_leaf:
+            out[rows] = node.mean
+        elif rows.size:
+            go_left = z[rows, node.split.coordinate] <= node.split.threshold
+            stack.append((node.left, np.compress(go_left, rows)))
+            stack.append((node.right, np.compress(~go_left, rows)))
+    return out
 
 
 def induced_permutation(tree: TreeNode, data) -> RankPermutation:
@@ -224,29 +262,56 @@ def induced_permutation(tree: TreeNode, data) -> RankPermutation:
     return RankPermutation(tuple(int(i) for i in order))
 
 
+def _rank_class_leaders(z: np.ndarray) -> np.ndarray:
+    """Lowest column index of each class of columns with equal dense ranks.
+
+    Columns of one class sort every row multiset the same way and tie on the
+    same rows, so their split losses are bit-identical at every node and the
+    first-minimum rule always picks the class leader. A column holding NaN
+    forms a class of its own: NaN equals nothing, not even itself, so a
+    resample that repeats a NaN row would tie it in rank but not in value.
+    """
+    n, q = z.shape
+    order = np.argsort(z, axis=0, kind="stable")
+    z_sorted = np.take_along_axis(z, order, axis=0)
+    dense = np.zeros((n, q), dtype=np.intp)
+    np.cumsum(z_sorted[1:] != z_sorted[:-1], axis=0, out=dense[1:])
+    ranks = np.empty_like(dense)
+    np.put_along_axis(ranks, order, dense, axis=0)
+    has_nan = np.isnan(z).any(axis=0)
+    leaders: dict[bytes | int, int] = {}
+    for j, col in enumerate(ranks.T):
+        leaders.setdefault(j if has_nan[j] else col.tobytes(), j)
+    return np.fromiter(leaders.values(), dtype=np.intp, count=len(leaders))
+
+
 def ensemble_importance(data, y, n_trees: int, depth: int, seed: int,
                         bootstrap: bool = True) -> np.ndarray:
     """Fraction of internal splits using each column, over a bootstrap forest.
 
     Each tree is grown on a bootstrap resample of the rows (or the full data
     when ``bootstrap`` is off); frequencies are split counts normalized by
-    the total number of splits in the ensemble.
+    the total number of splits in the ensemble. Trees see only the leader of
+    each rank class (see :func:`_rank_class_leaders`), which gives the same
+    splits as growing on every column.
     """
     z = _matrix(data)
     y = np.asarray(y, dtype=float)
     if n_trees < 1:
         raise Unsplittable(f"need n_trees >= 1, got {n_trees}")
     n, q = z.shape
+    leaders = _rank_class_leaders(z)
+    z_leaders = z[:, leaders]
     counts = np.zeros(q)
     for t in range(n_trees):
         if bootstrap:
             rows = derive_rng(seed, t).integers(0, n, size=n)
-            zt, yt = z[rows], y[rows]
+            zt, yt = z_leaders[rows], y[rows]
         else:
-            zt, yt = z, y
+            zt, yt = z_leaders, y
         tree = grow_tree(zt, yt, depth)
         for node in tree.internal_nodes():
-            counts[node.split.coordinate] += 1
+            counts[leaders[node.split.coordinate]] += 1
     total = counts.sum()
     return counts / total if total > 0 else counts
 

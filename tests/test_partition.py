@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -135,6 +136,27 @@ class TestOracleVaryingSize:
                 for c in itertools.combinations(range(n), i)
             )
             assert p.total_sse == pytest.approx(best, rel=1e-12)
+
+
+class TestOraclesAtScale:
+    def test_fixed_and_varying_size_at_1e5_rows(self):
+        # a per-index rebuild of the complement set made these quadratic;
+        # both take ~0.2 s on a 2-CPU Xeon
+        rng = derive_rng(28)
+        n = 100_000
+        y = rng.normal(size=n)
+        start = time.perf_counter()
+        fixed = oracle_fixed_size(y, n // 3)
+        i_star, varying = oracle_varying_size(y)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 20.0
+        for p in (fixed.prefix, fixed.suffix, varying):
+            assert len(p.left) + len(p.right) == n
+            assert set(p.left).isdisjoint(p.right)
+        assert len(fixed.prefix.left) == len(fixed.suffix.left) == n // 3
+        assert len(varying.left) == i_star
+        order = np.argsort(y, kind="stable")
+        assert varying.left == tuple(sorted(order[:i_star].tolist()))
 
 
 class TestFixedSizeOptimumAgainstEnumeration:
