@@ -2,15 +2,16 @@
 
 Subcommands: gen-features, score, select, experiment, p12, oracle-partition,
 tree grow, tree predict. Exit codes: 0 success, 1 runtime/method failure,
-2 usage or config error. Every subcommand that takes --seed writes a
-byte-deterministic primary JSON document; wall-clock timings go to a
-sidecar file.
+2 usage or config error; a package error returns its class's ``exit_code``.
+Every subcommand that takes --seed writes a byte-deterministic primary JSON
+document; wall-clock timings go to a sidecar file.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -18,9 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .core import FeatureMatrix, load_csv, var
-from .errors import SymrankError, TooLarge
+from .errors import ConfigError, SymrankError
 from .evalsel import (
     CandidatesExperimentConfig,
+    CsvExperimentConfig,
     SCORE_METHODS,
     SignalExperimentConfig,
     TreeParams,
@@ -90,11 +92,53 @@ def _unary_entries(entries):
 def _methods_arg(raw: str) -> list[str]:
     if raw == "all":
         return list(SCORE_METHODS)
-    methods = [m.strip() for m in raw.split(",") if m.strip()]
+    return _known_methods([m.strip() for m in raw.split(",") if m.strip()])
+
+
+def _known_methods(methods):
     unknown = [m for m in methods if m not in SCORE_METHODS]
     if unknown:
         raise SymrankError(f"unknown methods {unknown}; choose from {SCORE_METHODS}")
     return methods
+
+
+# how a JSON config value becomes a config field value; other keys pass as given
+_CONFIG_VALUES = {
+    "n": int, "noise_var": float, "repeats": int, "n_selected": int, "seed": int,
+    "value_dedup": bool, "noise_vars": tuple, "architectures": tuple,
+    "binary_ops": tuple, "methods": tuple, "candidates": tuple,
+    "active_variables": tuple, "unary_ops": _unary_entries,
+    "tree": lambda raw: _config(TreeParams, raw),
+}
+
+
+def _config(cls, raw, extra=()):
+    """A ``cls`` dataclass from a JSON object whose keys are its fields.
+
+    The dataclass holds every default. Keys in ``extra`` are accepted and left
+    out; any other unknown key, or a missing required field, is a ConfigError.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{cls.__name__} config must be a JSON object, got {raw!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(raw) - set(fields) - set(extra))
+    missing = [name for name, f in fields.items() if name not in raw
+               and f.default is f.default_factory is dataclasses.MISSING]
+    if unknown or missing:
+        raise ConfigError(f"{cls.__name__} config: unknown keys {unknown}, "
+                          f"missing keys {missing}")
+    return cls(**{key: _CONFIG_VALUES.get(key, lambda v: v)(value)
+                  for key, value in raw.items() if key in fields})
+
+
+def _experiment_config(cls, raw, extra=()):
+    """The validated experiment config of one mode, before any work is done."""
+    cfg = _config(cls, raw, ("mode", *extra))
+    if cfg.repeats < 1 or cfg.n_selected < 1 or not cfg.methods:
+        raise ConfigError(f"need repeats >= 1, n_selected >= 1 and at least one method; "
+                          f"got {cfg.repeats}, {cfg.n_selected} and {list(cfg.methods)}")
+    _known_methods(cfg.methods)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -181,56 +225,18 @@ def cmd_select(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    cfg = _load_config(args.config)
-    mode = cfg.get("mode", "signal")
-    seed = int(cfg.get("seed", args.seed if args.seed is not None else 0))
-    tree_params = TreeParams(**cfg.get("tree", {}))
-    methods = tuple(cfg.get("methods", ("t0", "pearson", "kendall")))
+    raw = _load_config(args.config)
+    if args.seed is not None:
+        raw.setdefault("seed", args.seed)
+    mode = raw.get("mode", "signal")
     if mode == "signal":
-        report = run_signal_experiment(SignalExperimentConfig(
-            n=int(cfg.get("n", 100)),
-            noise_vars=tuple(cfg.get("noise_vars", (0.0, 0.01, 0.1))),
-            architectures=tuple(cfg.get("architectures", ("bu", "ub"))),
-            unary_ops=_unary_entries(cfg.get("unary_ops", ("id", "cube"))),
-            binary_ops=tuple(cfg.get("binary_ops", ("+", "*"))),
-            methods=methods,
-            repeats=int(cfg.get("repeats", 50)),
-            n_selected=int(cfg.get("n_selected", 3)),
-            seed=seed,
-            value_dedup=bool(cfg.get("value_dedup", False)),
-            tree=tree_params,
-        ))
+        report = run_signal_experiment(_experiment_config(SignalExperimentConfig, raw))
     elif mode == "candidates":
-        report = run_candidates_experiment(CandidatesExperimentConfig(
-            truth=cfg["truth"],
-            candidates=tuple(cfg["candidates"]),
-            n=int(cfg.get("n", 500)),
-            noise_var=float(cfg.get("noise_var", 0.1)),
-            repeats=int(cfg.get("repeats", 50)),
-            n_selected=int(cfg.get("n_selected", 1)),
-            methods=methods,
-            seed=seed,
-            tree=tree_params,
-        ))
+        report = run_candidates_experiment(
+            _experiment_config(CandidatesExperimentConfig, raw))
     elif mode == "csv":
-        ds = load_csv(cfg["input"], cfg["response"])
-        active = cfg.get("active_variables")
-        if active is not None:
-            active = [ds.column_names.index(a) if isinstance(a, str) else int(a)
-                      for a in active]
-        report = run_csv_experiment(
-            ds,
-            architectures=cfg.get("architectures", ("bu", "ub")),
-            unary_ops=_unary_entries(cfg.get("unary_ops", ("id", "cube"))),
-            binary_ops=cfg.get("binary_ops", ("+", "*")),
-            methods=methods,
-            n_selected=int(cfg.get("n_selected", 3)),
-            seed=seed,
-            active_variables=active,
-            repeats=int(cfg.get("repeats", 1)),
-            tree=tree_params,
-            value_dedup=bool(cfg.get("value_dedup", False)),
-        )
+        cfg = _experiment_config(CsvExperimentConfig, raw, ("input", "response"))
+        report = run_csv_experiment(load_csv(raw["input"], raw["response"]), cfg)
     else:
         raise SymrankError(f"unknown experiment mode {mode!r}")
 
@@ -415,13 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-USAGE_ERRORS = (
-    "DimensionMismatch", "NonFiniteData", "TiesInResponse", "SizeOutOfRange",
-    "TooLarge", "TooSmall", "KTooLarge", "DomainMismatch", "MergeableSegments",
-    "NotMonotone",
-)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -430,16 +429,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SymrankError as exc:
-        kind = type(exc).__name__
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE if kind in USAGE_ERRORS else EXIT_RUNTIME
+        return exc.exit_code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -258,6 +258,8 @@ def make_partition2(y, left, right=None) -> Partition2:
     if not left or not right:
         raise EmptySide("both partition sides must be nonempty")
     right_set = set(right)
+    if len(left_set) < len(left) or len(right_set) < len(right):
+        raise DimensionMismatch("a partition side repeats an index")
     if left_set & right_set:
         raise DimensionMismatch("partition sides overlap")
     if left_set | right_set != set(range(n)):

@@ -2,20 +2,33 @@
 
 
 class SymrankError(ValueError):
-    """Base class for all contract violations raised by this package."""
+    """Base class for all contract violations raised by this package; the
+    command line returns ``exit_code`` for it (1: runtime or method failure)."""
+
+    exit_code = 1
+
+
+class UsageError(SymrankError):
+    """Input or a request that the caller must change (exit code 2)."""
+
+    exit_code = 2
+
+
+class ConfigError(UsageError):
+    """An experiment config has an unknown or missing key, or a value out of range."""
 
 
 # -- dataset construction ------------------------------------------------
 
-class TiesInResponse(SymrankError):
+class TiesInResponse(UsageError):
     """The response vector contains exact duplicates."""
 
 
-class DimensionMismatch(SymrankError):
+class DimensionMismatch(UsageError):
     """Array shapes disagree with the declared layout."""
 
 
-class NonFiniteData(SymrankError):
+class NonFiniteData(UsageError):
     """An input array contains NaN or infinite entries."""
 
 
@@ -39,15 +52,15 @@ class EmptySide(SymrankError):
     """A 2-partition side is empty."""
 
 
-class SizeOutOfRange(SymrankError):
+class SizeOutOfRange(UsageError):
     """Requested group size violates the operation's size hypothesis."""
 
 
-class TooLarge(SymrankError):
+class TooLarge(UsageError):
     """Input exceeds the combinatorial guard for exhaustive search."""
 
 
-class TooSmall(SymrankError):
+class TooSmall(UsageError):
     """Input is below the minimum size for this operation."""
 
 
@@ -71,15 +84,15 @@ class ColumnMismatch(SymrankError):
 
 # -- piecewise monotone transforms ----------------------------------------
 
-class DomainMismatch(SymrankError):
+class DomainMismatch(UsageError):
     """Two transforms are defined on different domains."""
 
 
-class NotMonotone(SymrankError):
+class NotMonotone(UsageError):
     """A declared-monotone segment failed the construction spot check."""
 
 
-class MergeableSegments(SymrankError):
+class MergeableSegments(UsageError):
     """Adjacent segments continue monotonically and should be one segment."""
 
 
@@ -107,7 +120,7 @@ class PartialOperatorDomain(SymrankError):
 
 # -- selection evaluation --------------------------------------------------
 
-class KTooLarge(SymrankError):
+class KTooLarge(UsageError):
     """Requested selection size exceeds the number of features."""
 
 

@@ -11,7 +11,9 @@ their worst in-range sentinel, so selection stays total.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .core import (
     unary as unary_expr,
     var,
 )
-from .errors import KTooLarge, LengthMismatch, NoPositives, SizeMismatch
+from .errors import DimensionMismatch, KTooLarge, LengthMismatch, NoPositives, SizeMismatch
 from .stats import (
     chatterjee_scores,
     kendall_scores,
@@ -43,6 +45,7 @@ from .tree import ensemble_importance
 
 __all__ = [
     "CandidatesExperimentConfig",
+    "CsvExperimentConfig",
     "ExperimentReport",
     "MethodScore",
     "SCORE_METHODS",
@@ -263,7 +266,6 @@ class SignalExperimentConfig:
     seed: int = 0
     value_dedup: bool = False
     tree: TreeParams = field(default_factory=TreeParams)
-    active_variables: tuple[int, ...] = EQ15_ACTIVE_VARIABLES
 
 
 @dataclass(frozen=True)
@@ -279,6 +281,26 @@ class CandidatesExperimentConfig:
     methods: tuple[str, ...] = ("t0", "pearson", "kendall")
     seed: int = 0
     tree: TreeParams = field(default_factory=TreeParams)
+
+
+@dataclass(frozen=True)
+class CsvExperimentConfig:
+    """Architecture expansion and selection on a fixed ingested dataset.
+
+    Only seed-dependent methods vary across repeats. PR/AIP columns appear
+    when ``active_variables`` (input column names or indices) is given.
+    """
+
+    architectures: tuple[str, ...] = ("bu", "ub")
+    unary_ops: tuple = ("id", "cube")
+    binary_ops: tuple[str, ...] = ("+", "*")
+    methods: tuple[str, ...] = ("t0", "pearson", "kendall")
+    repeats: int = 1
+    n_selected: int = 3
+    seed: int = 0
+    value_dedup: bool = False
+    tree: TreeParams = field(default_factory=TreeParams)
+    active_variables: tuple | None = None
 
 
 @dataclass
@@ -300,86 +322,116 @@ def _method_seed(master: int, *key: int) -> int:
     ).generate_state(1, dtype=np.uint64)[0])
 
 
-def _score_and_select(fm, y, method, n_selected, seed, tree_params):
-    start = time.perf_counter()
-    ms = score_features(fm, y, method, seed=seed, tree_params=tree_params)
-    selection = select_top(ms, n_selected)
-    tie = selection_boundary_tie(ms, n_selected)
-    elapsed = time.perf_counter() - start
-    return ms, selection, tie, elapsed
+@dataclass(frozen=True)
+class _Cell:
+    """One report run: its timing-key prefix, the (ai, ni) part of its method
+    seeds, and data(r) -> (FeatureMatrix, y, labels or None) per repeat."""
+
+    key: str
+    seed_key: tuple[int, int]
+    data: Callable[[int], tuple]
+
+
+def _run_cells(cells, methods, repeats, n_selected, seed, tree):
+    """Score and select with every method on every cell, over the repeats.
+
+    Returns, per cell, repeat 0's FeatureMatrix, each repeat's labels and one
+    report entry per method, and the scoring and selection time of each cell
+    and method. A repeat that expands to other features than repeat 0 raises
+    DimensionMismatch, because the report names and labels repeat 0's columns.
+    """
+    firsts: list[FeatureMatrix] = []
+
+    def job(r: int) -> list:
+        out = []
+        for ci, cell in enumerate(cells):
+            fm, y, labels = cell.data(r)
+            if r == 0:
+                firsts.append(fm)
+            elif fm.exprs != firsts[ci].exprs:
+                raise DimensionMismatch(
+                    f"{cell.key}: repeat {r} expands to other features than repeat 0 "
+                    f"({fm.q} against {firsts[ci].q} columns)")
+            picks = []
+            for mi, method in enumerate(methods):
+                start = time.perf_counter()
+                ms = score_features(fm, y, method, tree_params=tree,
+                                    seed=_method_seed(seed, *cell.seed_key, r, mi))
+                selection = select_top(ms, n_selected)
+                tie = selection_boundary_tie(ms, n_selected)
+                elapsed = time.perf_counter() - start
+                pr = pr_auc(labels, ms, n_selected) if labels is not None else None
+                picks.append((selection, tie, elapsed, pr))
+            out.append((labels, picks))
+        return out
+
+    per_repeat = _run_repeats(job, repeats)
+    results, runtimes = [], {}
+    for ci, cell in enumerate(cells):
+        labels = [rep[ci][0] for rep in per_repeat]
+        entries = []
+        for mi, method in enumerate(methods):
+            picks = [rep[ci][1][mi] for rep in per_repeat]
+            runtimes[f"{cell.key}/{method}"] = float(sum(p[2] for p in picks))
+            entries.append(_method_entry(method, picks, labels[0], n_selected))
+        results.append((firsts[ci], labels, entries))
+    return results, runtimes
+
+
+def _method_entry(method: str, picks: list[tuple], labels, n_selected: int) -> dict:
+    """One method's report entry from its (selection, tie, elapsed, (curve,
+    auc) or None) per repeat; labels (repeat 0's) add the AIP and PR columns."""
+    selections = [sel for sel, _, _, _ in picks]
+    entry = {
+        "method": method,
+        "direction": "lower" if method == "t0" else "higher",
+        "selections": selections,
+        "boundary_tie_repeats": int(sum(tie for _, tie, _, _ in picks)),
+    }
+    if labels is not None:
+        entry["aip"] = average_inclusion_probability(selections, labels, n_selected)
+        entry["pr_auc"] = [auc for *_, (_, auc) in picks]
+        entry["pr_auc_median"] = float(np.median(entry["pr_auc"]))
+        entry["pr_curves"] = [[list(pt) for pt in curve] for *_, (curve, _) in picks]
+    return entry
 
 
 def run_signal_experiment(cfg: SignalExperimentConfig) -> ExperimentReport:
     """Selection quality per (architecture, noise, method) over repeats.
 
-    Each repeat re-derives its RNG stream from (seed, repeat), so datasets at
-    different noise levels within a repeat share inputs and noise shape, and
-    the whole report is reproducible bit-for-bit.
+    Features of the signal's active inputs x1 and x3 alone are the correct
+    ones. Each repeat re-derives its RNG stream from (seed, repeat), so
+    datasets at different noise levels within a repeat share inputs and noise
+    shape, and the whole report is reproducible bit-for-bit.
     """
     ops = build_operator_set(cfg.unary_ops, cfg.binary_ops)
-    archs = [Architecture(a) for a in cfg.architectures]
 
-    def job(r: int):
-        out = {}
-        for ai, arch in enumerate(archs):
-            for ni, nv in enumerate(cfg.noise_vars):
-                ds = synth_3var(cfg.n, nv, rng=derive_rng(cfg.seed, r))
-                rep = generate_report(ds, arch, ops, cfg.value_dedup)
-                fm = rep.features
-                labels = label_correct(fm.exprs, cfg.active_variables)
-                for mi, method in enumerate(cfg.methods):
-                    ms, sel, tie, elapsed = _score_and_select(
-                        fm, ds.y, method, cfg.n_selected,
-                        _method_seed(cfg.seed, ai, ni, r, mi), cfg.tree)
-                    curve, auc = pr_auc(labels, ms, cfg.n_selected)
-                    out[(ai, ni, method)] = {
-                        "selection": sel,
-                        "correct": int(labels[sel].sum()),
-                        "auc": auc,
-                        "curve": curve,
-                        "tie": tie,
-                        "elapsed": elapsed,
-                        "labels": labels,
-                        "names": fm.column_names(),
-                    }
-        return out
+    def data(arch: Architecture, noise_var: float, r: int):
+        ds = synth_3var(cfg.n, noise_var, rng=derive_rng(cfg.seed, r))
+        fm = generate_report(ds, arch, ops, cfg.value_dedup).features
+        return fm, ds.y, label_correct(fm.exprs, EQ15_ACTIVE_VARIABLES)
 
-    per_repeat = _run_repeats(job, cfg.repeats)
-
-    runs: list[dict] = []
-    runtimes: dict[str, float] = {}
-    for ai, arch in enumerate(archs):
-        for ni, nv in enumerate(cfg.noise_vars):
-            first = per_repeat[0][(ai, ni, cfg.methods[0])]
-            labels = first["labels"]
-            methods_out = []
-            for method in cfg.methods:
-                cells = [rep[(ai, ni, method)] for rep in per_repeat]
-                selections = [c["selection"] for c in cells]
-                aucs = [c["auc"] for c in cells]
-                aip = average_inclusion_probability(selections, labels, cfg.n_selected)
-                runtimes[f"{arch.order}/{nv:g}/{method}"] = float(
-                    sum(c["elapsed"] for c in cells))
-                methods_out.append({
-                    "method": method,
-                    "direction": "lower" if method == "t0" else "higher",
-                    "selections": selections,
-                    "correct_counts": [c["correct"] for c in cells],
-                    "aip": aip,
-                    "pr_auc": aucs,
-                    "pr_auc_median": float(np.median(aucs)),
-                    "pr_curves": [[list(pt) for pt in c["curve"]] for c in cells],
-                    "boundary_tie_repeats": int(sum(c["tie"] for c in cells)),
-                })
-            runs.append({
-                "architecture": arch.order,
-                "noise_var": nv,
-                "q": len(first["names"]),
-                "feature_names": list(first["names"]),
-                "correct_columns": [int(j) for j in np.flatnonzero(labels)],
-                "methods": methods_out,
-            })
-    return ExperimentReport(_config_dict(cfg), runs, runtimes)
+    grid = [(ai, Architecture(a), ni, nv) for ai, a in enumerate(cfg.architectures)
+            for ni, nv in enumerate(cfg.noise_vars)]
+    cells = [_Cell(f"{arch.order}/{nv:g}", (ai, ni), partial(data, arch, nv))
+             for ai, arch, ni, nv in grid]
+    results, runtimes = _run_cells(cells, cfg.methods, cfg.repeats, cfg.n_selected,
+                                   cfg.seed, cfg.tree)
+    runs = []
+    for (_, arch, _, nv), (fm, labels, entries) in zip(grid, results):
+        for entry in entries:
+            entry["correct_counts"] = [int(lab[sel].sum())
+                                       for lab, sel in zip(labels, entry["selections"])]
+        runs.append({
+            "architecture": arch.order,
+            "noise_var": nv,
+            "q": fm.q,
+            "feature_names": list(fm.column_names()),
+            "correct_columns": [int(j) for j in np.flatnonzero(labels[0])],
+            "methods": entries,
+        })
+    config = {**_config_dict(cfg), "active_variables": list(EQ15_ACTIVE_VARIABLES)}
+    return ExperimentReport(config, runs, runtimes)
 
 
 def run_candidates_experiment(cfg: CandidatesExperimentConfig) -> ExperimentReport:
@@ -396,126 +448,62 @@ def run_candidates_experiment(cfg: CandidatesExperimentConfig) -> ExperimentRepo
     labels = np.zeros(len(cfg.candidates), dtype=bool)
     labels[truth_col] = True
 
-    def job(r: int):
+    def data(r: int):
         ds, fm = synth_candidates(cfg.n, cfg.truth, cfg.candidates, cfg.noise_var,
                                   rng=derive_rng(cfg.seed, r))
-        out = {}
-        for mi, method in enumerate(cfg.methods):
-            _, sel, tie, elapsed = _score_and_select(
-                fm, ds.y, method, cfg.n_selected,
-                _method_seed(cfg.seed, 0, 0, r, mi), cfg.tree)
-            out[method] = {"selection": sel, "tie": tie, "elapsed": elapsed}
-        return out
+        return fm, ds.y, None
 
-    per_repeat = _run_repeats(job, cfg.repeats)
-
-    methods_out = []
-    runtimes: dict[str, float] = {}
-    for method in cfg.methods:
-        cells = [rep[method] for rep in per_repeat]
-        selections = [c["selection"] for c in cells]
+    ((_, _, entries),), runtimes = _run_cells(
+        [_Cell("candidates", (0, 0), data)], cfg.methods, cfg.repeats, cfg.n_selected,
+        cfg.seed, cfg.tree)
+    for entry in entries:
+        selections = entry["selections"]
         inclusion = {
             name: float(np.mean([cand in sel for sel in selections]))
             for cand, name in enumerate(cfg.candidates)
         }
-        aip = average_inclusion_probability(selections, labels, cfg.n_selected)
-        runtimes[f"candidates/{method}"] = float(sum(c["elapsed"] for c in cells))
-        methods_out.append({
-            "method": method,
-            "direction": "lower" if method == "t0" else "higher",
-            "selections": selections,
-            "inclusion": inclusion,
-            "truth_inclusion": inclusion[cfg.candidates[truth_col]],
-            "aip": aip,
-            "boundary_tie_repeats": int(sum(c["tie"] for c in cells)),
-        })
+        entry["inclusion"] = inclusion
+        entry["truth_inclusion"] = inclusion[cfg.candidates[truth_col]]
+        entry["aip"] = average_inclusion_probability(selections, labels, cfg.n_selected)
     runs = [{
         "mode": "candidates",
         "noise_var": cfg.noise_var,
         "candidates": list(cfg.candidates),
         "truth_column": truth_col,
-        "methods": methods_out,
+        "methods": entries,
     }]
     return ExperimentReport(_config_dict(cfg), runs, runtimes)
 
 
-def run_csv_experiment(ds: Dataset, architectures, unary_ops, binary_ops,
-                       methods, n_selected: int, seed: int,
-                       active_variables=None, repeats: int = 1,
-                       tree: TreeParams = TreeParams(),
-                       value_dedup: bool = False) -> ExperimentReport:
-    """Architecture expansion and selection on a fixed ingested dataset.
-
-    Only seed-dependent methods vary across repeats. PR/AIP columns appear
-    when ``active_variables`` (input column indices) is given.
-    """
-    ops = build_operator_set(unary_ops, binary_ops)
+def run_csv_experiment(ds: Dataset, cfg: CsvExperimentConfig) -> ExperimentReport:
+    """Architecture expansion and selection on a fixed ingested dataset."""
+    active = cfg.active_variables
+    if active is not None:
+        active = [ds.column_names.index(a) if isinstance(a, str) else int(a)
+                  for a in active]
+    ops = build_operator_set(cfg.unary_ops, cfg.binary_ops)
+    cells = []
+    for ai, arch in enumerate(cfg.architectures):
+        fm = generate_report(ds, Architecture(arch), ops, cfg.value_dedup).features
+        labels = label_correct(fm.exprs, active) if active is not None else None
+        cells.append(_Cell(f"{arch}/csv", (ai, 0), lambda r, d=(fm, ds.y, labels): d))
+    results, runtimes = _run_cells(cells, cfg.methods, cfg.repeats, cfg.n_selected,
+                                   cfg.seed, cfg.tree)
     runs = []
-    runtimes: dict[str, float] = {}
-    for ai, arch_name in enumerate(architectures):
-        rep = generate_report(ds, Architecture(arch_name), ops, value_dedup)
-        fm = rep.features
-        labels = (label_correct(fm.exprs, active_variables)
-                  if active_variables is not None else None)
-
-        def job(r: int, _fm=fm, _ai=ai):
-            out = {}
-            for mi, method in enumerate(methods):
-                ms, sel, tie, elapsed = _score_and_select(
-                    _fm, ds.y, method, n_selected,
-                    _method_seed(seed, _ai, 0, r, mi), tree)
-                out[method] = {"selection": sel, "tie": tie,
-                               "elapsed": elapsed, "score": ms}
-            return out
-
-        per_repeat = _run_repeats(job, repeats)
-        methods_out = []
-        for method in methods:
-            cells = [rep_r[method] for rep_r in per_repeat]
-            selections = [c["selection"] for c in cells]
-            entry = {
-                "method": method,
-                "direction": "lower" if method == "t0" else "higher",
-                "selections": selections,
-                "selected_names": [[fm.column_names()[j] for j in sel]
-                                   for sel in selections],
-                "boundary_tie_repeats": int(sum(c["tie"] for c in cells)),
-            }
-            if labels is not None:
-                entry["aip"] = average_inclusion_probability(
-                    selections, labels, n_selected)
-                curves_aucs = [pr_auc(labels, c["score"], n_selected)
-                               for c in cells]
-                entry["pr_auc"] = [auc for _, auc in curves_aucs]
-                entry["pr_auc_median"] = float(np.median(entry["pr_auc"]))
-                entry["pr_curves"] = [[list(pt) for pt in curve]
-                                      for curve, _ in curves_aucs]
-            runtimes[f"{arch_name}/csv/{method}"] = float(
-                sum(c["elapsed"] for c in cells))
-            methods_out.append(entry)
-        run = {
-            "architecture": arch_name,
-            "q": fm.q,
-            "feature_names": list(fm.column_names()),
-            "methods": methods_out,
-        }
-        if labels is not None:
-            run["correct_columns"] = [int(j) for j in np.flatnonzero(labels)]
+    for arch, (fm, labels, entries) in zip(cfg.architectures, results):
+        names = fm.column_names()
+        for entry in entries:
+            entry["selected_names"] = [[names[j] for j in sel]
+                                       for sel in entry["selections"]]
+        run = {"architecture": arch, "q": fm.q, "feature_names": list(names),
+               "methods": entries}
+        if active is not None:
+            run["correct_columns"] = [int(j) for j in np.flatnonzero(labels[0])]
         runs.append(run)
-    config = {
-        "mode": "csv", "architectures": list(architectures),
-        "unary_ops": [_op_name(u) for u in unary_ops],
-        "binary_ops": list(binary_ops),
-        "methods": list(methods), "n_selected": n_selected, "seed": seed,
-        "repeats": repeats,
-        "active_variables": (list(active_variables)
-                             if active_variables is not None else None),
-    }
+    # the csv echo leaves out tree and value_dedup
+    config = {k: v for k, v in _config_dict(cfg).items() if k not in ("tree", "value_dedup")}
+    config.update(mode="csv", active_variables=active)
     return ExperimentReport(config, runs, runtimes)
-
-
-def _op_name(entry) -> object:
-    return entry.name if isinstance(entry, UnaryOp) else entry
 
 
 def _config_dict(cfg) -> dict:
@@ -524,7 +512,7 @@ def _config_dict(cfg) -> dict:
         if isinstance(value, TreeParams):
             out[key] = {"n_trees": value.n_trees, "depth": value.depth}
         elif isinstance(value, tuple):
-            out[key] = [_op_name(v) for v in value]
+            out[key] = [v.name if isinstance(v, UnaryOp) else v for v in value]
         else:
             out[key] = value
     return out

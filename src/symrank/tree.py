@@ -21,8 +21,10 @@ import numpy as np
 from .core import Dataset, FeatureMatrix, RankPermutation, derive_rng
 from .errors import (
     ColumnMismatch,
+    DimensionMismatch,
     EmptySide,
     InadmissibleRule,
+    LengthMismatch,
     Unsplittable,
 )
 
@@ -93,6 +95,18 @@ def _matrix(data) -> np.ndarray:
     return z
 
 
+def _matrix_and_response(data, y) -> tuple[np.ndarray, np.ndarray]:
+    """The predictor matrix and response of a tree: one response per row and
+    at least one column."""
+    z = _matrix(data)
+    y = np.asarray(y, dtype=float)
+    if y.shape != (z.shape[0],):
+        raise LengthMismatch(f"response of shape {y.shape} for {z.shape[0]} rows")
+    if z.shape[1] == 0:
+        raise DimensionMismatch("a tree needs at least one predictor column")
+    return z, y
+
+
 def split_means(y, left_mask) -> tuple[float, float]:
     """Per-side response means; both sides must be nonempty."""
     y = np.asarray(y, dtype=float)
@@ -143,8 +157,7 @@ def best_split(data, y) -> SplitRule:
     Raises Unsplittable when y is constant, fewer than two samples, or no
     column has two distinct values.
     """
-    z = _matrix(data)
-    y = np.asarray(y, dtype=float)
+    z, y = _matrix_and_response(data, y)
     if z.shape[0] < 2 or np.all(y == y[0]):
         raise Unsplittable("node needs >= 2 samples and non-constant response")
     order = np.argsort(z.T, axis=1, kind="stable")
@@ -186,8 +199,7 @@ def grow_tree(data, y, depth: int, min_leaf: int = 1) -> TreeNode:
     sorted once (the CART presort); a node passes its per-column row orders
     to its children by stable filtering, so a node costs O(m*q) for m rows.
     """
-    z = _matrix(data)
-    y = np.asarray(y, dtype=float)
+    z, y = _matrix_and_response(data, y)
     n, q = z.shape
     zt = np.ascontiguousarray(z.T)
     z_flat = zt.ravel()
@@ -295,8 +307,7 @@ def ensemble_importance(data, y, n_trees: int, depth: int, seed: int,
     each rank class (see :func:`_rank_class_leaders`), which gives the same
     splits as growing on every column.
     """
-    z = _matrix(data)
-    y = np.asarray(y, dtype=float)
+    z, y = _matrix_and_response(data, y)
     if n_trees < 1:
         raise Unsplittable(f"need n_trees >= 1, got {n_trees}")
     n, q = z.shape

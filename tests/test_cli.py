@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from symrank import cli, errors
 from symrank.cli import main
 
 FIG2A_CSV = "x,y\n0.1,5\n0.3,2.1\n0.5,1\n0.6,2\n0.9,4\n"
@@ -168,6 +169,16 @@ class TestP12:
         assert doc["rows"][0]["p"] == pytest.approx(0.8)
 
 
+VALID_CONFIGS = {
+    "signal": {"mode": "signal", "n": 20, "noise_vars": [0.0], "architectures": ["bu"],
+               "methods": ["t0"], "repeats": 2, "n_selected": 3, "seed": 1},
+    "candidates": {"mode": "candidates", "truth": "x", "candidates": ["x", "sin(4*x)"],
+                   "n": 20, "repeats": 2, "methods": ["t0"], "seed": 1},
+    "csv": {"mode": "csv", "response": "y", "architectures": ["bu"], "methods": ["t0"],
+            "seed": 1},
+}
+
+
 class TestExperiment:
     def test_signal_mode_deterministic(self, tmp_path):
         cfg = {"mode": "signal", "n": 30, "noise_vars": [0.0],
@@ -248,6 +259,41 @@ class TestExperiment:
                    "--out-dir", str(tmp_path / "x")])
         assert rc == 2
 
+    @pytest.mark.parametrize("mode, change", [
+        ("signal", {"tree": {"n_trees": 2, "bogus": 1}}),
+        ("signal", {"repeats": 0}),
+        ("csv", {"repeats": -1}),
+        ("signal", {"n_selected": 0}),
+        ("signal", {"methods": []}),
+        ("signal", {"repeat": 5}),  # a typo of "repeats"
+        ("signal", {"active_variables": [0]}),  # fixed by the built-in signal
+        ("candidates", {"truth": None}),  # None removes the key
+    ])
+    def test_invalid_config_exits_2_before_any_work(self, mode, change, data3, tmp_path,
+                                                    capsys, monkeypatch):
+        cfg = {**VALID_CONFIGS[mode], **change}
+        if mode == "csv":
+            cfg["input"] = str(data3)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({k: v for k, v in cfg.items() if v is not None}))
+        monkeypatch.setattr(cli, "load_csv", None)  # reading the CSV is work too
+        out = tmp_path / "out"
+        rc = main(["experiment", "--config", str(cfg_path), "--out-dir", str(out)])
+        assert rc == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_unknown_method_exits_1_before_scoring(self, tmp_path, monkeypatch):
+        scored = []
+        monkeypatch.setattr("symrank.evalsel.score_features",
+                            lambda *args, **kwargs: scored.append(args))
+        cfg = {**VALID_CONFIGS["signal"], "methods": ["t0", "voodoo"]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["experiment", "--config", str(cfg_path),
+                   "--out-dir", str(tmp_path / "x")])
+        assert rc == 1 and scored == []
+
     def test_unknown_mode_exits_1(self, tmp_path):
         cfg_path = tmp_path / "mode.json"
         cfg_path.write_text(json.dumps({"mode": "nope"}))
@@ -284,3 +330,35 @@ class TestUsage:
         rc = main(["score", "--input", str(fig2a), "--response", "y",
                    "--methods", "voodoo", "--out-dir", str(tmp_path / "o")])
         assert rc == 1
+
+
+def _error_classes(cls=errors.SymrankError):
+    return [cls] + [c for sub in cls.__subclasses__() for c in _error_classes(sub)]
+
+
+# every package error and the exit code the command line returns for it
+EXIT_CODES = {
+    "SymrankError": 1, "UsageError": 2, "ConfigError": 2,
+    "TiesInResponse": 2, "DimensionMismatch": 2, "NonFiniteData": 2,
+    "LengthMismatch": 1, "TiesPresent": 1, "ZeroVariance": 1,
+    "EmptySide": 1, "SizeOutOfRange": 2, "TooLarge": 2, "TooSmall": 2,
+    "MembershipViolation": 1, "Unsplittable": 1, "InadmissibleRule": 1,
+    "ColumnMismatch": 1, "DomainMismatch": 2, "NotMonotone": 2,
+    "MergeableSegments": 2, "IntervalSpansBreakpoint": 1, "NotRefinedInterval": 1,
+    "CaseThreePresent": 1, "UnboundedTransform": 1, "PartialOperatorDomain": 1,
+    "KTooLarge": 2, "NoPositives": 1, "SizeMismatch": 1,
+}
+
+
+class TestExitCodes:
+    def test_every_error_class_is_pinned(self):
+        assert sorted(c.__name__ for c in _error_classes()) == sorted(EXIT_CODES)
+
+    @pytest.mark.parametrize("cls", _error_classes(), ids=lambda c: c.__name__)
+    def test_main_returns_the_class_exit_code(self, cls, monkeypatch, capsys):
+        def fail(args):
+            raise cls("planted")
+        monkeypatch.setattr(cli, "cmd_p12", fail)
+        assert cls.exit_code == EXIT_CODES[cls.__name__]
+        assert main(["p12", "--maps", "m.json", "--c", "1"]) == EXIT_CODES[cls.__name__]
+        assert capsys.readouterr().err == "error: planted\n"

@@ -134,6 +134,11 @@ class TestPartition2:
         p = make_partition2([1, 2, 3], (2, 0))
         assert p.left == (0, 2)
 
+    @pytest.mark.parametrize("left, right", [((0, 0, 1), None), ((0,), (1, 1, 2, 3))])
+    def test_repeated_index_rejected(self, left, right):
+        with pytest.raises(DimensionMismatch):
+            make_partition2([1, 2, 3, 10], left, right)
+
 
 class TestInterval:
     def test_contains_respects_closedness(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from symrank.core import FeatureMatrix, derive_rng, var
-from symrank.errors import KTooLarge, NoPositives, SizeMismatch
+from symrank.errors import DimensionMismatch, KTooLarge, NoPositives, SizeMismatch
 from symrank.evalsel import (
     CandidatesExperimentConfig,
     MethodScore,
@@ -293,6 +293,15 @@ class TestExperimentHarness:
             assert set(m["inclusion"]) == {"x", "sin(4*x)"}
             assert m["truth_inclusion"] == m["inclusion"]["sin(4*x)"]
             assert m["aip"] == m["truth_inclusion"]  # n_selected = 1
+
+    def test_repeats_must_expand_to_the_same_features(self):
+        # exp applied four times overflows on some draws only, and overflowing
+        # columns are dropped: repeat 0 keeps 12 columns, repeat 2 keeps 13
+        cfg = SignalExperimentConfig(
+            n=4, noise_vars=(0.0,), architectures=("uuuu",), unary_ops=("id", "exp"),
+            binary_ops=("+",), methods=("t0",), repeats=6, n_selected=2, seed=0)
+        with pytest.raises(DimensionMismatch, match="uuuu/0: repeat 2"):
+            run_signal_experiment(cfg)
 
     def test_truth_must_be_a_candidate(self):
         cfg = CandidatesExperimentConfig(

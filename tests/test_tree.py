@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symrank.core import build_dataset, derive_rng
-from symrank.errors import ColumnMismatch, EmptySide, InadmissibleRule, Unsplittable
+from symrank.errors import (
+    ColumnMismatch,
+    DimensionMismatch,
+    EmptySide,
+    InadmissibleRule,
+    LengthMismatch,
+    Unsplittable,
+)
 from symrank.partition import oracle_varying_size
 from symrank.stats import bayes_permutation, ranking_metric_T
 from symrank.tree import (
@@ -259,6 +266,22 @@ class TestGrowPredict:
         assert rule.coordinate == 3
         _, oracle = oracle_varying_size(y)
         assert split_rule_loss(z, y, rule) == pytest.approx(oracle.total_sse)
+
+    @pytest.mark.parametrize("grow", [
+        lambda z, y: grow_tree(z, y, 2),
+        best_split,
+        lambda z, y: ensemble_importance(z, y, 2, 2, seed=0),
+    ])
+    def test_response_length_must_match_rows(self, grow):
+        z = np.array([[0.1], [0.5], [0.9]])
+        for y in ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0]):
+            with pytest.raises(LengthMismatch):
+                grow(z, np.array(y))
+
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_no_columns_rejected(self, depth):
+        with pytest.raises(DimensionMismatch):
+            grow_tree(np.empty((3, 0)), np.array([1.0, 2.0, 3.0]), depth)
 
     def test_dataset_input_accepted(self):
         ds = build_dataset(FIG2A_X, FIG2A_Y)
