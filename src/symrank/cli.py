@@ -226,6 +226,8 @@ def cmd_select(args) -> int:
 
 def cmd_experiment(args) -> int:
     raw = _load_config(args.config)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"experiment config must be a JSON object, got {raw!r}")
     if args.seed is not None:
         raw.setdefault("seed", args.seed)
     mode = raw.get("mode", "signal")

@@ -25,7 +25,14 @@ from .core import (
     unary as unary_expr,
     var,
 )
-from .errors import DimensionMismatch, KTooLarge, LengthMismatch, NoPositives, SizeMismatch
+from .errors import (
+    ConfigError,
+    DimensionMismatch,
+    KTooLarge,
+    LengthMismatch,
+    NoPositives,
+    SizeMismatch,
+)
 from .stats import (
     chatterjee_scores,
     kendall_scores,
@@ -479,8 +486,7 @@ def run_csv_experiment(ds: Dataset, cfg: CsvExperimentConfig) -> ExperimentRepor
     """Architecture expansion and selection on a fixed ingested dataset."""
     active = cfg.active_variables
     if active is not None:
-        active = [ds.column_names.index(a) if isinstance(a, str) else int(a)
-                  for a in active]
+        active = [_input_column(ds, a) for a in active]
     ops = build_operator_set(cfg.unary_ops, cfg.binary_ops)
     cells = []
     for ai, arch in enumerate(cfg.architectures):
@@ -504,6 +510,20 @@ def run_csv_experiment(ds: Dataset, cfg: CsvExperimentConfig) -> ExperimentRepor
     config = {k: v for k, v in _config_dict(cfg).items() if k not in ("tree", "value_dedup")}
     config.update(mode="csv", active_variables=active)
     return ExperimentReport(config, runs, runtimes)
+
+
+def _input_column(ds: Dataset, entry) -> int:
+    """The input column an ``active_variables`` entry names, by name or index."""
+    if isinstance(entry, str):
+        if entry not in ds.column_names:
+            raise ConfigError(f"active_variables: no input column {entry!r} "
+                              f"in {list(ds.column_names)}")
+        return ds.column_names.index(entry)
+    if (isinstance(entry, bool) or not isinstance(entry, (int, np.integer))
+            or not 0 <= entry < ds.d):
+        raise ConfigError(f"active_variables: {entry!r} names no column of "
+                          f"{ds.d} input columns")
+    return int(entry)
 
 
 def _config_dict(cfg) -> dict:

@@ -107,15 +107,9 @@ def brute_force_best_2partition(y, i: int) -> Partition2:
         raise TooLarge(f"exhaustive enumeration is guarded to n <= 16, got n={n}")
     if not 1 <= i < n:
         raise SizeOutOfRange(f"need 1 <= i < n, got i={i}, n={n}")
-    best: Partition2 | None = None
-    best_key: tuple | None = None
-    for left in combinations(range(n), i):
-        cand = make_partition2(y, left)
-        key = (cand.total_sse, cand.left)
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
-    assert best is not None
-    return best
+    # 1 <= i < n, so there is at least one candidate
+    return min((make_partition2(y, left) for left in combinations(range(n), i)),
+               key=lambda cand: (cand.total_sse, cand.left))
 
 
 def oracle_varying_size(y) -> tuple[int, Partition2]:

@@ -1,8 +1,10 @@
 """Rank statistics: the concordant divergence, classical correlations, and
 the pairwise ranking quality metric with its optimal permutation.
 
-Each feature-response statistic has a per-column reference function and a
-column-batched ``*_scores`` scorer over an (n, q) feature matrix.
+Each feature-response statistic has a column-batched ``*_scores`` scorer
+over an (n, q) feature matrix, and all but Kendall's tau a per-column
+reference function. Kendall's reference, the O(n^2) pair enumeration
+``kendall_tau``, is the test oracle in ``tests/test_stats.py``.
 
 All functions are pure and safe for concurrent invocation on shared inputs.
 """
@@ -10,7 +12,7 @@ All functions are pure and safe for concurrent invocation on shared inputs.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import kendalltau, rankdata
+from scipy.stats import rankdata
 
 from .core import RankPermutation
 from .errors import LengthMismatch, TiesInResponse, TiesPresent, ZeroVariance
@@ -20,7 +22,6 @@ __all__ = [
     "chatterjee_scores",
     "chatterjee_xi",
     "kendall_scores",
-    "kendall_tau",
     "pearson",
     "pearson_scores",
     "ranking_metric_T",
@@ -74,18 +75,6 @@ def t0_divergence(u, y) -> float:
 # ---------------------------------------------------------------------------
 # classical correlations
 # ---------------------------------------------------------------------------
-
-def kendall_tau(u, y) -> float:
-    """(concordant - discordant) / C(n, 2); tied-feature pairs count as neither."""
-    u, y = _paired(u, y)
-    n = u.shape[0]
-    prod = np.sign(u[:, None] - u[None, :]) * np.sign(y[:, None] - y[None, :])
-    upper = np.triu_indices(n, k=1)
-    vals = prod[upper]
-    concordant = int(np.sum(vals > 0))
-    discordant = int(np.sum(vals < 0))
-    return (concordant - discordant) / (n * (n - 1) / 2)
-
 
 def pearson(u, y) -> float:
     """Standard sample Pearson correlation; raises ZeroVariance on constants."""
@@ -177,24 +166,80 @@ def spearman_scores(z, y) -> np.ndarray:
     return pearson_scores(rankdata(z, axis=0), rankdata(y))
 
 
-def kendall_scores(z, y) -> np.ndarray:
-    """:func:`kendall_tau` of every column in O(q n log n), bit for bit.
+def _run_heads(s) -> np.ndarray:
+    """Mask of the entries of each row-sorted row that differ from their
+    predecessor; a row's first entry always does."""
+    head = np.ones(s.shape, dtype=bool)
+    np.not_equal(s[:, 1:], s[:, :-1], out=head[:, 1:])
+    return head
 
-    scipy's tau-b (Knight's algorithm) is S / sqrt((n0-n1)(n0-n2)) for the
-    integer S = concordant - discordant, with n0 = n(n-1)/2 pairs of which n1
-    tie in the column and n2 in y. S is recovered by rounding and divided as
-    :func:`kendall_tau` divides it. Constant columns score 0.0.
+
+def _tied_pairs(head) -> np.ndarray:
+    """Pairs of equal entries in each row, from the run heads of the sorted
+    rows: every entry pairs with the entries before it in its run."""
+    idx = np.arange(head.shape[1])
+    return (idx - np.maximum.accumulate(np.where(head, idx, 0), axis=1)).sum(axis=1)
+
+
+def _dense_ranks(rows) -> tuple[np.ndarray, np.ndarray]:
+    """0-based dense ranks within each row, and each row's tied pairs."""
+    order = np.argsort(rows, axis=1)
+    head = _run_heads(np.take_along_axis(rows, order, axis=1))
+    ranks = np.empty(rows.shape, dtype=np.int64)
+    np.put_along_axis(ranks, order, np.cumsum(head, axis=1) - 1, axis=1)
+    return ranks, _tied_pairs(head)
+
+
+def _inversions(v, ref) -> np.ndarray:
+    """Pairs i < j with v[i] > v[j] in each row of a (q, n) array whose rows
+    all hold the multiset of non-negative integers that the sorted (1, n)
+    ``ref`` holds.
+
+    Every row is stably partitioned on each bit in turn, highest first (a
+    wavelet matrix), so entries sharing the bits above b sit together in
+    their original order. A pair first differing at bit b is inverted
+    exactly when its 1 precedes its 0 there. The 1-before-0 pairs across
+    groups depend only on the multiset, so a sorted copy, which has no
+    inversions, cancels them. A row's 1-before-0 pairs are a constant less
+    the sum of the positions of its 1s, which each level reads off in O(q n).
+    """
+    v = np.vstack([v, ref]).astype(np.min_scalar_type(ref[0, -1]))
+    q, n = v.shape
+    idx = np.arange(n)
+    ones_at = np.zeros(q, dtype=np.int64)
+    for b in reversed(range(int(ref[0, -1]).bit_length())):
+        one = (v & (1 << b)) != 0
+        ones_at += one.astype(np.int64) @ idx
+        k = int(np.count_nonzero(one[-1]))
+        parted = np.empty_like(v)
+        parted[:, :n - k] = np.compress(~one.ravel(), v).reshape(q, n - k)
+        parted[:, n - k:] = np.compress(one.ravel(), v).reshape(q, k)
+        v = parted
+    return ones_at[-1] - ones_at[:-1]
+
+
+def kendall_scores(z, y) -> np.ndarray:
+    """(concordant - discordant) / C(n, 2) of every column, exactly, in
+    O(q n log n); tied pairs count as neither.
+
+    Knight's (1966) count, batched: with n0 = C(n, 2) pairs of which n1 tie
+    in the column, n2 in y and n3 in both, S = n0 - n1 - n2 + n3 - 2D, where
+    D counts the strict inversions of the y-ranks once each column is sorted
+    by (u, y). Every count is an integer, so S is exact and S / C(n, 2) is
+    bit for bit the pair enumeration's quotient. A constant column or a
+    constant y scores 0.0. Entries must be finite.
     """
     rows, y = _rows(z, y)
     n = y.shape[0]
-    # n0 - n1 = sum of (min-rank - 1): each value pairs untied with those below
-    untied = rankdata(rows, method="min", axis=1).sum(axis=1) - n
-    y_untied = rankdata(y, method="min").sum() - n
-    out = np.zeros(rows.shape[0])
-    for j in np.flatnonzero((untied > 0) & (y_untied > 0)):
-        root = np.sqrt(untied[j]) * np.sqrt(y_untied)
-        out[j] = round(kendalltau(rows[j], y).statistic * root) / (n * (n - 1) / 2)
-    return out
+    y_rank, n2 = _dense_ranks(y[None, :])
+    u_rank, n1 = _dense_ranks(rows)
+    bits = int(y_rank.max()).bit_length()
+    # (u, y) order; equal (u, y) pairs are neither inverted nor untied
+    key = np.sort((u_rank << bits) | y_rank, axis=1)
+    n3 = _tied_pairs(_run_heads(key))
+    d = _inversions(key & ((1 << bits) - 1), np.sort(y_rank, axis=1))
+    s = (n * (n - 1) // 2 - n1 - n2 + n3) - 2 * d
+    return s / (n * (n - 1) / 2)
 
 
 def chatterjee_scores(z, y) -> np.ndarray:

@@ -283,6 +283,33 @@ class TestExperiment:
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("raw", [[1], "csv", None])
+    def test_non_object_config_exits_2(self, raw, tmp_path, capsys, monkeypatch):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        monkeypatch.setattr(cli, "load_csv", None)
+        out = tmp_path / "out"
+        rc = main(["experiment", "--config", str(cfg_path), "--out-dir", str(out),
+                   "--seed", "3"])
+        assert rc == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("active", [["x1", "x9"], [7], [-1], [1.5], [True]])
+    def test_csv_active_variables_must_name_columns(self, active, data3, tmp_path,
+                                                    capsys, monkeypatch):
+        expanded = []
+        monkeypatch.setattr("symrank.evalsel.generate_report",
+                            lambda *args: expanded.append(args))
+        cfg = {**VALID_CONFIGS["csv"], "input": str(data3), "active_variables": active}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        rc = main(["experiment", "--config", str(cfg_path), "--out-dir", str(out)])
+        assert rc == 2 and expanded == []
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
     def test_unknown_method_exits_1_before_scoring(self, tmp_path, monkeypatch):
         scored = []
         monkeypatch.setattr("symrank.evalsel.score_features",

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symrank.core import derive_rng, make_partition2
 from symrank.errors import (
@@ -189,6 +190,51 @@ class TestFixedSizeOptimumAgainstEnumeration:
             assert mapped.winner == base.winner
             assert mapped.best.left == base.best.left
             assert mapped.best.right == base.best.right
+
+
+def every_left_side(y):
+    """Each split of range(n) into two nonempty groups, once per side as
+    the first group: (n,)-masks of the first group, and each split's SSE."""
+    n = len(y)
+    masks = (np.arange(1, 2**n - 1)[:, None] >> np.arange(n)) & 1 == 1
+    sse = np.zeros(len(masks))
+    for side in (masks, ~masks):
+        mean = (side * y).sum(axis=1) / side.sum(axis=1)
+        sse += (side * (y - mean[:, None]) ** 2).sum(axis=1)
+    return masks, sse
+
+
+@st.composite
+def tie_heavy_responses(draw):
+    n = draw(st.integers(5, 10))
+    return np.array(draw(st.lists(
+        st.one_of(st.integers(-3, 3), st.floats(-5, 5, allow_subnormal=False)),
+        min_size=n, max_size=n)), dtype=float)
+
+
+class TestOraclesAgainstBruteForce:
+    @given(tie_heavy_responses())
+    @settings(max_examples=80, deadline=None)
+    def test_fixed_and_varying_size(self, y):
+        n = len(y)
+        masks, sse = every_left_side(y)
+        sizes = masks.sum(axis=1)
+        brute = {i: brute_force_best_2partition(y, i) for i in range(1, n)}
+        for i in range(2, n - 1):
+            fixed = oracle_fixed_size(y, i).best
+            assert abs(fixed.total_sse - brute[i].total_sse) <= 1e-9
+            at_i = np.flatnonzero(sizes == i)
+            optimal = at_i[sse[at_i] <= sse[at_i].min() + 1e-9]
+            if optimal.size == 1:
+                assert fixed.left == brute[i].left == tuple(np.flatnonzero(masks[optimal[0]]))
+        i_star, varying = oracle_varying_size(y)
+        assert abs(varying.total_sse - min(p.total_sse for p in brute.values())) <= 1e-9
+        # each split appears twice, once with either group first
+        optimal = np.flatnonzero(sse <= sse.min() + 1e-9)
+        if optimal.size == 2:
+            assert {varying.left, varying.right} == {
+                tuple(np.flatnonzero(masks[j])) for j in optimal}
+            assert len(varying.left) == i_star
 
 
 class TestSwapGain:

@@ -8,11 +8,11 @@ from scipy.stats import rankdata
 from symrank.core import RankPermutation, derive_rng
 from symrank.errors import LengthMismatch, TiesInResponse, TiesPresent, ZeroVariance
 from symrank.stats import (
+    _inversions,
     bayes_permutation,
     chatterjee_scores,
     chatterjee_xi,
     kendall_scores,
-    kendall_tau,
     pearson,
     pearson_scores,
     ranking_metric_T,
@@ -34,6 +34,20 @@ def t0_by_ordered_pairs(u, y):
         if hit:
             total += 2.0 * abs(y[i] - y[j]) / (n * (n - 1))
     return total
+
+
+def kendall_tau(u, y):
+    """(concordant - discordant) / C(n, 2) by O(n^2) pair enumeration; tied
+    pairs count as neither. The oracle for :func:`kendall_scores`."""
+    u = np.asarray(u, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = u.shape[0]
+    prod = np.sign(u[:, None] - u[None, :]) * np.sign(y[:, None] - y[None, :])
+    upper = np.triu_indices(n, k=1)
+    vals = prod[upper]
+    concordant = int(np.sum(vals > 0))
+    discordant = int(np.sum(vals < 0))
+    return (concordant - discordant) / (n * (n - 1) / 2)
 
 
 def tie_free_pair(rng, n):
@@ -132,16 +146,27 @@ class TestT0:
         assert mean - 2 * se > 0
 
 
+def batched_tau(u, y):
+    """:func:`kendall_scores` of one column."""
+    return kendall_scores(np.asarray(u, dtype=float)[:, None], y)[0]
+
+
 class TestKendall:
+    # every expectation holds for the oracle and for the batched scorer
+    TAUS = (kendall_tau, batched_tau)
+
     def test_perfect(self):
-        assert kendall_tau([1, 2, 3], [1, 2, 3]) == 1.0
+        for tau in self.TAUS:
+            assert tau([1, 2, 3], [1, 2, 3]) == 1.0
 
     def test_mixed(self):
-        assert kendall_tau([1, 2, 3], [3, 1, 2]) == pytest.approx(-1 / 3)
+        for tau in self.TAUS:
+            assert tau([1, 2, 3], [3, 1, 2]) == pytest.approx(-1 / 3)
 
     def test_feature_tie_counts_as_neither(self):
         # pairs: (0,1) tied in u; (0,2) and (1,2) concordant -> (2 - 0) / 3
-        assert kendall_tau([1, 1, 2], [1, 2, 3]) == pytest.approx(2 / 3)
+        for tau in self.TAUS:
+            assert tau([1, 1, 2], [1, 2, 3]) == pytest.approx(2 / 3)
 
     def test_matches_pair_enumeration(self):
         rng = derive_rng(12)
@@ -158,12 +183,14 @@ class TestKendall:
                 else:
                     disc += 1
             expected = (conc - disc) / (n * (n - 1) / 2)
-            assert kendall_tau(u, y) == pytest.approx(expected, abs=1e-15)
+            for tau in self.TAUS:
+                assert tau(u, y) == pytest.approx(expected, abs=1e-15)
 
     def test_monotone_invariance(self):
         rng = derive_rng(13)
         u, y = tie_free_pair(rng, 20)
-        assert kendall_tau(np.exp(u), y) == pytest.approx(kendall_tau(u, y))
+        for tau in self.TAUS:
+            assert tau(np.exp(u), y) == pytest.approx(tau(u, y))
 
 
 class TestPearsonSpearman:
@@ -290,6 +317,27 @@ def scoring_inputs(draw):
     return z, y
 
 
+@st.composite
+def kendall_inputs(draw):
+    """A response and seven columns, with ties in both: a tie-heavy base, its
+    copy, its cube, its negation, a constant, and two tie-free columns. The
+    response is tie-heavy, tie-free or constant."""
+    n = draw(st.integers(2, 70))
+    kind = draw(st.sampled_from(["ties", "tie-free", "constant"]))
+    if kind == "ties":
+        y = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))) * 0.5
+    elif kind == "tie-free":
+        y = np.array(draw(st.permutations(range(n)))) * 1.5 - 4.0
+    else:
+        y = np.full(n, 2.0)
+    base = np.array(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))) / 10
+    const = draw(st.sampled_from([0.1, 3.0, -7.25]))
+    tie_free = np.array(draw(st.permutations(range(n)))) / 7.0
+    z = np.column_stack([base, base.copy(), base**3, -base, np.full(n, const),
+                         tie_free, np.exp(tie_free)])
+    return z, y
+
+
 def _oracle(fn, col, y, sentinel):
     try:
         return fn(col, y)
@@ -320,9 +368,36 @@ class TestBatchedScorers:
             assert scores[0] == scores[2] == scores[3]
         assert pearson_r[0] == pearson_r[2]
 
+    @given(kendall_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_kendall_matches_oracle_with_ties_in_both(self, inputs):
+        z, y = inputs
+        scores = kendall_scores(z, y)
+        for j in range(z.shape[1]):
+            assert scores[j] == kendall_tau(z[:, j], y)
+        # columns 0, 1 and 2 are equal up to increasing maps, 3 is reversed
+        assert scores[0] == scores[1] == scores[2] == -scores[3]
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_inversion_count_matches_pair_enumeration(self, data):
+        n = data.draw(st.integers(1, 40))
+        values = data.draw(st.lists(st.integers(0, data.draw(st.integers(0, 70))),
+                                    min_size=n, max_size=n))
+        rows = np.array([values] + [data.draw(st.permutations(values))
+                                    for _ in range(data.draw(st.integers(0, 3)))])
+        expected = [sum(row[i] > row[j] for i, j in itertools.combinations(range(n), 2))
+                    for row in rows]
+        assert _inversions(rows, np.sort(rows[:1], axis=1)).tolist() == expected
+
     def test_t0_response_ties_rejected(self):
         with pytest.raises(TiesInResponse):
             t0_scores(np.eye(3), [1.0, 1.0, 2.0])
+
+    def test_no_columns(self):
+        for scorer in (t0_scores, kendall_scores, chatterjee_scores, pearson_scores,
+                       spearman_scores):
+            assert scorer(np.zeros((4, 0)), [1.0, 2.0, 3.0, 4.0]).shape == (0,)
 
     def test_shape_mismatch(self):
         with pytest.raises(LengthMismatch):
