@@ -105,8 +105,8 @@ def _known_methods(methods):
 # how a JSON config value becomes a config field value; other keys pass as given
 _CONFIG_VALUES = {
     "n": int, "noise_var": float, "repeats": int, "n_selected": int, "seed": int,
-    "value_dedup": bool, "noise_vars": tuple, "architectures": tuple,
-    "binary_ops": tuple, "methods": tuple, "candidates": tuple,
+    "n_trees": int, "depth": int, "value_dedup": bool, "noise_vars": tuple,
+    "architectures": tuple, "binary_ops": tuple, "methods": tuple, "candidates": tuple,
     "active_variables": tuple, "unary_ops": _unary_entries,
     "tree": lambda raw: _config(TreeParams, raw),
 }
@@ -137,6 +137,9 @@ def _experiment_config(cls, raw, extra=()):
     if cfg.repeats < 1 or cfg.n_selected < 1 or not cfg.methods:
         raise ConfigError(f"need repeats >= 1, n_selected >= 1 and at least one method; "
                           f"got {cfg.repeats}, {cfg.n_selected} and {list(cfg.methods)}")
+    if cfg.tree.n_trees < 1 or cfg.tree.depth < 0:
+        raise ConfigError(f"need tree n_trees >= 1 and depth >= 0; "
+                          f"got {cfg.tree.n_trees} and {cfg.tree.depth}")
     _known_methods(cfg.methods)
     return cfg
 
@@ -328,7 +331,8 @@ def cmd_tree_grow(args) -> int:
     doc = tree_to_json(tree)
     doc["columns"] = list(ds.column_names)
     _write_json(Path(args.out), doc)
-    print(f"grew depth<={args.depth} tree with {len(tree.leaves())} leaves -> {args.out}")
+    n_leaves = int(np.count_nonzero(tree.coordinate < 0))
+    print(f"grew depth<={args.depth} tree with {n_leaves} leaves -> {args.out}")
     return EXIT_OK
 
 

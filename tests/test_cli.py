@@ -268,6 +268,8 @@ class TestExperiment:
         ("signal", {"repeat": 5}),  # a typo of "repeats"
         ("signal", {"active_variables": [0]}),  # fixed by the built-in signal
         ("candidates", {"truth": None}),  # None removes the key
+        ("signal", {"tree": {"n_trees": 0, "depth": 3}}),
+        ("csv", {"tree": {"depth": -1}}),
     ])
     def test_invalid_config_exits_2_before_any_work(self, mode, change, data3, tmp_path,
                                                     capsys, monkeypatch):
@@ -347,6 +349,16 @@ class TestTree:
 
     def test_missing_subcommand_exits_2(self):
         assert main(["tree"]) == 2
+
+    def test_predict_rejects_an_out_of_range_coordinate(self, data3, tmp_path, capsys):
+        tree_path = tmp_path / "tree.json"
+        tree_path.write_text(json.dumps({"n_features": 3, "nodes": [
+            {"coordinate": -1, "threshold": 0.5}, {"mean": 1.0}, {"mean": 2.0}]}))
+        preds_path = tmp_path / "preds.csv"
+        rc = main(["tree", "predict", "--tree", str(tree_path), "--input", str(data3),
+                   "--response", "y", "--out", str(preds_path)])
+        assert rc == 1 and not preds_path.exists()
+        assert capsys.readouterr().err.startswith("error: tree node 0: coordinate -1")
 
 
 class TestUsage:

@@ -1,5 +1,7 @@
 import json
 import time
+import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -18,7 +20,6 @@ from symrank.partition import oracle_varying_size
 from symrank.stats import bayes_permutation, ranking_metric_T
 from symrank.tree import (
     SplitRule,
-    TreeNode,
     _rank_class_leaders,
     best_split,
     ensemble_importance,
@@ -35,6 +36,19 @@ from symrank.tree import (
 
 FIG2A_X = np.array([[0.1], [0.3], [0.5], [0.6], [0.9]])
 FIG2A_Y = np.array([5.0, 2.1, 1.0, 2.0, 4.0])
+
+
+def node_rows(tree, i):
+    """Training rows of node i as a tuple of ints."""
+    return tuple(tree.rows[tree.start[i]:tree.stop[i]].tolist())
+
+
+def leaf_ids(tree):
+    return np.flatnonzero(tree.coordinate < 0).tolist()
+
+
+def internal_ids(tree):
+    return np.flatnonzero(tree.coordinate >= 0).tolist()
 
 
 def node_sse(y):
@@ -206,14 +220,15 @@ class TestLogPrincipalDecisionRatio:
 class TestGrowPredict:
     def test_depth_zero_single_leaf(self):
         tree = grow_tree(FIG2A_X, FIG2A_Y, 0)
-        assert tree.is_leaf and tree.mean == pytest.approx(FIG2A_Y.mean())
+        assert tree.coordinate.tolist() == [-1]
+        assert tree.mean[0] == pytest.approx(FIG2A_Y.mean())
         perm = induced_permutation(tree, FIG2A_X)
         assert perm.order == (0, 1, 2, 3, 4)  # stable tie rule: identity
 
     def test_depth_two_realizes_three_components(self):
         tree = grow_tree(FIG2A_X, FIG2A_Y, 2)
-        leaves = tree.leaves()
-        assert sorted(lf.indices for lf in leaves) == [(0,), (1, 2, 3), (4,)]
+        assert sorted(node_rows(tree, i) for i in leaf_ids(tree)) \
+            == [(0,), (1, 2, 3), (4,)]
 
     def test_squared_feature_realizes_oracle_partition(self):
         # same responses on inputs centered at zero: one split on x^2
@@ -237,10 +252,10 @@ class TestGrowPredict:
         z = rng.normal(size=(40, 3))
         y = rng.normal(size=40)
         tree = grow_tree(z, y, 3)
-        for leaf in tree.leaves():
-            for i in leaf.indices:
-                assert predict(tree, z[i]) == pytest.approx(
-                    float(y[list(leaf.indices)].mean()))
+        for leaf in leaf_ids(tree):
+            rows = list(node_rows(tree, leaf))
+            for i in rows:
+                assert predict(tree, z[i]) == pytest.approx(float(y[rows].mean()))
 
     def test_min_leaf_stops_growth(self):
         # nodes smaller than 2*min_leaf become leaves instead of splitting
@@ -248,8 +263,9 @@ class TestGrowPredict:
         z = rng.normal(size=(16, 1))
         y = rng.normal(size=16)
         tree = grow_tree(z, y, 10, min_leaf=4)
-        assert all(len(n.indices) >= 8 for n in tree.internal_nodes())
-        assert any(not lf.is_leaf or len(lf.indices) < 8 for lf in tree.leaves())
+        sizes = tree.stop - tree.start
+        assert (sizes[internal_ids(tree)] >= 8).all()
+        assert (sizes[leaf_ids(tree)] < 8).any()
 
     def test_column_mismatch(self):
         tree = grow_tree(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]), 1)
@@ -286,7 +302,7 @@ class TestGrowPredict:
     def test_dataset_input_accepted(self):
         ds = build_dataset(FIG2A_X, FIG2A_Y)
         tree = grow_tree(ds, ds.y, 2)
-        assert len(tree.leaves()) == 3
+        assert len(leaf_ids(tree)) == 3
 
 
 class TestSerialization:
@@ -307,6 +323,48 @@ class TestSerialization:
         assert doc["nodes"][0] == {"coordinate": 0, "threshold": 2.0}
         assert set(doc["nodes"][1].keys()) == {"mean"}
 
+    SPLIT = {"coordinate": 0, "threshold": 0.5}
+
+    @pytest.mark.parametrize("nodes", [
+        [{"coordinate": -1, "threshold": 0.5}, {"mean": 1.0}, {"mean": 2.0}],
+        [{"coordinate": 5, "threshold": 0.5}, {"mean": 1.0}, {"mean": 2.0}],
+        [{"coordinate": 2, "threshold": 0.5}, {"mean": 1.0}, {"mean": 2.0}],
+        [{"coordinate": 1.0, "threshold": 0.5}, {"mean": 1.0}, {"mean": 2.0}],
+        [SPLIT, {"mean": 1.0}],  # truncated: the root's right child is missing
+        [SPLIT, SPLIT, {"mean": 1.0}, {"mean": 2.0}],
+        [],
+        [{"coordinate": 0, "threshold": float("nan")}, {"mean": 1.0}, {"mean": 2.0}],
+        [{"coordinate": 0, "threshold": float("inf")}, {"mean": 1.0}, {"mean": 2.0}],
+        [SPLIT, {"mean": float("nan")}, {"mean": 2.0}],
+        [SPLIT, {"mean": 1.0}, {"mean": -float("inf")}],
+        [SPLIT, {"mean": 1.0}, {"mean": "2"}],
+        [SPLIT, {"mean": 1.0}, {"mean": 10**400}],  # beyond float range
+        [SPLIT, {"mean": 1.0}, {"mean": 2.0}, {"mean": 3.0}],  # a trailing node
+        [{"threshold": 0.5}, {"mean": 1.0}, {"mean": 2.0}],
+        [SPLIT, 3.0, {"mean": 2.0}],
+    ])
+    def test_malformed_document_rejected(self, nodes):
+        with pytest.raises(ColumnMismatch):
+            tree_from_json({"n_features": 2, "nodes": nodes})
+
+    @pytest.mark.parametrize("doc", [[], {"nodes": [{"mean": 1.0}]},
+                                     {"n_features": 0, "nodes": [{"mean": 1.0}]}])
+    def test_malformed_width_rejected(self, doc):
+        with pytest.raises(ColumnMismatch):
+            tree_from_json(doc)
+
+    def test_preorder_links(self):
+        # root splits column 1; its left child splits column 0 into two leaves
+        doc = {"n_features": 2, "nodes": [
+            {"coordinate": 1, "threshold": 0.5}, {"coordinate": 0, "threshold": 0.5},
+            {"mean": 1.0}, {"mean": 2.0}, {"mean": 3.0}]}
+        tree = tree_from_json(doc)
+        assert tree.right.tolist() == [4, 3, -1, -1, -1]
+        rows = np.array([[0.0, 0.9], [0.1, 0.2], [0.9, 0.1]])
+        assert predict_rows(tree, rows).tolist() == [3.0, 1.0, 2.0]
+        assert [predict(tree, row) for row in rows] == [3.0, 1.0, 2.0]
+        assert tree_to_json(tree) == doc
+
 
 class TestEnsembleImportance:
     def test_single_tree_no_bootstrap_is_split_histogram(self):
@@ -315,9 +373,7 @@ class TestEnsembleImportance:
         y = z[:, 0] + 0.1 * rng.normal(size=30)
         freq = ensemble_importance(z, y, 1, 3, seed=0, bootstrap=False)
         tree = grow_tree(z, y, 3)
-        counts = np.zeros(2)
-        for node in tree.internal_nodes():
-            counts[node.split.coordinate] += 1
+        counts = np.bincount(tree.coordinate[internal_ids(tree)], minlength=2)
         assert np.allclose(freq, counts / counts.sum())
 
     def test_relevant_feature_has_max_frequency(self):
@@ -387,9 +443,26 @@ def oracle_best_split(z, y):
     return SplitRule(k, float(z_sorted[col_pos[k], k]))
 
 
+@dataclass(frozen=True)
+class OracleNode:
+    """A node of the oracle's recursive tree: its training rows, and either a
+    split with two children or a leaf mean."""
+
+    indices: tuple[int, ...]
+    split: SplitRule | None = None
+    left: "OracleNode | None" = None
+    right: "OracleNode | None" = None
+    mean: float = float("nan")
+
+    def preorder(self):
+        yield self
+        if self.split is not None:
+            yield from self.left.preorder()
+            yield from self.right.preorder()
+
+
 def oracle_grow_tree(z, y, depth, min_leaf=1):
     """Recursion that rescans the node's own rows z[idx] at every node."""
-    q = z.shape[1]
 
     def build(idx, remaining):
         node_idx = tuple(int(i) for i in idx)
@@ -398,12 +471,22 @@ def oracle_grow_tree(z, y, depth, min_leaf=1):
         if remaining > 0 and idx.size >= 2 * min_leaf:
             rule = oracle_best_split(z[idx], y_node)
         if rule is None:
-            return TreeNode(node_idx, q, mean=float(y_node.mean()))
+            # a NaN threshold sends every row right and leaves the left empty
+            mean = float(y_node.mean()) if idx.size else float("nan")
+            return OracleNode(node_idx, mean=mean)
         mask = z[idx, rule.coordinate] <= rule.threshold
-        return TreeNode(node_idx, q, split=rule, left=build(idx[mask], remaining - 1),
-                        right=build(idx[~mask], remaining - 1))
+        return OracleNode(node_idx, split=rule, left=build(idx[mask], remaining - 1),
+                          right=build(idx[~mask], remaining - 1))
 
     return build(np.arange(z.shape[0]), depth)
+
+
+def oracle_json(oracle, n_features):
+    """The tree document of an oracle tree, in the format of tree_to_json."""
+    nodes = [{"mean": node.mean} if node.split is None else
+             {"coordinate": node.split.coordinate, "threshold": node.split.threshold}
+             for node in oracle.preorder()]
+    return {"n_features": n_features, "nodes": nodes}
 
 
 def oracle_ensemble_importance(z, y, n_trees, depth, seed, bootstrap=True):
@@ -412,8 +495,9 @@ def oracle_ensemble_importance(z, y, n_trees, depth, seed, bootstrap=True):
     counts = np.zeros(q)
     for t in range(n_trees):
         rows = derive_rng(seed, t).integers(0, n, size=n) if bootstrap else np.arange(n)
-        for node in oracle_grow_tree(z[rows], y[rows], depth).internal_nodes():
-            counts[node.split.coordinate] += 1
+        for node in oracle_grow_tree(z[rows], y[rows], depth).preorder():
+            if node.split is not None:
+                counts[node.split.coordinate] += 1
     total = counts.sum()
     return counts / total if total > 0 else counts
 
@@ -426,15 +510,19 @@ COLUMN_MAPS = {
     "const": lambda v: np.full_like(v, 1.5),
     # same stable order as v with every tie broken: not rank-equal to v
     "ordinal": lambda v: np.argsort(np.argsort(v, kind="stable")).astype(float),
+    # NaN and infinities sort last and first; NaN ties no value, not even NaN
+    "nan": lambda v: np.where(v > 0.1, np.nan, v),
+    "inf": lambda v: np.where(v > 0.2, np.inf, np.where(v < -0.2, -np.inf, v)),
+    "nan_inf": lambda v: np.where(v > 0.2, np.nan, np.where(v < -0.1, -np.inf, v)),
 }
 
 
 @st.composite
 def tree_inputs(draw):
-    """Tie-heavy base columns seen through x, x^3, exp(x), -x, a constant or
-    tie-broken ordinal ranks,
-    optionally with bootstrap-duplicated rows, and a tie-heavy, continuous
-    or constant response."""
+    """Tie-heavy base columns seen through x, x^3, exp(x), -x, a constant,
+    tie-broken ordinal ranks or maps to NaN and +-inf, optionally with
+    bootstrap-duplicated rows (NaN rows included), and a tie-heavy,
+    continuous or constant response."""
     n = draw(st.integers(1, 40))
     n_base = draw(st.integers(1, 3))
     scale = draw(st.sampled_from([1, 10, 1000]))  # 1: heavy ties, 1000: few
@@ -458,8 +546,6 @@ def tree_inputs(draw):
     return z, y
 
 
-def node_indices(tree):
-    return [node.indices for node in tree.internal_nodes() + tree.leaves()]
 
 
 class TestPresortedGrowthMatchesOracle:
@@ -469,9 +555,15 @@ class TestPresortedGrowthMatchesOracle:
         z, y = inputs
         tree = grow_tree(z, y, depth, min_leaf)
         oracle = oracle_grow_tree(z, y, depth, min_leaf)
-        assert json.dumps(tree_to_json(tree)) == json.dumps(tree_to_json(oracle))
-        assert node_indices(tree) == node_indices(oracle)
-        assert all(type(i) is int for ix in node_indices(tree) for i in ix)
+        assert json.dumps(tree_to_json(tree)) == json.dumps(oracle_json(oracle, z.shape[1]))
+        # a node's slice lists its left child's rows first; a leaf's increase
+        leaves = leaf_ids(tree)
+        assert [tuple(sorted(node_rows(tree, i))) for i in range(tree.coordinate.size)] \
+            == [node.indices for node in oracle.preorder()]
+        assert all(node_rows(tree, i) == tuple(sorted(node_rows(tree, i))) for i in leaves)
+        # the leaves' slices tile the row-order array in preorder
+        assert tree.start[leaves].tolist() == [0] + tree.stop[leaves][:-1].tolist()
+        assert tree.stop[leaves][-1] == z.shape[0] == tree.rows.size
         rows = predict_rows(tree, z)
         assert np.array_equal(rows, [predict(tree, row) for row in z])
 
@@ -484,7 +576,7 @@ class TestPresortedGrowthMatchesOracle:
             with pytest.raises(Unsplittable):
                 best_split(z, y)
         else:
-            assert best_split(z, y) == expected
+            assert repr(best_split(z, y)) == repr(expected)  # NaN thresholds too
 
     @given(tree_inputs(), st.integers(0, 5), st.integers(0, 2**16), st.booleans())
     @settings(max_examples=120, deadline=None)
@@ -494,14 +586,29 @@ class TestPresortedGrowthMatchesOracle:
         expected = oracle_ensemble_importance(z, y, 3, depth, seed, bootstrap=bootstrap)
         assert freq.tobytes() == expected.tobytes()
 
+    def test_forest_beyond_one_byte_rank_keys(self):
+        # 700 rows need two-byte keys; ties and a NaN run test the presort
+        rng = derive_rng(49)
+        x = rng.integers(0, 400, size=700) / 400
+        z = np.column_stack([x, np.where(x > 0.9, np.nan, x**2), rng.uniform(size=700)])
+        y = np.round(3 * x + rng.normal(size=700))
+        assert _rank_class_leaders(z)[1].dtype == np.uint16
+        freq = ensemble_importance(z, y, 3, 3, seed=11)
+        assert freq.tobytes() == oracle_ensemble_importance(z, y, 3, 3, seed=11).tobytes()
+
     def test_rank_classes(self):
         x = np.array([0.3, -1.2, 0.3, 2.0, 0.7])
         z = np.column_stack([np.exp(x), -x, x, np.full(5, 4.0), x**3, np.zeros(5),
-                             np.where(x > 1, np.nan, x), [1.0, 0.0, 2.0, 4.0, 3.0]])
+                             np.where(x > 0.5, np.nan, x), [1.0, 0.0, 2.0, 4.0, 3.0]])
         # exp(x), x and x^3 share a class led by column 0; -x does not join
         # it; both constants form one class; a NaN column stands alone, and
         # so does the last column: it sorts the rows as x does but has no tie
-        assert _rank_class_leaders(z).tolist() == [0, 1, 3, 6, 7]
+        leaders, keys = _rank_class_leaders(z)
+        assert leaders.tolist() == [0, 1, 3, 6, 7]
+        # dense ranks in the smallest unsigned dtype; both NaNs share the last
+        assert keys.dtype == np.uint8
+        assert keys.tolist() == [[1, 0, 1, 3, 2], [2, 3, 2, 0, 1], [0, 0, 0, 0, 0],
+                                 [1, 0, 1, 2, 2], [1, 0, 2, 4, 3]]
 
     def test_grow_and_predict_scale_to_1e5_rows(self):
         # a per-node argsort of every column took ~1.1 s to grow this tree
@@ -516,7 +623,27 @@ class TestPresortedGrowthMatchesOracle:
         pred = predict_rows(tree, x)
         elapsed = time.perf_counter() - start
         assert elapsed < 20.0
-        leaves = tree.leaves()
-        assert sum(len(leaf.indices) for leaf in leaves) == n
+        leaves = leaf_ids(tree)
+        assert int((tree.stop - tree.start)[leaves].sum()) == n
         for leaf in leaves:
-            assert np.all(pred[list(leaf.indices)] == leaf.mean)
+            assert np.all(pred[list(node_rows(tree, leaf))] == tree.mean[leaf])
+
+    def test_forest_scales_to_1e5_rows(self):
+        # a float argsort per bootstrap tree and node objects peaked at
+        # ~135 MB of tracemalloc here; integer rank keys take ~45 MB and
+        # ~3 s under tracemalloc on a 2-CPU Xeon
+        rng = derive_rng(48)
+        n = 100_000
+        x = rng.uniform(size=(n, 4))
+        y = 2.0 * x[:, 0] ** 3 + 5.0 * x[:, 2] + rng.normal(size=n)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            freq = ensemble_importance(x, y, 20, 3, seed=5)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 20.0
+        assert peak < 80 * 2**20
+        assert freq.sum() == pytest.approx(1.0) and freq[1] == freq[3] == 0.0
