@@ -102,21 +102,49 @@ def _known_methods(methods):
     return methods
 
 
-# how a JSON config value becomes a config field value; other keys pass as given
+def _is_number(value) -> bool:
+    # exact for huge JSON integers too; false for bools, NaN and infinities
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _integer(low: int):
+    return (f"an integer >= {low}", lambda v: type(v) is int and v >= low, int)
+
+
+# what the JSON value of each config field must be, and how it becomes the
+# field value
+_ARRAY = ("an array", lambda v: type(v) is list, tuple)
 _CONFIG_VALUES = {
-    "n": int, "noise_var": float, "repeats": int, "n_selected": int, "seed": int,
-    "n_trees": int, "depth": int, "value_dedup": bool, "noise_vars": tuple,
-    "architectures": tuple, "binary_ops": tuple, "methods": tuple, "candidates": tuple,
-    "active_variables": tuple, "unary_ops": _unary_entries,
-    "tree": lambda raw: _config(TreeParams, raw),
+    "n": _integer(1), "repeats": _integer(1), "n_selected": _integer(1),
+    "n_trees": _integer(1), "seed": _integer(0), "depth": _integer(0),
+    "noise_var": ("a finite number", _is_number, float),
+    "value_dedup": ("true or false", lambda v: type(v) is bool, bool),
+    "noise_vars": ("an array of finite numbers",
+                   lambda v: type(v) is list and all(map(_is_number, v)), tuple),
+    "methods": ("a nonempty array", lambda v: type(v) is list and len(v) > 0, tuple),
+    "architectures": _ARRAY, "binary_ops": _ARRAY, "candidates": _ARRAY,
+    "unary_ops": ("an array", lambda v: type(v) is list, _unary_entries),
+    "active_variables": ("an array or null", lambda v: v is None or type(v) is list,
+                         lambda v: v if v is None else tuple(v)),
+    "truth": ("a string", lambda v: type(v) is str, str),
+    "tree": ("an object", lambda v: isinstance(v, dict),
+             lambda raw: _config(TreeParams, raw)),
 }
+
+
+def _config_value(key: str, value):
+    kind, valid, convert = _CONFIG_VALUES[key]
+    if not valid(value):
+        raise ConfigError(f"config key {key!r} takes {kind}, got {value!r}")
+    return convert(value)
 
 
 def _config(cls, raw, extra=()):
     """A ``cls`` dataclass from a JSON object whose keys are its fields.
 
     The dataclass holds every default. Keys in ``extra`` are accepted and left
-    out; any other unknown key, or a missing required field, is a ConfigError.
+    out; any other unknown key, a missing required field, or a value of the
+    wrong JSON type or out of range (see ``_CONFIG_VALUES``) is a ConfigError.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"{cls.__name__} config must be a JSON object, got {raw!r}")
@@ -127,19 +155,13 @@ def _config(cls, raw, extra=()):
     if unknown or missing:
         raise ConfigError(f"{cls.__name__} config: unknown keys {unknown}, "
                           f"missing keys {missing}")
-    return cls(**{key: _CONFIG_VALUES.get(key, lambda v: v)(value)
+    return cls(**{key: _config_value(key, value)
                   for key, value in raw.items() if key in fields})
 
 
 def _experiment_config(cls, raw, extra=()):
     """The validated experiment config of one mode, before any work is done."""
     cfg = _config(cls, raw, ("mode", *extra))
-    if cfg.repeats < 1 or cfg.n_selected < 1 or not cfg.methods:
-        raise ConfigError(f"need repeats >= 1, n_selected >= 1 and at least one method; "
-                          f"got {cfg.repeats}, {cfg.n_selected} and {list(cfg.methods)}")
-    if cfg.tree.n_trees < 1 or cfg.tree.depth < 0:
-        raise ConfigError(f"need tree n_trees >= 1 and depth >= 0; "
-                          f"got {cfg.tree.n_trees} and {cfg.tree.depth}")
     _known_methods(cfg.methods)
     return cfg
 

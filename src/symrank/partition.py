@@ -22,6 +22,7 @@ from .errors import (
     TooLarge,
     TooSmall,
 )
+from .tree import _column_split_losses, _response_pairs
 
 __all__ = [
     "OracleFixedSize",
@@ -118,19 +119,18 @@ def oracle_varying_size(y) -> tuple[int, Partition2]:
     Minimizes the two-group SSE over split sizes i in 1..n-1 (groups are the
     i smallest responses and the rest); returns (i*, partition). Exact loss
     ties go to the smallest i. Requires n > 4.
+
+    These are the CART split losses of a tie-free column that ranks y, such
+    as its sort positions, so the oracle partition is the best split on a
+    feature that orders the responses.
     """
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
     if n <= 4:
         raise TooSmall(f"need n > 4, got n={n}")
     order = np.argsort(y, kind="stable")
-    ys = y[order]
-    s1 = np.cumsum(ys)
-    s2 = np.cumsum(ys**2)
-    sizes = np.arange(1, n)
-    sse_left = s2[:-1] - s1[:-1] ** 2 / sizes
-    sse_right = (s2[-1] - s2[:-1]) - (s1[-1] - s1[:-1]) ** 2 / (n - sizes)
-    losses = sse_left + sse_right
+    pairs = _response_pairs(y[order])[None, :]
+    losses = _column_split_losses(np.arange(n)[None, :], pairs)
     i_star = int(np.argmin(losses)) + 1  # argmin returns first minimum
     return i_star, make_partition2(y, order[:i_star])
 

@@ -6,29 +6,46 @@ over an (n, q) feature matrix, and all but Kendall's tau a per-column
 reference function. Kendall's reference, the O(n^2) pair enumeration
 ``kendall_tau``, is the test oracle in ``tests/test_stats.py``.
 
-All functions are pure and safe for concurrent invocation on shared inputs.
+Every statistic but Pearson's, and every CART split, sees a feature only
+through its tie-aware ranks, and :func:`sorted_runs` makes that decision
+once. Dense ranks, midranks (bit for bit scipy's ``rankdata``), tied-pair
+counts and, for a tie-free row, ordinal ranks all derive from it; ``tree``
+keys its forests on the same dense ranks.
+
+Every statistic of a feature and a response raises NonFiniteData on NaN
+or infinite entries. All functions are pure and safe for concurrent
+invocation on shared inputs.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .core import RankPermutation
-from .errors import LengthMismatch, TiesInResponse, TiesPresent, ZeroVariance
+from .errors import (
+    LengthMismatch,
+    NonFiniteData,
+    TiesInResponse,
+    TiesPresent,
+    ZeroVariance,
+)
 
 __all__ = [
     "bayes_permutation",
     "chatterjee_scores",
     "chatterjee_xi",
+    "dense_ranks",
     "kendall_scores",
+    "midranks",
     "pearson",
     "pearson_scores",
     "ranking_metric_T",
+    "sorted_runs",
     "spearman",
     "spearman_scores",
     "t0_divergence",
     "t0_scores",
+    "tied_pairs",
 ]
 
 
@@ -39,7 +56,64 @@ def _paired(u, y, ndim: int = 1) -> tuple[np.ndarray, np.ndarray]:
         raise LengthMismatch(f"paired arrays of shapes {u.shape} and {y.shape}")
     if u.shape[0] < 2:
         raise LengthMismatch("need at least two observations")
+    if not (np.isfinite(u).all() and np.isfinite(y).all()):
+        raise NonFiniteData("statistics need finite entries")
     return u, y
+
+
+# ---------------------------------------------------------------------------
+# ranks
+# ---------------------------------------------------------------------------
+
+def _run_heads(s) -> np.ndarray:
+    """Mask of the entries of each row-sorted row that differ from their
+    predecessor; a row's first entry always does."""
+    head = np.ones(s.shape, dtype=bool)
+    np.not_equal(s[:, 1:], s[:, :-1], out=head[:, 1:])
+    return head
+
+
+def sorted_runs(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The argsort of each row of a (q, n) array of finite values, and the
+    heads of the runs of equal values in the sorted rows (see :func:`_run_heads`)."""
+    order = np.argsort(rows, axis=1)
+    return order, _run_heads(np.take_along_axis(rows, order, axis=1))
+
+
+def _unsorted(order, by_rank) -> np.ndarray:
+    """Values given in each row's sorted order, put back in row order."""
+    out = np.empty(by_rank.shape, dtype=by_rank.dtype)
+    np.put_along_axis(out, order, by_rank, axis=1)
+    return out
+
+
+def _run_firsts(head) -> np.ndarray:
+    """Sorted position of the first entry of each sorted entry's run."""
+    idx = np.arange(head.shape[1])
+    return np.maximum.accumulate(np.where(head, idx, 0), axis=1)
+
+
+def dense_ranks(order, head) -> np.ndarray:
+    """0-based dense ranks of each row: the number of distinct smaller values.
+    For a tie-free row they are its ordinal ranks less one."""
+    return _unsorted(order, np.cumsum(head, axis=1) - 1)
+
+
+def midranks(order, head) -> np.ndarray:
+    """1-based ranks of each row, every run of equal values sharing the mean
+    of its positions: exact half-integers, bit for bit scipy's
+    ``rankdata(method="average")``."""
+    n = head.shape[1]
+    tail = np.ones_like(head)  # the last entry of each run
+    tail[:, :-1] = head[:, 1:]
+    last = n - 1 - _run_firsts(tail[:, ::-1])[:, ::-1]
+    return _unsorted(order, (_run_firsts(head) + last) / 2 + 1)
+
+
+def tied_pairs(head) -> np.ndarray:
+    """Pairs of equal entries in each row, from the run heads of the sorted
+    rows: every entry pairs with the entries before it in its run."""
+    return (np.arange(head.shape[1]) - _run_firsts(head)).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +165,7 @@ def pearson(u, y) -> float:
 def spearman(u, y) -> float:
     """Pearson correlation of rank vectors, with midranks on ties."""
     u, y = _paired(u, y)
-    return pearson(rankdata(u, method="average"), rankdata(y, method="average"))
+    return pearson(*midranks(*sorted_runs(np.vstack([u, y]))))
 
 
 def chatterjee_xi(u, y) -> float:
@@ -105,9 +179,7 @@ def chatterjee_xi(u, y) -> float:
     n = u.shape[0]
     if np.unique(u).size != n or np.unique(y).size != n:
         raise TiesPresent("tie-free variant: u and y must both be tie-free")
-    order = np.argsort(u, kind="stable")
-    y_by_u = y[order]
-    r = rankdata(y_by_u, method="ordinal")
+    r = dense_ranks(*sorted_runs(y[None, np.argsort(u)]))
     return 1.0 - 3.0 * float(np.sum(np.abs(np.diff(r)))) / (n * n - 1)
 
 
@@ -138,11 +210,11 @@ def t0_scores(z, y) -> np.ndarray:
     """
     rows, y = _rows(z, y)
     n = y.shape[0]
-    order = np.argsort(y, kind="stable")
-    ys = y[order]
-    if np.any(ys[1:] == ys[:-1]):
+    (order,), head = sorted_runs(y[None, :])
+    if not head.all():
         raise TiesInResponse("response vector contains exact ties")
-    gaps = np.arange(1.0, n + 1.0) - rankdata(rows[:, order], axis=1)
+    ys = y[order]
+    gaps = np.arange(1.0, n + 1.0) - midranks(*sorted_runs(rows[:, order]))
     # the gaps sum to zero, so centring y changes nothing but the rounding
     total = (gaps * (ys - ys.mean())).sum(axis=1)
     return 4.0 * total / (n * (n - 1))
@@ -163,31 +235,9 @@ def pearson_scores(z, y) -> np.ndarray:
 
 def spearman_scores(z, y) -> np.ndarray:
     """:func:`spearman` of every column, bit for bit; 0.0 in place of ZeroVariance."""
-    return pearson_scores(rankdata(z, axis=0), rankdata(y))
-
-
-def _run_heads(s) -> np.ndarray:
-    """Mask of the entries of each row-sorted row that differ from their
-    predecessor; a row's first entry always does."""
-    head = np.ones(s.shape, dtype=bool)
-    np.not_equal(s[:, 1:], s[:, :-1], out=head[:, 1:])
-    return head
-
-
-def _tied_pairs(head) -> np.ndarray:
-    """Pairs of equal entries in each row, from the run heads of the sorted
-    rows: every entry pairs with the entries before it in its run."""
-    idx = np.arange(head.shape[1])
-    return (idx - np.maximum.accumulate(np.where(head, idx, 0), axis=1)).sum(axis=1)
-
-
-def _dense_ranks(rows) -> tuple[np.ndarray, np.ndarray]:
-    """0-based dense ranks within each row, and each row's tied pairs."""
-    order = np.argsort(rows, axis=1)
-    head = _run_heads(np.take_along_axis(rows, order, axis=1))
-    ranks = np.empty(rows.shape, dtype=np.int64)
-    np.put_along_axis(ranks, order, np.cumsum(head, axis=1) - 1, axis=1)
-    return ranks, _tied_pairs(head)
+    rows, y = _rows(z, y)
+    (y_ranks,) = midranks(*sorted_runs(y[None, :]))
+    return pearson_scores(midranks(*sorted_runs(rows)).T, y_ranks)
 
 
 def _inversions(v, ref) -> np.ndarray:
@@ -231,12 +281,13 @@ def kendall_scores(z, y) -> np.ndarray:
     """
     rows, y = _rows(z, y)
     n = y.shape[0]
-    y_rank, n2 = _dense_ranks(y[None, :])
-    u_rank, n1 = _dense_ranks(rows)
+    y_order, y_head = sorted_runs(y[None, :])
+    u_order, u_head = sorted_runs(rows)
+    y_rank, n1, n2 = dense_ranks(y_order, y_head), tied_pairs(u_head), tied_pairs(y_head)
     bits = int(y_rank.max()).bit_length()
     # (u, y) order; equal (u, y) pairs are neither inverted nor untied
-    key = np.sort((u_rank << bits) | y_rank, axis=1)
-    n3 = _tied_pairs(_run_heads(key))
+    key = np.sort((dense_ranks(u_order, u_head) << bits) | y_rank, axis=1)
+    n3 = tied_pairs(_run_heads(key))
     d = _inversions(key & ((1 << bits) - 1), np.sort(y_rank, axis=1))
     s = (n * (n - 1) // 2 - n1 - n2 + n3) - 2 * d
     return s / (n * (n - 1) / 2)
@@ -247,15 +298,14 @@ def chatterjee_scores(z, y) -> np.ndarray:
     TiesPresent."""
     rows, y = _rows(z, y)
     n = y.shape[0]
-    if np.unique(y).size != n:
+    y_order, y_head = sorted_runs(y[None, :])
+    if not y_head.all():
         return np.full(rows.shape[0], -1.0)
-    order = np.argsort(rows, axis=1, kind="stable")
-    tie_free = np.all(np.diff(np.take_along_axis(rows, order, axis=1), axis=1) != 0,
-                      axis=1)
+    order, head = sorted_runs(rows)
     # y is tie-free, so its ranks in feature order are its overall ranks
-    steps = np.abs(np.diff(rankdata(y, method="ordinal")[order], axis=1)).sum(axis=1)
+    steps = np.abs(np.diff(dense_ranks(y_order, y_head)[0][order], axis=1)).sum(axis=1)
     xi = 1.0 - 3.0 * steps / (n * n - 1)
-    return np.where(tie_free, xi, -1.0)
+    return np.where(head.all(axis=1), xi, -1.0)
 
 
 # ---------------------------------------------------------------------------

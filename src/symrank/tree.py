@@ -27,8 +27,10 @@ from .errors import (
     EmptySide,
     InadmissibleRule,
     LengthMismatch,
+    NonFiniteData,
     Unsplittable,
 )
+from .stats import dense_ranks, sorted_runs
 
 __all__ = [
     "SplitRule",
@@ -91,14 +93,16 @@ def _matrix(data) -> np.ndarray:
 
 
 def _matrix_and_response(data, y) -> tuple[np.ndarray, np.ndarray]:
-    """The predictor matrix and response of a tree: one response per row and
-    at least one column."""
+    """The predictor matrix and response of a tree: one response per row, at
+    least one column, and finite entries."""
     z = _matrix(data)
     y = np.asarray(y, dtype=float)
     if y.shape != (z.shape[0],):
         raise LengthMismatch(f"response of shape {y.shape} for {z.shape[0]} rows")
     if z.shape[1] == 0:
         raise DimensionMismatch("a tree needs at least one predictor column")
+    if not (np.isfinite(z).all() and np.isfinite(y).all()):
+        raise NonFiniteData("tree predictors and response must be finite")
     return z, y
 
 
@@ -175,7 +179,8 @@ def best_split(data, y) -> SplitRule:
     Scans every coordinate and every admissible observed threshold; exact
     loss ties resolve to the smallest coordinate, then smallest threshold.
     Raises Unsplittable when y is constant, fewer than two samples, or no
-    column has two distinct values.
+    column has two distinct values, and NonFiniteData on NaN or infinite
+    entries.
     """
     z, y = _matrix_and_response(data, y)
     if z.shape[0] < 2 or np.all(y == y[0]):
@@ -262,8 +267,7 @@ def _grow(zt: np.ndarray, y: np.ndarray, order: np.ndarray, depth: int,
         if cut is None:
             coordinate.append(-1)
             threshold.append(np.nan)
-            # the empty side of a NaN threshold gets the NaN mean of no rows
-            mean.append(float(y_node.sum()) / m if m else np.nan)
+            mean.append(float(y_node.sum()) / m)
             continue
         k, cut_at = cut
         coordinate.append(k)
@@ -292,6 +296,7 @@ def grow_tree(data, y, depth: int, min_leaf: int = 1) -> Tree:
     Degenerate nodes become leaves carrying the sample mean. Each column is
     sorted once (the CART presort); a node passes its per-column row orders
     to its children by stable filtering, so a node costs O(m*q) for m rows.
+    Raises NonFiniteData on NaN or infinite entries.
     """
     z, y = _matrix_and_response(data, y)
     zt = np.ascontiguousarray(z.T)
@@ -341,42 +346,30 @@ def _rank_class_leaders(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Columns of one class sort every row multiset the same way and tie on the
     same rows, so their split losses are bit-identical at every node and the
-    first-minimum rule always picks the class leader. A column holding NaN
-    forms a class of its own: NaN compares unequal to itself, so a cut
-    between two NaNs is admissible where a cut between equal values is not.
-    The keys come in the smallest unsigned dtype that holds n - 1, and all
-    NaNs of a column share the key above its largest value: a stable sort of
-    a resample's keys then orders its rows as a stable argsort of its values
-    does, NaNs last in resample order.
+    first-minimum rule always picks the class leader. The keys come in the
+    smallest unsigned dtype that holds n - 1: a stable sort of a resample's
+    keys orders its rows as a stable argsort of its values does.
     """
-    n, q = z.shape
-    order = np.argsort(z, axis=0, kind="stable")
-    z_sorted = np.take_along_axis(z, order, axis=0)
-    dense = np.zeros((n, q), dtype=np.intp)
-    np.cumsum((z_sorted[1:] != z_sorted[:-1]) & ~np.isnan(z_sorted[:-1]),
-              axis=0, out=dense[1:])
-    ranks = np.empty_like(dense)
-    np.put_along_axis(ranks, order, dense, axis=0)
-    has_nan = np.isnan(z).any(axis=0)
-    leaders: dict[bytes | int, int] = {}
-    for j, col in enumerate(ranks.T):
-        leaders.setdefault(j if has_nan[j] else col.tobytes(), j)
+    ranks = dense_ranks(*sorted_runs(z.T)).astype(np.min_scalar_type(z.shape[0] - 1))
+    leaders: dict[bytes, int] = {}
+    for j, col in enumerate(ranks):
+        leaders.setdefault(col.tobytes(), j)
     lead = np.fromiter(leaders.values(), dtype=np.intp, count=len(leaders))
-    return lead, np.ascontiguousarray(ranks.T[lead], dtype=np.min_scalar_type(n - 1))
+    return lead, ranks[lead]
 
 
-def ensemble_importance(data, y, n_trees: int, depth: int, seed: int,
-                        bootstrap: bool = True) -> np.ndarray:
+def ensemble_importance(data, y, n_trees: int, depth: int, seed: int) -> np.ndarray:
     """Fraction of internal splits using each column, over a bootstrap forest.
 
-    Each tree is grown on a bootstrap resample of the rows (or the full data
-    when ``bootstrap`` is off); frequencies are split counts normalized by
-    the total number of splits in the ensemble. Trees see only the leader of
-    each rank class (see :func:`_rank_class_leaders`), which gives the same
-    splits as growing on every column. A resample's presort is a stable sort
-    of the leaders' integer rank keys. The roots of a chunk of trees, at
-    most 2**16 sorted values, are searched in one kernel call: every root
-    holds all n rows, so the chunk needs no padding.
+    Tree t grows on the bootstrap resample
+    ``derive_rng(seed, t).integers(0, n, n)`` of the rows; frequencies are
+    split counts normalized by the total number of splits in the ensemble.
+    Raises NonFiniteData on NaN or infinite entries. Trees see only the
+    leader of each rank class (see :func:`_rank_class_leaders`), which gives
+    the same splits as growing on every column. A resample's presort is a
+    stable sort of the leaders' integer rank keys. The roots of a chunk of
+    trees, at most 2**16 sorted values, are searched in one kernel call:
+    every root holds all n rows, so the chunk needs no padding.
     """
     z, y = _matrix_and_response(data, y)
     if n_trees < 1:
@@ -392,8 +385,8 @@ def ensemble_importance(data, y, n_trees: int, depth: int, seed: int,
     coordinates = []
     for first in range(0, n_trees, chunk):
         trees = range(first, min(first + chunk, n_trees))
-        rows = np.stack([derive_rng(seed, t).integers(0, n, size=n) if bootstrap
-                         else np.arange(n) for t in trees])  # (c, n)
+        # (c, n)
+        rows = np.stack([derive_rng(seed, t).integers(0, n, size=n) for t in trees])
         c = rows.shape[0]
         orders = np.argsort(keys[:, rows].swapaxes(0, 1).reshape(c * w, n),
                             axis=1, kind="stable")  # (c*w, n), per resample

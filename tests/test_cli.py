@@ -1,11 +1,23 @@
 import csv
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import symrank
 from symrank import cli, errors
 from symrank.cli import main
+from symrank.evalsel import (
+    CandidatesExperimentConfig,
+    CsvExperimentConfig,
+    SignalExperimentConfig,
+    TreeParams,
+)
 
 FIG2A_CSV = "x,y\n0.1,5\n0.3,2.1\n0.5,1\n0.6,2\n0.9,4\n"
 
@@ -252,6 +264,17 @@ class TestExperiment:
         assert "aip" in run["methods"][0]
         assert run["methods"][0]["pr_auc"] and (out / "pr_bu_0_t0.csv").exists()
 
+    def test_csv_null_active_variables_is_the_default(self, data3, tmp_path):
+        reports = []
+        for extra in ({}, {"active_variables": None}):
+            cfg_path = tmp_path / "csv.json"
+            cfg_path.write_text(json.dumps({**VALID_CONFIGS["csv"], "input": str(data3),
+                                            **extra}))
+            out = tmp_path / f"out{len(reports)}"
+            assert main(["experiment", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+            reports.append((out / "report.json").read_text())
+        assert reports[0] == reports[1]
+
     def test_bad_config_exits_2(self, tmp_path):
         cfg_path = tmp_path / "broken.json"
         cfg_path.write_text("{not json")
@@ -270,6 +293,14 @@ class TestExperiment:
         ("candidates", {"truth": None}),  # None removes the key
         ("signal", {"tree": {"n_trees": 0, "depth": 3}}),
         ("csv", {"tree": {"depth": -1}}),
+        # values of the wrong JSON type
+        ("csv", {"repeats": "abc"}),
+        ("signal", {"noise_vars": 0.1}),
+        ("signal", {"architectures": "bu"}),  # not the architectures b and u
+        ("signal", {"value_dedup": "false"}),  # a nonempty string, not false
+        ("signal", {"n": 20.7}),  # not n=20
+        ("signal", {"tree": {"n_trees": "5"}}),
+        ("candidates", {"truth": 5}),
     ])
     def test_invalid_config_exits_2_before_any_work(self, mode, change, data3, tmp_path,
                                                     capsys, monkeypatch):
@@ -284,6 +315,11 @@ class TestExperiment:
         assert rc == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("cls", [SignalExperimentConfig, CandidatesExperimentConfig,
+                                     CsvExperimentConfig, TreeParams])
+    def test_every_config_field_has_a_json_check(self, cls):
+        assert {f.name for f in dataclasses.fields(cls)} <= set(cli._CONFIG_VALUES)
 
     @pytest.mark.parametrize("raw", [[1], "csv", None])
     def test_non_object_config_exits_2(self, raw, tmp_path, capsys, monkeypatch):
@@ -401,3 +437,17 @@ class TestExitCodes:
         assert cls.exit_code == EXIT_CODES[cls.__name__]
         assert main(["p12", "--maps", "m.json", "--c", "1"]) == EXIT_CODES[cls.__name__]
         assert capsys.readouterr().err == "error: planted\n"
+
+
+def test_import_and_help_load_no_scipy():
+    # the package needs numpy only; importing scipy.stats took over a second
+    code = ("import sys, symrank\n"
+            "from symrank.cli import main\n"
+            "assert main(['--help']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(symrank.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -2,24 +2,34 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import rankdata
 
 from symrank.core import RankPermutation, derive_rng
-from symrank.errors import LengthMismatch, TiesInResponse, TiesPresent, ZeroVariance
+from symrank.errors import (
+    LengthMismatch,
+    NonFiniteData,
+    TiesInResponse,
+    TiesPresent,
+    ZeroVariance,
+)
 from symrank.stats import (
     _inversions,
     bayes_permutation,
     chatterjee_scores,
     chatterjee_xi,
+    dense_ranks,
     kendall_scores,
+    midranks,
     pearson,
     pearson_scores,
     ranking_metric_T,
+    sorted_runs,
     spearman,
     spearman_scores,
     t0_divergence,
     t0_scores,
+    tied_pairs,
 )
 
 
@@ -299,6 +309,44 @@ class TestBayesPermutation:
 
 
 # ---------------------------------------------------------------------------
+# the rank primitive against scipy and direct counts
+# ---------------------------------------------------------------------------
+
+@st.composite
+def rank_rows(draw):
+    """Rows of one length n >= 1, each tie-heavy, tie-free or constant."""
+    n = draw(st.integers(1, 40))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["ties", "tie-free", "constant"]),
+                              min_size=1, max_size=4)):
+        if kind == "ties":
+            rows.append(np.array(draw(st.lists(st.integers(-3, 3), min_size=n,
+                                               max_size=n))) / 4)
+        elif kind == "tie-free":
+            rows.append(np.array(draw(st.permutations(range(n)))) * -0.7 + 1e6)
+        else:
+            rows.append(np.full(n, draw(st.sampled_from([0.1, -3.0, 1e300]))))
+    return np.array(rows)
+
+
+class TestSortedRuns:
+    @given(rank_rows())
+    @example(np.array([[2.5], [-1.0]]))
+    @example(np.array([[1.0, 1.0], [2.0, 1.0], [1.0, 2.0]]))
+    @settings(max_examples=200, deadline=None)
+    def test_ranks(self, rows):
+        order, head = sorted_runs(rows)
+        assert midranks(order, head).tobytes() == rankdata(rows, axis=1).tobytes()
+        dense = dense_ranks(order, head)
+        assert dense.tolist() == [[len(set(row[row < v])) for v in row] for row in rows]
+        for row, ranks in zip(rows, dense):
+            if np.unique(row).size == row.size:
+                assert (ranks + 1).tolist() == rankdata(row, method="ordinal").tolist()
+        assert tied_pairs(head).tolist() == [
+            sum(a == b for a, b in itertools.combinations(row, 2)) for row in rows]
+
+
+# ---------------------------------------------------------------------------
 # column-batched scorers against the per-column oracles
 # ---------------------------------------------------------------------------
 
@@ -389,6 +437,21 @@ class TestBatchedScorers:
         expected = [sum(row[i] > row[j] for i, j in itertools.combinations(range(n), 2))
                     for row in rows]
         assert _inversions(rows, np.sort(rows[:1], axis=1)).tolist() == expected
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        # NaN equals nothing, so it would rank as a value of its own
+        z = np.array([[1.0, 2.0], [bad, 1.0], [3.0, 0.5], [4.0, 3.0]])
+        y = np.array([1.0, 2.0, 3.0, 4.0])
+        for scorer in (t0_scores, kendall_scores, chatterjee_scores, pearson_scores,
+                       spearman_scores):
+            with pytest.raises(NonFiniteData):
+                scorer(z, y)
+            with pytest.raises(NonFiniteData):
+                scorer(z[:, 1:], np.where(y == 2.0, bad, y))
+        for fn in (t0_divergence, pearson, spearman, chatterjee_xi):
+            with pytest.raises(NonFiniteData):
+                fn(z[:, 0], y)
 
     def test_t0_response_ties_rejected(self):
         with pytest.raises(TiesInResponse):

@@ -14,6 +14,7 @@ from symrank.errors import (
     EmptySide,
     InadmissibleRule,
     LengthMismatch,
+    NonFiniteData,
     Unsplittable,
 )
 from symrank.partition import oracle_varying_size
@@ -294,6 +295,25 @@ class TestGrowPredict:
             with pytest.raises(LengthMismatch):
                 grow(z, np.array(y))
 
+    @pytest.mark.parametrize("grow", [
+        lambda z, y: grow_tree(z, y, 2),
+        best_split,
+        lambda z, y: ensemble_importance(z, y, 2, 2, seed=0),
+    ])
+    @pytest.mark.parametrize("z, y", [
+        # a cut between two NaNs would split at threshold NaN and leave an
+        # empty leaf, and -inf would become a threshold: neither is a
+        # document tree_from_json accepts
+        ([[0.0], [np.nan], [np.nan]], [0.0, 0.0, 1.0]),
+        ([[-np.inf], [1.0], [2.0]], [0.0, 0.0, 1.0]),
+        ([[0.0, 1.0], [2.0, np.inf], [1.0, 3.0]], [0.0, 0.0, 1.0]),
+        ([[0.0], [1.0], [2.0]], [0.0, np.nan, 1.0]),
+        ([[0.0], [1.0], [2.0]], [0.0, -np.inf, 1.0]),
+    ])
+    def test_non_finite_input_rejected(self, grow, z, y):
+        with pytest.raises(NonFiniteData):
+            grow(np.array(z), np.array(y))
+
     @pytest.mark.parametrize("depth", [0, 2])
     def test_no_columns_rejected(self, depth):
         with pytest.raises(DimensionMismatch):
@@ -367,12 +387,13 @@ class TestSerialization:
 
 
 class TestEnsembleImportance:
-    def test_single_tree_no_bootstrap_is_split_histogram(self):
+    def test_single_tree_is_split_histogram_of_its_resample(self):
         rng = derive_rng(41)
         z = rng.normal(size=(30, 2))
         y = z[:, 0] + 0.1 * rng.normal(size=30)
-        freq = ensemble_importance(z, y, 1, 3, seed=0, bootstrap=False)
-        tree = grow_tree(z, y, 3)
+        freq = ensemble_importance(z, y, 1, 3, seed=0)
+        rows = derive_rng(0, 0).integers(0, 30, 30)
+        tree = grow_tree(z[rows], y[rows], 3)
         counts = np.bincount(tree.coordinate[internal_ids(tree)], minlength=2)
         assert np.allclose(freq, counts / counts.sum())
 
@@ -471,9 +492,7 @@ def oracle_grow_tree(z, y, depth, min_leaf=1):
         if remaining > 0 and idx.size >= 2 * min_leaf:
             rule = oracle_best_split(z[idx], y_node)
         if rule is None:
-            # a NaN threshold sends every row right and leaves the left empty
-            mean = float(y_node.mean()) if idx.size else float("nan")
-            return OracleNode(node_idx, mean=mean)
+            return OracleNode(node_idx, mean=float(y_node.mean()))
         mask = z[idx, rule.coordinate] <= rule.threshold
         return OracleNode(node_idx, split=rule, left=build(idx[mask], remaining - 1),
                           right=build(idx[~mask], remaining - 1))
@@ -489,12 +508,12 @@ def oracle_json(oracle, n_features):
     return {"n_features": n_features, "nodes": nodes}
 
 
-def oracle_ensemble_importance(z, y, n_trees, depth, seed, bootstrap=True):
+def oracle_ensemble_importance(z, y, n_trees, depth, seed):
     """Split frequencies of oracle trees grown on every column."""
     n, q = z.shape
     counts = np.zeros(q)
     for t in range(n_trees):
-        rows = derive_rng(seed, t).integers(0, n, size=n) if bootstrap else np.arange(n)
+        rows = derive_rng(seed, t).integers(0, n, size=n)
         for node in oracle_grow_tree(z[rows], y[rows], depth).preorder():
             if node.split is not None:
                 counts[node.split.coordinate] += 1
@@ -510,19 +529,14 @@ COLUMN_MAPS = {
     "const": lambda v: np.full_like(v, 1.5),
     # same stable order as v with every tie broken: not rank-equal to v
     "ordinal": lambda v: np.argsort(np.argsort(v, kind="stable")).astype(float),
-    # NaN and infinities sort last and first; NaN ties no value, not even NaN
-    "nan": lambda v: np.where(v > 0.1, np.nan, v),
-    "inf": lambda v: np.where(v > 0.2, np.inf, np.where(v < -0.2, -np.inf, v)),
-    "nan_inf": lambda v: np.where(v > 0.2, np.nan, np.where(v < -0.1, -np.inf, v)),
 }
 
 
 @st.composite
 def tree_inputs(draw):
-    """Tie-heavy base columns seen through x, x^3, exp(x), -x, a constant,
-    tie-broken ordinal ranks or maps to NaN and +-inf, optionally with
-    bootstrap-duplicated rows (NaN rows included), and a tie-heavy,
-    continuous or constant response."""
+    """Tie-heavy base columns seen through x, x^3, exp(x), -x, a constant or
+    tie-broken ordinal ranks, optionally with bootstrap-duplicated rows, and
+    a tie-heavy, continuous or constant response."""
     n = draw(st.integers(1, 40))
     n_base = draw(st.integers(1, 3))
     scale = draw(st.sampled_from([1, 10, 1000]))  # 1: heavy ties, 1000: few
@@ -576,21 +590,21 @@ class TestPresortedGrowthMatchesOracle:
             with pytest.raises(Unsplittable):
                 best_split(z, y)
         else:
-            assert repr(best_split(z, y)) == repr(expected)  # NaN thresholds too
+            assert repr(best_split(z, y)) == repr(expected)
 
-    @given(tree_inputs(), st.integers(0, 5), st.integers(0, 2**16), st.booleans())
+    @given(tree_inputs(), st.integers(0, 5), st.integers(0, 2**16))
     @settings(max_examples=120, deadline=None)
-    def test_forest_importance_bit_identical(self, inputs, depth, seed, bootstrap):
+    def test_forest_importance_bit_identical(self, inputs, depth, seed):
         z, y = inputs
-        freq = ensemble_importance(z, y, 3, depth, seed, bootstrap=bootstrap)
-        expected = oracle_ensemble_importance(z, y, 3, depth, seed, bootstrap=bootstrap)
+        freq = ensemble_importance(z, y, 3, depth, seed)
+        expected = oracle_ensemble_importance(z, y, 3, depth, seed)
         assert freq.tobytes() == expected.tobytes()
 
     def test_forest_beyond_one_byte_rank_keys(self):
-        # 700 rows need two-byte keys; ties and a NaN run test the presort
+        # 700 rows need two-byte keys; ties and a clipped run test the presort
         rng = derive_rng(49)
         x = rng.integers(0, 400, size=700) / 400
-        z = np.column_stack([x, np.where(x > 0.9, np.nan, x**2), rng.uniform(size=700)])
+        z = np.column_stack([x, np.minimum(x, 0.9) ** 2, rng.uniform(size=700)])
         y = np.round(3 * x + rng.normal(size=700))
         assert _rank_class_leaders(z)[1].dtype == np.uint16
         freq = ensemble_importance(z, y, 3, 3, seed=11)
@@ -599,16 +613,16 @@ class TestPresortedGrowthMatchesOracle:
     def test_rank_classes(self):
         x = np.array([0.3, -1.2, 0.3, 2.0, 0.7])
         z = np.column_stack([np.exp(x), -x, x, np.full(5, 4.0), x**3, np.zeros(5),
-                             np.where(x > 0.5, np.nan, x), [1.0, 0.0, 2.0, 4.0, 3.0]])
+                             [1.0, 0.0, 2.0, 4.0, 3.0]])
         # exp(x), x and x^3 share a class led by column 0; -x does not join
-        # it; both constants form one class; a NaN column stands alone, and
-        # so does the last column: it sorts the rows as x does but has no tie
+        # it; both constants form one class; the last column stands alone: it
+        # sorts the rows as x does but has no tie
         leaders, keys = _rank_class_leaders(z)
-        assert leaders.tolist() == [0, 1, 3, 6, 7]
-        # dense ranks in the smallest unsigned dtype; both NaNs share the last
+        assert leaders.tolist() == [0, 1, 3, 6]
+        # dense ranks in the smallest unsigned dtype
         assert keys.dtype == np.uint8
         assert keys.tolist() == [[1, 0, 1, 3, 2], [2, 3, 2, 0, 1], [0, 0, 0, 0, 0],
-                                 [1, 0, 1, 2, 2], [1, 0, 2, 4, 3]]
+                                 [1, 0, 2, 4, 3]]
 
     def test_grow_and_predict_scale_to_1e5_rows(self):
         # a per-node argsort of every column took ~1.1 s to grow this tree
