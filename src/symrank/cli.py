@@ -72,21 +72,29 @@ def _load_config(path: str) -> dict:
         return json.load(fh)
 
 
-def _unary_entries(entries):
-    """Config unary ops: builtin names, {"op": "sin", "a": .., "b": ..} for
-    the parameterized sine family, or {"expr": "..."} expression strings."""
-    out = []
-    for entry in entries:
-        if isinstance(entry, dict):
-            if entry.get("op") == "sin":
-                out.append(sin_affine(float(entry["a"]), float(entry.get("b", 0.0))))
-            elif "expr" in entry:
-                out.append(unary_from_expr(entry["expr"]))
-            else:
-                raise SymrankError(f"unsupported unary operator entry {entry}")
-        else:
-            out.append(entry)
-    return tuple(out)
+def _unary_entry(entry):
+    """One config unary op: a builtin name, {"op": "sin", "a": .., "b": ..}
+    for the parameterized sine family, or an {"expr": "..."} expression
+    string. A malformed object is a ConfigError that names its bad key."""
+    if not isinstance(entry, dict):
+        return entry
+    if entry.get("op") == "sin":
+        if "a" not in entry:
+            raise ConfigError(f"unary_ops entry {entry!r}: missing key 'a'")
+        for key in ("a", "b"):
+            if not _is_number(entry.get(key, 0.0)):
+                raise ConfigError(f"unary_ops entry {entry!r}: key {key!r} takes "
+                                  f"a finite number, got {entry[key]!r}")
+        return sin_affine(entry["a"], entry.get("b", 0.0))
+    if "expr" in entry:
+        if type(entry["expr"]) is not str:
+            raise ConfigError(f"unary_ops entry {entry!r}: key 'expr' takes a string, "
+                              f"got {entry['expr']!r}")
+        return unary_from_expr(entry["expr"])
+    if "op" in entry:
+        raise ConfigError(f"unary_ops entry {entry!r}: key 'op' takes \"sin\", "
+                          f"got {entry['op']!r}")
+    raise ConfigError(f"unary_ops entry {entry!r}: needs key 'op' or 'expr'")
 
 
 def _methods_arg(raw: str) -> list[str]:
@@ -123,7 +131,8 @@ _CONFIG_VALUES = {
                    lambda v: type(v) is list and all(map(_is_number, v)), tuple),
     "methods": ("a nonempty array", lambda v: type(v) is list and len(v) > 0, tuple),
     "architectures": _ARRAY, "binary_ops": _ARRAY, "candidates": _ARRAY,
-    "unary_ops": ("an array", lambda v: type(v) is list, _unary_entries),
+    "unary_ops": ("an array", lambda v: type(v) is list,
+                  lambda v: tuple(map(_unary_entry, v))),
     "active_variables": ("an array or null", lambda v: v is None or type(v) is list,
                          lambda v: v if v is None else tuple(v)),
     "truth": ("a string", lambda v: type(v) is str, str),

@@ -116,11 +116,15 @@ def score_features(fm: FeatureMatrix, y, method: str, *, seed: int = 0,
     Zero-variance columns get the worst in-range sentinel: 0 for the
     absolute correlations, -1 for the rank coefficient that rejects ties;
     the concordant divergence and the split importance handle them natively.
+    The rank methods ignore ``seed`` and also take y of shape (n, g), one
+    response per group of q // g consecutive columns (see :mod:`.stats`).
     """
     y = np.asarray(y, dtype=float)
     if method not in SCORE_METHODS:
         raise LengthMismatch(f"unknown method {method!r}; choose from {SCORE_METHODS}")
     if method == "tree-importance":
+        if y.ndim != 1:
+            raise LengthMismatch(f"tree importance takes one response, got shape {y.shape}")
         scores = ensemble_importance(fm.z, y, tree_params.n_trees, tree_params.depth, seed)
         return MethodScore(method, scores, "higher")
     direction = "lower" if method == "t0" else "higher"
@@ -253,9 +257,9 @@ def synth_candidates(n: int, truth, candidates, noise_var: float, seed: int = 0,
 # experiment harness
 # ---------------------------------------------------------------------------
 
-def _run_repeats(job, repeats: int) -> list:
-    """Evaluate job(r) for each repeat, in order."""
-    return [job(r) for r in range(repeats)]
+def _run_repeats(job, chunks) -> list:
+    """Evaluate job(chunk) for each chunk of repeats, in order."""
+    return [job(chunk) for chunk in chunks]
 
 
 @dataclass(frozen=True)
@@ -339,6 +343,12 @@ class _Cell:
     data: Callable[[int], tuple]
 
 
+# Feature values one rank-method call scores: a chunk of a cell's repeats
+# stacked side by side. A few small repeats per call amortize the call
+# overhead; stacking every repeat raises peak memory for little more speed.
+CHUNK_VALUES = 2**14
+
+
 def _run_cells(cells, methods, repeats, n_selected, seed, tree):
     """Score and select with every method on every cell, over the repeats.
 
@@ -346,54 +356,72 @@ def _run_cells(cells, methods, repeats, n_selected, seed, tree):
     report entry per method, and the scoring and selection time of each cell
     and method. A repeat that expands to other features than repeat 0 raises
     DimensionMismatch, because the report names and labels repeat 0's columns.
-    """
-    firsts: list[FeatureMatrix] = []
 
-    def job(r: int) -> list:
-        out = []
-        for ci, cell in enumerate(cells):
-            fm, y, labels = cell.data(r)
-            if r == 0:
-                firsts.append(fm)
-            elif fm.exprs != firsts[ci].exprs:
+    A cell's repeats run in chunks of at most CHUNK_VALUES feature values,
+    and at least one repeat. Each rank method scores a chunk in one call: the
+    chunk's matrices side by side, with one response per repeat.
+    """
+    runtimes = dict.fromkeys((f"{c.key}/{m}" for c in cells for m in methods), 0.0)
+
+    def job(chunk) -> list:
+        cell, first, reps = chunk
+        data = [first if r == 0 else cell.data(r) for r in reps]
+        exprs = first[0].exprs
+        for r, (fm, _, _) in zip(reps, data):
+            if fm.exprs != exprs:
                 raise DimensionMismatch(
                     f"{cell.key}: repeat {r} expands to other features than repeat 0 "
-                    f"({fm.q} against {firsts[ci].q} columns)")
-            picks = []
-            for mi, method in enumerate(methods):
-                start = time.perf_counter()
-                ms = score_features(fm, y, method, tree_params=tree,
-                                    seed=_method_seed(seed, *cell.seed_key, r, mi))
-                selection = select_top(ms, n_selected)
-                tie = selection_boundary_tie(ms, n_selected)
-                elapsed = time.perf_counter() - start
-                pr = pr_auc(labels, ms, n_selected) if labels is not None else None
-                picks.append((selection, tie, elapsed, pr))
-            out.append((labels, picks))
-        return out
-
-    per_repeat = _run_repeats(job, repeats)
-    results, runtimes = [], {}
-    for ci, cell in enumerate(cells):
-        labels = [rep[ci][0] for rep in per_repeat]
-        entries = []
+                    f"({fm.q} against {len(exprs)} columns)")
+        # stacked column-major, so the scorers take its columns as rows uncopied
+        stacked = FeatureMatrix(np.concatenate([fm.z.T for fm, _, _ in data]).T,
+                                exprs * len(reps))
+        ys = np.stack([y for _, y, _ in data], axis=1)
+        picks = [[] for _ in reps]
         for mi, method in enumerate(methods):
-            picks = [rep[ci][1][mi] for rep in per_repeat]
-            runtimes[f"{cell.key}/{method}"] = float(sum(p[2] for p in picks))
-            entries.append(_method_entry(method, picks, labels[0], n_selected))
-        results.append((firsts[ci], labels, entries))
+            start = time.perf_counter()
+            if method == "tree-importance":
+                scored = [score_features(fm, y, method, tree_params=tree,
+                                         seed=_method_seed(seed, *cell.seed_key, r, mi))
+                          for r, (fm, y, _) in zip(reps, data)]
+            else:
+                ms = score_features(stacked, ys, method)
+                scored = [MethodScore(method, part, ms.direction)
+                          for part in np.split(ms.scores, len(reps))]
+            chosen = [(select_top(ms, n_selected), selection_boundary_tie(ms, n_selected))
+                      for ms in scored]
+            runtimes[f"{cell.key}/{method}"] += time.perf_counter() - start
+            for pick, (selection, tie), ms, (_, _, labels) in zip(picks, chosen, scored, data):
+                pr = pr_auc(labels, ms, n_selected) if labels is not None else None
+                pick.append((selection, tie, pr))
+        return [(labels, pick) for (_, _, labels), pick in zip(data, picks)]
+
+    firsts = [cell.data(0) for cell in cells]
+    chunks = []
+    for cell, first in zip(cells, firsts):
+        size = max(1, CHUNK_VALUES // max(1, first[0].z.size))
+        chunks += [(cell, first, range(lo, min(lo + size, repeats)))
+                   for lo in range(0, repeats, size)]
+    per_repeat = [rep for part in _run_repeats(job, chunks) for rep in part]
+    results = []
+    for ci, (fm, _, _) in enumerate(firsts):
+        cell_repeats = per_repeat[ci * repeats:(ci + 1) * repeats]
+        labels = [lab for lab, _ in cell_repeats]
+        entries = [_method_entry(method, [picks[mi] for _, picks in cell_repeats],
+                                 labels[0], n_selected)
+                   for mi, method in enumerate(methods)]
+        results.append((fm, labels, entries))
     return results, runtimes
 
 
 def _method_entry(method: str, picks: list[tuple], labels, n_selected: int) -> dict:
-    """One method's report entry from its (selection, tie, elapsed, (curve,
-    auc) or None) per repeat; labels (repeat 0's) add the AIP and PR columns."""
-    selections = [sel for sel, _, _, _ in picks]
+    """One method's report entry from its (selection, tie, (curve, auc) or
+    None) per repeat; labels (repeat 0's) add the AIP and PR columns."""
+    selections = [sel for sel, _, _ in picks]
     entry = {
         "method": method,
         "direction": "lower" if method == "t0" else "higher",
         "selections": selections,
-        "boundary_tie_repeats": int(sum(tie for _, tie, _, _ in picks)),
+        "boundary_tie_repeats": int(sum(tie for _, tie, _ in picks)),
     }
     if labels is not None:
         entry["aip"] = average_inclusion_probability(selections, labels, n_selected)
@@ -455,8 +483,11 @@ def run_candidates_experiment(cfg: CandidatesExperimentConfig) -> ExperimentRepo
     labels = np.zeros(len(cfg.candidates), dtype=bool)
     labels[truth_col] = True
 
+    truth_op = _as_unary(cfg.truth)
+    cand_ops = [_as_unary(c) for c in cfg.candidates]
+
     def data(r: int):
-        ds, fm = synth_candidates(cfg.n, cfg.truth, cfg.candidates, cfg.noise_var,
+        ds, fm = synth_candidates(cfg.n, truth_op, cand_ops, cfg.noise_var,
                                   rng=derive_rng(cfg.seed, r))
         return fm, ds.y, None
 

@@ -6,6 +6,13 @@ over an (n, q) feature matrix, and all but Kendall's tau a per-column
 reference function. Kendall's reference, the O(n^2) pair enumeration
 ``kendall_tau``, is the test oracle in ``tests/test_stats.py``.
 
+A scorer takes one response of shape (n,) or one per column group, of
+shape (n, g) with q a multiple of g: column j pairs with response
+``j // (q // g)``. Work on a response (its sort, ranks, ties and centring)
+runs once per group, and every column is still reduced on its own, so the
+scores are bit for bit those of g separate calls. A repeated experiment
+scores several repeats' feature matrices, stacked side by side, in one call.
+
 Every statistic but Pearson's, and every CART split, sees a feature only
 through its tie-aware ranks, and :func:`sorted_runs` makes that decision
 once. Dense ranks, midranks (bit for bit scipy's ``rankdata``), tied-pair
@@ -52,7 +59,7 @@ __all__ = [
 def _paired(u, y, ndim: int = 1) -> tuple[np.ndarray, np.ndarray]:
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
-    if u.ndim != ndim or y.ndim != 1 or u.shape[0] != y.shape[0]:
+    if u.ndim != ndim or y.ndim not in (1, ndim) or u.shape[0] != y.shape[0]:
         raise LengthMismatch(f"paired arrays of shapes {u.shape} and {y.shape}")
     if u.shape[0] < 2:
         raise LengthMismatch("need at least two observations")
@@ -192,9 +199,23 @@ def chatterjee_xi(u, y) -> float:
 # wherever they sit and selection ties still break toward the lowest index.
 
 def _rows(z, y) -> tuple[np.ndarray, np.ndarray]:
-    """Feature columns as contiguous (q, n) rows, and the response."""
+    """Feature columns as contiguous (q, n) rows, and the responses as
+    contiguous (g, n) rows; column j pairs with response j // (q // g)."""
     z, y = _paired(z, y, ndim=2)
-    return np.ascontiguousarray(z.T), y
+    ys = np.ascontiguousarray(y.T.reshape(-1, y.shape[0]))
+    if ys.shape[0] == 0 or z.shape[1] % ys.shape[0]:
+        raise LengthMismatch(f"{z.shape[1]} columns in {ys.shape[0]} response groups")
+    return np.ascontiguousarray(z.T), ys
+
+
+def _grouped(rows, g) -> np.ndarray:
+    """(q, n) rows as a (g, q // g, n) view, one block per response."""
+    return rows.reshape(g, rows.shape[0] // g, rows.shape[1])
+
+
+def _per_column(values, q) -> np.ndarray:
+    """A value per response group, repeated for each column of its group."""
+    return np.repeat(values, q // values.shape[0])
 
 
 def t0_scores(z, y) -> np.ndarray:
@@ -208,36 +229,40 @@ def t0_scores(z, y) -> np.ndarray:
     bracket is 2 sum_k (k - r_(k)) y_(k), whose gaps k - r_(k) are exact
     half-integers, all zero for a strictly concordant feature.
     """
-    rows, y = _rows(z, y)
-    n = y.shape[0]
-    (order,), head = sorted_runs(y[None, :])
+    rows, ys = _rows(z, y)
+    g, n = ys.shape
+    order, head = sorted_runs(ys)
     if not head.all():
         raise TiesInResponse("response vector contains exact ties")
-    ys = y[order]
-    gaps = np.arange(1.0, n + 1.0) - midranks(*sorted_runs(rows[:, order]))
+    ys = np.take_along_axis(ys, order, axis=1)
+    by_y = np.take_along_axis(_grouped(rows, g), order[:, None, :], axis=2)
+    gaps = np.arange(1.0, n + 1.0) - midranks(*sorted_runs(by_y.reshape(rows.shape)))
     # the gaps sum to zero, so centring y changes nothing but the rounding
-    total = (gaps * (ys - ys.mean())).sum(axis=1)
+    centred = ys - ys.mean(axis=1, keepdims=True)
+    total = (_grouped(gaps, g) * centred[:, None, :]).sum(axis=2).ravel()
     return 4.0 * total / (n * (n - 1))
 
 
 def pearson_scores(z, y) -> np.ndarray:
     """:func:`pearson` of every column, bit for bit; 0.0 in place of ZeroVariance."""
-    rows, y = _rows(z, y)
+    rows, ys = _rows(z, y)
+    q, g = rows.shape[0], ys.shape[0]
     dz = rows - rows.mean(axis=1, keepdims=True)
-    dy = y - y.mean()
-    spread = np.sqrt((dz**2).sum(axis=1)) * np.sqrt((dy**2).sum())
-    live = (spread > 0) & ~np.all(rows == rows[:, :1], axis=1) & ~np.all(y == y[0])
-    out = np.zeros(rows.shape[0])
+    dy = ys - ys.mean(axis=1, keepdims=True)
+    spread = np.sqrt((dz**2).sum(axis=1)) * _per_column(np.sqrt((dy**2).sum(axis=1)), q)
+    live = (spread > 0) & ~np.all(rows == rows[:, :1], axis=1) \
+        & _per_column(~np.all(ys == ys[:, :1], axis=1), q)
     # vecdot runs the same BLAS dot per row as the np.dot in :func:`pearson`
-    out[live] = np.vecdot(dz[live], dy) / spread[live]
+    dots = np.vecdot(_grouped(dz, g), dy[:, None, :]).ravel()
+    out = np.zeros(q)
+    out[live] = dots[live] / spread[live]
     return out
 
 
 def spearman_scores(z, y) -> np.ndarray:
     """:func:`spearman` of every column, bit for bit; 0.0 in place of ZeroVariance."""
-    rows, y = _rows(z, y)
-    (y_ranks,) = midranks(*sorted_runs(y[None, :]))
-    return pearson_scores(midranks(*sorted_runs(rows)).T, y_ranks)
+    rows, ys = _rows(z, y)
+    return pearson_scores(midranks(*sorted_runs(rows)).T, midranks(*sorted_runs(ys)).T)
 
 
 def _inversions(v, ref) -> np.ndarray:
@@ -279,33 +304,44 @@ def kendall_scores(z, y) -> np.ndarray:
     bit for bit the pair enumeration's quotient. A constant column or a
     constant y scores 0.0. Entries must be finite.
     """
-    rows, y = _rows(z, y)
-    n = y.shape[0]
-    y_order, y_head = sorted_runs(y[None, :])
+    rows, ys = _rows(z, y)
+    (q, n), g = rows.shape, ys.shape[0]
+    y_order, y_head = sorted_runs(ys)
     u_order, u_head = sorted_runs(rows)
-    y_rank, n1, n2 = dense_ranks(y_order, y_head), tied_pairs(u_head), tied_pairs(y_head)
+    y_rank, n1 = dense_ranks(y_order, y_head), tied_pairs(u_head)
+    n2 = _per_column(tied_pairs(y_head), q)
     bits = int(y_rank.max()).bit_length()
     # (u, y) order; equal (u, y) pairs are neither inverted nor untied
-    key = np.sort((dense_ranks(u_order, u_head) << bits) | y_rank, axis=1)
+    key = _grouped(dense_ranks(u_order, u_head) << bits, g) | y_rank[:, None, :]
+    key = np.sort(key.reshape(q, n), axis=1)
     n3 = tied_pairs(_run_heads(key))
-    d = _inversions(key & ((1 << bits) - 1), np.sort(y_rank, axis=1))
+    # _inversions compares rows that hold one multiset, which a response's
+    # tie pattern fixes: one call per pattern, one in all when y is tie-free
+    patterns: dict[bytes, list[int]] = {}
+    for i, head in enumerate(y_head):
+        patterns.setdefault(head.tobytes(), []).append(i)
+    key &= (1 << bits) - 1
+    d = np.empty(q, dtype=np.int64)
+    for members in patterns.values():
+        cols = _per_column(np.isin(np.arange(g), members), q)
+        d[cols] = _inversions(key[cols], np.cumsum(y_head[members[:1]], axis=1) - 1)
     s = (n * (n - 1) // 2 - n1 - n2 + n3) - 2 * d
     return s / (n * (n - 1) / 2)
 
 
 def chatterjee_scores(z, y) -> np.ndarray:
     """:func:`chatterjee_xi` of every column, bit for bit; -1.0 in place of
-    TiesPresent."""
-    rows, y = _rows(z, y)
-    n = y.shape[0]
-    y_order, y_head = sorted_runs(y[None, :])
-    if not y_head.all():
-        return np.full(rows.shape[0], -1.0)
+    TiesPresent, so every column of a response with ties scores -1.0."""
+    rows, ys = _rows(z, y)
+    (q, n), g = rows.shape, ys.shape[0]
+    y_order, y_head = sorted_runs(ys)
     order, head = sorted_runs(rows)
-    # y is tie-free, so its ranks in feature order are its overall ranks
-    steps = np.abs(np.diff(dense_ranks(y_order, y_head)[0][order], axis=1)).sum(axis=1)
+    # a tie-free y's ranks in feature order are its overall ranks
+    y_rank = dense_ranks(y_order, y_head)[:, None, :]
+    path = np.take_along_axis(y_rank, _grouped(order, g), axis=2)
+    steps = np.abs(np.diff(path, axis=2)).sum(axis=2).ravel()
     xi = 1.0 - 3.0 * steps / (n * n - 1)
-    return np.where(head.all(axis=1), xi, -1.0)
+    return np.where(head.all(axis=1) & _per_column(y_head.all(axis=1), q), xi, -1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -301,6 +301,11 @@ class TestExperiment:
         ("signal", {"n": 20.7}),  # not n=20
         ("signal", {"tree": {"n_trees": "5"}}),
         ("candidates", {"truth": 5}),
+        # malformed unary op entries
+        ("signal", {"unary_ops": ["id", {"op": "sin"}]}),
+        ("signal", {"unary_ops": [{"op": "sin", "a": "abc"}]}),
+        ("signal", {"unary_ops": [{"expr": 5}]}),
+        ("signal", {"unary_ops": [{"foo": 1}]}),
     ])
     def test_invalid_config_exits_2_before_any_work(self, mode, change, data3, tmp_path,
                                                     capsys, monkeypatch):

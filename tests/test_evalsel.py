@@ -1,11 +1,19 @@
+import json
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from symrank import evalsel
 from symrank.core import FeatureMatrix, derive_rng, var
-from symrank.errors import DimensionMismatch, KTooLarge, NoPositives, SizeMismatch
+from symrank.errors import (
+    DimensionMismatch,
+    KTooLarge,
+    LengthMismatch,
+    NoPositives,
+    SizeMismatch,
+)
 from symrank.evalsel import (
     CandidatesExperimentConfig,
     MethodScore,
@@ -114,6 +122,8 @@ class TestScoreFeatures:
                             seed=5, tree_params=TreeParams(n_trees=10, depth=3))
         assert ms.direction == "higher"
         assert int(np.argmax(ms.scores)) == 1
+        with pytest.raises(LengthMismatch):  # grouped responses are for rank methods
+            score_features(feature_matrix(z), np.column_stack([y, y]), "tree-importance")
 
 
 class TestSelectTop:
@@ -308,3 +318,85 @@ class TestExperimentHarness:
             truth="cos(x)", candidates=("x",), n=10, repeats=1, seed=1)
         with pytest.raises(Exception):
             run_candidates_experiment(cfg)
+
+
+def per_repeat_cells(cells, methods, repeats, n_selected, seed, tree):
+    """The experiment loop scoring one repeat per call: the oracle for the
+    chunked ``evalsel._run_cells``."""
+    results = []
+    for cell in cells:
+        labels, picks = [], [[] for _ in methods]
+        for r in range(repeats):
+            fm, y, lab = cell.data(r)
+            if r == 0:
+                first = fm
+            if fm.exprs != first.exprs:
+                raise DimensionMismatch(f"{cell.key}: repeat {r}")
+            labels.append(lab)
+            for mi, method in enumerate(methods):
+                ms = score_features(fm, y, method, tree_params=tree,
+                                    seed=evalsel._method_seed(seed, *cell.seed_key, r, mi))
+                pr = pr_auc(lab, ms, n_selected) if lab is not None else None
+                picks[mi].append((select_top(ms, n_selected),
+                                  selection_boundary_tie(ms, n_selected), pr))
+        entries = [evalsel._method_entry(method, picks[mi], labels[0], n_selected)
+                   for mi, method in enumerate(methods)]
+        results.append((first, labels, entries))
+    return results, {f"{c.key}/{m}": 0.0 for c in cells for m in methods}
+
+
+class TestChunkedRepeats:
+    @pytest.mark.parametrize("run, cfg, q", [
+        (run_signal_experiment,
+         SignalExperimentConfig(n=100, noise_vars=(0.0, 0.1), methods=evalsel.SCORE_METHODS,
+                                repeats=8, seed=4, tree=TreeParams(n_trees=3, depth=2)),
+         24),
+        (run_candidates_experiment,
+         CandidatesExperimentConfig(truth="sin(4*x)",
+                                    candidates=("x", "x**3", "sin(4*x+0.2)", "sin(4*x)"),
+                                    repeats=10, methods=evalsel.SCORE_METHODS[:5], seed=2),
+         4),
+    ])
+    def test_report_bytes_match_the_per_repeat_loop(self, run, cfg, q, monkeypatch):
+        # the first cell's repeats split into full chunks and a shorter last one
+        size = evalsel.CHUNK_VALUES // (cfg.n * q)
+        assert 1 < size < cfg.repeats and cfg.repeats % size
+        chunked = run(cfg)
+        monkeypatch.setattr(evalsel, "_run_cells", per_repeat_cells)
+        oracle = run(cfg)
+        assert chunked.runtimes.keys() == oracle.runtimes.keys()
+        assert (json.dumps(chunked.primary_document(), sort_keys=True)
+                == json.dumps(oracle.primary_document(), sort_keys=True))
+
+    def test_rank_methods_score_a_chunk_per_call(self, monkeypatch):
+        calls = []
+        score = evalsel.score_features
+
+        def counted(fm, y, method, **kwargs):
+            calls.append((method, fm.q, np.shape(y)))
+            return score(fm, y, method, **kwargs)
+
+        monkeypatch.setattr(evalsel, "score_features", counted)
+        n = evalsel.CHUNK_VALUES // 8  # four repeats of (n, 2) fill a chunk
+        cfg = CandidatesExperimentConfig(truth="x", candidates=("x", "x**2"), n=n,
+                                         repeats=9, methods=("kendall", "tree-importance"),
+                                         seed=1, tree=TreeParams(n_trees=2, depth=1))
+        run_candidates_experiment(cfg)
+        assert [c for c in calls if c[0] == "kendall"] == [
+            ("kendall", 8, (n, 4)), ("kendall", 8, (n, 4)), ("kendall", 2, (n, 1))]
+        assert [c for c in calls if c[0] != "kendall"] == [("tree-importance", 2, (n,))] * 9
+
+    def test_memory_stays_bounded_at_1e5_rows(self):
+        # each (1e5, 4) repeat is its own chunk: ~37 MB of tracemalloc peak on
+        # a 2-CPU Xeon, against ~120 MB with the four repeats stacked at once
+        cfg = CandidatesExperimentConfig(
+            truth="sin(4*x)", candidates=("x", "x**3", "sin(4*x+0.2)", "sin(4*x)"),
+            n=100_000, repeats=4, methods=evalsel.SCORE_METHODS[:5], seed=3)
+        tracemalloc.start()
+        try:
+            report = run_candidates_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60e6
+        assert all(len(m["selections"]) == 4 for m in report.runs[0]["methods"])

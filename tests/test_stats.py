@@ -393,7 +393,55 @@ def _oracle(fn, col, y, sentinel):
         return sentinel
 
 
+@st.composite
+def grouped_inputs(draw):
+    """Columns in g groups of m, with one response per group. Each response is
+    tie-free, tie-heavy (with its own tie pattern) or constant; each group's
+    columns come from a tie-heavy base, its copy, a constant and a tie-free
+    column."""
+    n = draw(st.integers(2, 30))
+    g, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    ys, blocks = [], []
+    for _ in range(g):
+        kind = draw(st.sampled_from(["ties", "tie-free", "constant"]))
+        if kind == "ties":
+            y = np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))) * 0.5
+        elif kind == "tie-free":
+            y = np.array(draw(st.permutations(range(n)))) * 1.5 - 4.0
+        else:
+            y = np.full(n, 2.0)
+        base = np.array(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))) / 10
+        palette = [base, base.copy(), np.full(n, draw(st.sampled_from([0.1, -7.25]))),
+                   np.array(draw(st.permutations(range(n)))) / 7.0]
+        picks = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+        ys.append(y)
+        blocks.append(np.column_stack([palette[i] for i in picks]))
+    return np.hstack(blocks), np.column_stack(ys)
+
+
 class TestBatchedScorers:
+    @given(grouped_inputs())
+    @example((np.array([[1.0, 0.1], [1.0, 0.1]]), np.array([[0.0, 3.0], [0.0, 2.0]])))
+    @settings(max_examples=200, deadline=None)
+    def test_grouped_response_is_bit_identical_to_per_group_calls(self, inputs):
+        z, y = inputs
+        g = y.shape[1]
+        m = z.shape[1] // g
+        groups = [(z[:, k * m:(k + 1) * m], y[:, k]) for k in range(g)]
+        for scorer in (pearson_scores, spearman_scores, kendall_scores, chatterjee_scores):
+            expected = np.concatenate([scorer(zk, yk) for zk, yk in groups])
+            assert scorer(z, y).tobytes() == expected.tobytes()
+        kendall, chatterjee = kendall_scores(z, y), chatterjee_scores(z, y)
+        for j in range(z.shape[1]):
+            assert kendall[j] == kendall_tau(z[:, j], y[:, j // m])
+            assert chatterjee[j] == _oracle(chatterjee_xi, z[:, j], y[:, j // m], -1.0)
+        if all(np.unique(yk).size == yk.size for _, yk in groups):
+            expected = np.concatenate([t0_scores(zk, yk) for zk, yk in groups])
+            assert t0_scores(z, y).tobytes() == expected.tobytes()
+        else:
+            with pytest.raises(TiesInResponse):
+                t0_scores(z, y)
+
     @given(scoring_inputs())
     @settings(max_examples=150, deadline=None)
     def test_agree_with_per_column_oracles(self, inputs):
@@ -467,3 +515,6 @@ class TestBatchedScorers:
             t0_scores(np.zeros((3, 2)), [1.0, 2.0])
         with pytest.raises(LengthMismatch):
             kendall_scores(np.zeros(3), [1.0, 2.0, 3.0])
+        for groups in (0, 2):  # three columns split into no groups or uneven ones
+            with pytest.raises(LengthMismatch):
+                pearson_scores(np.zeros((3, 3)), np.zeros((3, groups)))
