@@ -10,10 +10,16 @@ the smallest threshold, so trees are fully reproducible.
 Candidate splits are never compared through the exponentiated likelihood
 ratio; comparisons stay on loss differences (its logarithm) to avoid
 overflow.
+
+:func:`grow_tree` and the bootstrap trees of :func:`ensemble_importance`
+share one grower, :func:`_grow_levels`. It grows trees one depth level at a
+time, on integer rank keys, and searches a level's open nodes in a few
+batched calls of one split kernel.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -128,49 +134,44 @@ def _response_pairs(y: np.ndarray) -> np.ndarray:
     return pairs
 
 
-def _column_split_losses(z_sorted: np.ndarray, pairs_sorted: np.ndarray) -> np.ndarray:
+def _column_split_losses(keys: np.ndarray, pairs: np.ndarray, m=None) -> np.ndarray:
     """Two-sided SSE for every cut position of every row, inf where inadmissible.
 
-    Each of the w rows holds one column's m node values in increasing order,
-    with the node's response pairs (see :func:`_response_pairs`) in that same
-    order; their running sums overwrite the pairs. Position p (1-based) puts
-    the p smallest values on the left; a cut is admissible only between
-    distinct column values. Rows are independent, so a batch of rows from
-    several nodes gives each row's losses bit for bit. The loss is
+    Each row holds one column's node values, or any keys that order them the
+    same way, in increasing order, with the node's response pairs (see
+    :func:`_response_pairs`) in that same order; their running sums overwrite
+    the pairs. Position p (1-based) puts the p smallest values on the left; a
+    cut is admissible only between distinct keys. The loss is
     sse_l + sse_r with sse_l = s2_l - s1_l**2 / p and
     sse_r = (s2_m - s2_l) - (s1_m - s1_l)**2 / (m - p), evaluated in this
     order: a cheaper algebraic form can flip near-ties.
+
+    Rows are independent, so a batch of rows from several nodes gives each
+    row's losses bit for bit. Rows of different lengths come right-padded to
+    one width: keys with the row's last key, pairs with 0, and ``m`` holds
+    each row's length as a (rows, 1) array. A padded row's running sums and
+    losses at its real cuts are then those of its unpadded call, and every
+    padded cut is inadmissible.
     """
-    m = pairs_sorted.shape[1]
-    sums = pairs_sorted.cumsum(axis=1, out=pairs_sorted)
+    width = pairs.shape[1]
+    sums = pairs.cumsum(axis=1, out=pairs)
     # contiguous copies: the passes below run faster on them than on views
     s1, s2 = sums.real[:, :-1].copy(), sums.imag[:, :-1].copy()
     s1_total, s2_total = sums.real[:, -1:].copy(), sums.imag[:, -1:].copy()
-    sizes = np.arange(1.0, m)  # p; reversed, m - p
+    sizes = np.arange(1.0, width)  # p
+    # m - p, floored at 1 past a padded row's end, where every cut is inadmissible
+    rest = sizes[::-1] if m is None else np.maximum(m - sizes, 1.0)
     losses = np.square(s1)
     losses /= sizes
     np.subtract(s2, losses, out=losses)  # sse_l
     np.subtract(s1_total, s1, out=s1)
     np.square(s1, out=s1)
-    s1 /= sizes[::-1]
+    s1 /= rest
     np.subtract(s2_total, s2, out=s2)
     s2 -= s1  # sse_r
     losses += s2
-    np.putmask(losses, z_sorted[:, :-1] >= z_sorted[:, 1:], np.inf)
+    np.putmask(losses, keys[:, :-1] >= keys[:, 1:], np.inf)
     return losses
-
-
-def _first_cut(losses: np.ndarray, z_sorted: np.ndarray) -> tuple[int, float] | None:
-    """(row, threshold) of the loss-minimizing cut, or None when no row
-    admits a two-sided cut.
-
-    The first minimum in row-major order resolves exact loss ties to the
-    first row, then the smallest threshold.
-    """
-    k, pos = divmod(int(losses.argmin()), losses.shape[1])
-    if not math.isfinite(losses[k, pos]):
-        return None
-    return k, float(z_sorted[k, pos])
 
 
 def best_split(data, y) -> SplitRule:
@@ -187,10 +188,12 @@ def best_split(data, y) -> SplitRule:
         raise Unsplittable("node needs >= 2 samples and non-constant response")
     order = np.argsort(z.T, axis=1, kind="stable")
     z_sorted = np.take_along_axis(z.T, order, axis=1)
-    cut = _first_cut(_column_split_losses(z_sorted, _response_pairs(y)[order]), z_sorted)
-    if cut is None:
+    losses = _column_split_losses(z_sorted, _response_pairs(y)[order])
+    # the first minimum in row-major order: smallest coordinate, then threshold
+    k, pos = divmod(int(losses.argmin()), losses.shape[1])
+    if not math.isfinite(losses[k, pos]):
         raise Unsplittable("no column admits a two-sided split")
-    return SplitRule(*cut)
+    return SplitRule(k, float(z_sorted[k, pos]))
 
 
 def split_rule_loss(data, y, rule: SplitRule) -> float:
@@ -221,86 +224,182 @@ def log_principal_decision_ratio(data, y, rule1: SplitRule, rule2: SplitRule) ->
     return split_rule_loss(data, y, rule2) - split_rule_loss(data, y, rule1)
 
 
-def _grow(zt: np.ndarray, y: np.ndarray, order: np.ndarray, depth: int,
-          min_leaf: int = 1, root: tuple[int, float] | None = None) -> Tree:
-    """One tree over the column rows ``zt`` (q, n), grown in preorder from an
-    explicit stack.
+# the padded values one split-kernel call may take, chosen by a sweep (see
+# BENCH_10.json); a node larger than half of this is searched alone, unpadded
+LEVEL_VALUES = 2**14
+# the presorted values of one chunk of forest trees grown together
+FOREST_VALUES = 2**16
 
-    ``order`` holds each column's stable row order (the CART presort). A
-    node splits while it has depth left, at least max(2*min_leaf, 2) rows, a
-    non-constant response and an admissible cut; ``root`` is the root's
-    (column, threshold) when the caller has searched it already. A split
-    stably partitions the node's slice of the row-order array, left rows
-    first, so a leaf's slice stays increasing. A child gets its per-column row
-    orders, filtered stably from its parent's, only when it may still split.
+
+def _calls(sizes: np.ndarray, w: int):
+    """The nodes of each split-kernel call of a level, for nodes of ``sizes``
+    rows and w columns: power-of-two size classes, m in (2**(e-1), 2**e],
+    largest nodes first, cut into calls of at most LEVEL_VALUES padded
+    values."""
+    if not sizes.size:
+        return
+    by_size = np.argsort(-sizes, kind="stable")  # so a call's nodes differ little
+    size_class = np.frexp(sizes[by_size] - 1)[1]
+    bounds = [0, *(np.flatnonzero(np.diff(size_class)) + 1).tolist(), by_size.size]
+    for lo, hi in zip(bounds, bounds[1:]):
+        per_call = max(1, LEVEL_VALUES // (w * int(sizes[by_size[lo]])))
+        for first in range(lo, hi, per_call):
+            yield by_size[first:min(first + per_call, hi)]
+
+
+def _grow_levels(keys: np.ndarray, pairs: np.ndarray, level: np.ndarray, m: np.ndarray,
+                 depth: int, min_leaf: int):
+    """Grow trees one depth level at a time; yield (m, coordinate, cut) per level.
+
+    ``keys`` (w, N) holds integer rank keys of w columns and ``pairs`` the
+    response pairs (see :func:`_response_pairs`) of the same N ids. The roots
+    have ``m`` ids each, and ``level`` lists them node after node, each node
+    a (w, m) block whose rows hold its ids in stable key order of one column
+    (the CART presort).
+
+    Level d yields every node at depth d: its size ``m``, its split column
+    or -1 for a leaf, and ``cut``, the id of its last left row in that
+    column's order. A node splits while it has depth left, at least
+    max(2*min_leaf, 2) ids, a non-constant response and an admissible cut;
+    the cut is the node's first minimum in row-major order, the smallest
+    column, then the smallest threshold. A level's open nodes share a few
+    kernel calls (see :func:`_calls`); a call of nodes of several sizes pads
+    each row on the right. Level d + 1 lists the left children of level d's
+    splits, then their right children. The children that may still split get
+    their blocks from two compress calls on the whole level, which filter
+    each parent's blocks stably.
     """
-    q, n = zt.shape
-    z_flat = zt.ravel()
-    col_starts = (np.arange(q) * n)[:, None]
-    pairs = _response_pairs(y)
-    left_side = np.zeros(n, dtype=bool)  # scratch, valid at the current node's rows
-    rows = np.arange(n)
+    w, n = keys.shape
+    key_flat = keys.ravel()
+    key_rows = np.arange(w)[:, None] * n  # each key row's start in key_flat
     min_split = max(2 * min_leaf, 2)
-    coordinate, threshold, right, mean, start, stop = [], [], [], [], [], []
-    # pending nodes: (start, stop, depth left, the parent whose right child
-    # this is or -1, row orders, the mask selecting this node's orders or None)
-    stack = [(0, n, depth, -1, order, None)]
-    while stack:
-        lo, hi, remaining, parent, orders, keep = stack.pop()
-        i = len(coordinate)
-        if parent >= 0:
-            right[parent] = i
-        start.append(lo)
-        stop.append(hi)
-        idx = rows[lo:hi]
-        m = hi - lo
-        y_node = y.take(idx)
-        cut = None
-        if i == 0 and root is not None:
-            cut = root
-        elif remaining > 0 and m >= min_split and not (y_node == y_node[0]).all():
-            if keep is not None:
-                orders = orders.compress(keep).reshape(q, m)
-            z_sorted = z_flat.take(orders + col_starts)
-            cut = _first_cut(_column_split_losses(z_sorted, pairs.take(orders)), z_sorted)
-        right.append(-1)
-        if cut is None:
-            coordinate.append(-1)
-            threshold.append(np.nan)
-            mean.append(float(y_node.sum()) / m)
-            continue
-        k, cut_at = cut
-        coordinate.append(k)
-        threshold.append(cut_at)
-        mean.append(np.nan)
-        on_left = zt[k].take(idx) <= cut_at
-        mid = lo + int(np.count_nonzero(on_left))
-        split_left = remaining > 1 and mid - lo >= min_split
-        split_right = remaining > 1 and hi - mid >= min_split
-        if split_left or split_right:
-            left_side[idx] = on_left
-            go_left = left_side.take(orders).ravel()
-        rows[lo:mid], rows[mid:hi] = idx.compress(on_left), idx.compress(~on_left)
-        stack.append((mid, hi, remaining - 1, i, orders, ~go_left) if split_right
-                     else (mid, hi, 0, i, None, None))
-        stack.append((lo, mid, remaining - 1, -1, orders, go_left) if split_left
-                     else (lo, mid, 0, -1, None, None))
-    return Tree(q, np.array(coordinate, dtype=np.intp), np.array(threshold),
-                np.array(right, dtype=np.intp), np.array(mean),
-                np.array(start, dtype=np.intp), np.array(stop, dtype=np.intp), rows)
+    # per id, where it goes: 0 the next level's left and 1 its right
+    # children, 2 nowhere (a leaf or a child that cannot split)
+    side = np.empty(n, dtype=np.uint8)
+    is_open = (m >= min_split) & (depth > 0)
+    for d in itertools.count():
+        coordinate = np.full(m.size, -1, dtype=np.intp)
+        position = np.zeros(m.size, dtype=np.intp)
+        cut = np.zeros(m.size, dtype=np.intp)
+        opened = np.flatnonzero(is_open)
+        last = d + 1 >= depth  # the children are leaves
+        sizes = m[opened]
+        starts = w * (np.cumsum(sizes) - sizes)
+        for batch in _calls(sizes, w):
+            c, mb, sb = batch.size, sizes[batch], starts[batch]
+            width = int(mb.max())
+            padded = bool((mb < width).any())
+            if not padded and sb[-1] - sb[0] == (c - 1) * w * width:
+                ids = level[sb[0]:sb[0] + c * w * width].reshape(c, w, width)
+            else:  # right-padded with each row's last id
+                at = np.minimum(np.arange(width), mb[:, None] - 1)[:, None, :]
+                ids = level.take(sb[:, None, None] + np.arange(w)[:, None] * mb[:, None, None]
+                                 + at)
+            sorted_pairs = pairs.take(ids)
+            y_sorted = sorted_pairs.real[:, 0]
+            constant = (y_sorted == y_sorted[:, :1]).all(axis=1)
+            row_sizes = None
+            if padded:
+                np.copyto(sorted_pairs, 0, where=np.arange(width) >= mb[:, None, None])
+                row_sizes = np.repeat(mb, w)[:, None]
+            losses = _column_split_losses(key_flat.take(ids + key_rows).reshape(-1, width),
+                                          sorted_pairs.reshape(-1, width),
+                                          row_sizes).reshape(c, -1)
+            best = losses.argmin(axis=1)
+            found = np.isfinite(losses[np.arange(c), best]) & ~constant
+            k, pos = np.divmod(best, width - 1)
+            node = opened[batch]
+            coordinate[node[found]] = k[found]
+            position[node] = pos
+            cut[node] = ids[np.arange(c), k, pos]
+            if not last:
+                left = np.where(found & (pos + 1 >= min_split), 0, 2)
+                right = np.where(found & (mb - pos - 1 >= min_split), 1, 2)
+                side.put(ids[np.arange(c), k],
+                         np.where(np.arange(width) > pos[:, None], right[:, None],
+                                  left[:, None]))
+        yield m, coordinate, cut
+        split = np.flatnonzero(coordinate >= 0)
+        if not split.size:
+            return
+        left_sizes = position[split] + 1
+        m = np.concatenate((left_sizes, m[split] - left_sizes))
+        is_open = (m >= min_split) & (not last)
+        if is_open.any():
+            goes = side.take(level)
+            level = np.concatenate((level.compress(goes == 0), level.compress(goes == 1)))
 
 
 def grow_tree(data, y, depth: int, min_leaf: int = 1) -> Tree:
     """Split until depth K, size < 2*min_leaf, or unsplittable.
 
-    Degenerate nodes become leaves carrying the sample mean. Each column is
-    sorted once (the CART presort); a node passes its per-column row orders
-    to its children by stable filtering, so a node costs O(m*q) for m rows.
+    Degenerate nodes become leaves carrying the sample mean. The tree grows
+    one depth level at a time on the leader of each rank class (see
+    :func:`_rank_class_leaders`): each leader's rows are sorted once by their
+    integer rank keys (the CART presort), and each level's nodes are searched
+    in a few batched split-kernel calls, so a node costs O(m*q) for m rows.
     Raises NonFiniteData on NaN or infinite entries.
     """
     z, y = _matrix_and_response(data, y)
-    zt = np.ascontiguousarray(z.T)
-    return _grow(zt, y, np.argsort(zt, axis=1, kind="stable"), depth, min_leaf)
+    n, q = z.shape
+    leaders, keys = _rank_class_leaders(z)
+    level = _stable_order(keys).ravel()
+    levels = list(_grow_levels(keys, _response_pairs(y), level, np.array([n]), depth,
+                               min_leaf))
+    # subtree sizes, deepest level first: level d + 1 lists the left children
+    # of level d's splits, then their right children
+    subtree = [np.ones(0, dtype=np.intp)]
+    for _, k, _ in reversed(levels):
+        size = np.ones(k.size, dtype=np.intp)
+        below = subtree[-1]
+        size[k >= 0] += below[:below.size // 2] + below[below.size // 2:]
+        subtree.append(size)
+    subtree = subtree[:0:-1]
+    total = int(subtree[0][0])
+    coordinate = np.full(total, -1, dtype=np.intp)
+    threshold = np.full(total, np.nan)
+    right = np.full(total, -1, dtype=np.intp)
+    start = np.zeros(total, dtype=np.intp)
+    stop = np.zeros(total, dtype=np.intp)
+    at = np.zeros(1, dtype=np.intp)  # the level's nodes' preorder numbers
+    lo = np.zeros(1, dtype=np.intp)  # and their slices' starts
+    for d, (m, k, cut) in enumerate(levels):
+        start[at], stop[at] = lo, lo + m
+        split = np.flatnonzero(k >= 0)
+        if not split.size:
+            break
+        column = leaders[k[split]]
+        coordinate[at[split]] = column
+        threshold[at[split]] = z[cut[split], column]
+        left_at = at[split] + 1
+        right[at[split]] = left_at + subtree[d + 1][:split.size]
+        at = np.concatenate((left_at, right[at[split]]))
+        lo = np.concatenate((lo[split], lo[split] + levels[d + 1][0][:split.size]))
+    # a leaf's rows increase, and the leaves tile the row order in preorder
+    rows = _stable_order(start.take(_leaves(coordinate, threshold, right, z)))
+    mean = np.full(total, np.nan)
+    leaves = np.flatnonzero(coordinate < 0)
+    leaf_sizes = stop[leaves] - start[leaves]
+    for size in np.unique(leaf_sizes):
+        same = leaves[leaf_sizes == size]
+        # each row summed on its own, as np.sum sums one leaf
+        mean[same] = y.take(rows.take(start[same][:, None] + np.arange(size))).sum(axis=1) / size
+    return Tree(q, coordinate, threshold, right, mean, start, stop, rows)
+
+
+def _leaves(coordinate: np.ndarray, threshold: np.ndarray, right: np.ndarray,
+            z: np.ndarray) -> np.ndarray:
+    """The leaf each row reaches; rows descend one level per step, together."""
+    node = np.zeros(z.shape[0], dtype=np.intp)
+    active = np.arange(z.shape[0])  # rows not yet known to sit at a leaf
+    while active.size:
+        at = node.take(active)
+        column = coordinate.take(at)
+        internal = column >= 0
+        active, at = np.compress(internal, active), np.compress(internal, at)
+        go_left = z[active, np.compress(internal, column)] <= threshold.take(at)
+        node[active] = np.where(go_left, at + 1, right.take(at))
+    return node
 
 
 def predict(tree: Tree, row) -> float:
@@ -321,16 +420,7 @@ def predict_rows(tree: Tree, data) -> np.ndarray:
     if z.shape[1] != tree.n_features:
         raise ColumnMismatch(
             f"rows have {z.shape[1]} columns, tree was grown on {tree.n_features}")
-    node = np.zeros(z.shape[0], dtype=np.intp)
-    active = np.arange(z.shape[0])  # rows not yet known to sit at a leaf
-    while active.size:
-        at = node.take(active)
-        coordinate = tree.coordinate.take(at)
-        internal = coordinate >= 0
-        active, at = np.compress(internal, active), np.compress(internal, at)
-        go_left = z[active, np.compress(internal, coordinate)] <= tree.threshold.take(at)
-        node[active] = np.where(go_left, at + 1, tree.right.take(at))
-    return tree.mean.take(node)
+    return tree.mean.take(_leaves(tree.coordinate, tree.threshold, tree.right, z))
 
 
 def induced_permutation(tree: Tree, data) -> RankPermutation:
@@ -358,6 +448,23 @@ def _rank_class_leaders(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lead, ranks[lead]
 
 
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """The stable argsort of each row of rank keys below n, the row length.
+
+    Keys of up to 16 bits take numpy's radix sort. Wider keys, which numpy
+    cannot radix-sort, sort several times faster as one unstable sort of
+    key * 2**b + position, b bits holding a position.
+    """
+    if keys.dtype.itemsize <= 2:
+        return np.argsort(keys, axis=-1, kind="stable")
+    bits = (keys.shape[-1] - 1).bit_length()
+    packed = keys.astype(np.int64) << bits
+    packed |= np.arange(keys.shape[-1])
+    packed.sort(axis=-1)
+    packed &= (1 << bits) - 1
+    return packed
+
+
 def ensemble_importance(data, y, n_trees: int, depth: int, seed: int) -> np.ndarray:
     """Fraction of internal splits using each column, over a bootstrap forest.
 
@@ -366,10 +473,11 @@ def ensemble_importance(data, y, n_trees: int, depth: int, seed: int) -> np.ndar
     split counts normalized by the total number of splits in the ensemble.
     Raises NonFiniteData on NaN or infinite entries. Trees see only the
     leader of each rank class (see :func:`_rank_class_leaders`), which gives
-    the same splits as growing on every column. A resample's presort is a
-    stable sort of the leaders' integer rank keys. The roots of a chunk of
-    trees, at most 2**16 sorted values, are searched in one kernel call:
-    every root holds all n rows, so the chunk needs no padding.
+    the same splits as growing on every column. The trees grow in chunks of
+    about FOREST_VALUES presorted values, one depth level of a whole chunk at
+    a time (see :func:`_grow_levels`). Tree j of a chunk owns the ids
+    j*n .. j*n + n - 1, one per data row, and its presort is a stable sort of
+    its resample's integer rank keys.
     """
     z, y = _matrix_and_response(data, y)
     if n_trees < 1:
@@ -379,37 +487,25 @@ def ensemble_importance(data, y, n_trees: int, depth: int, seed: int) -> np.ndar
         return np.zeros(q)
     leaders, keys = _rank_class_leaders(z)
     w = leaders.size
-    zt = np.ascontiguousarray(z[:, leaders].T)
-    z_flat, pairs = zt.ravel(), _response_pairs(y)
-    chunk = max(1, 2**16 // (w * n))
-    coordinates = []
+    pairs = _response_pairs(y)
+    chunk = max(1, FOREST_VALUES // (w * n))
+    counts = np.zeros(w, dtype=np.intp)
     for first in range(0, n_trees, chunk):
         trees = range(first, min(first + chunk, n_trees))
-        # (c, n)
+        c = len(trees)
+        # (c, n): each tree's resample of the data rows
         rows = np.stack([derive_rng(seed, t).integers(0, n, size=n) for t in trees])
-        c = rows.shape[0]
-        orders = np.argsort(keys[:, rows].swapaxes(0, 1).reshape(c * w, n),
-                            axis=1, kind="stable")  # (c*w, n), per resample
-        sorted_rows = np.take_along_axis(np.repeat(rows, w, axis=0), orders, axis=1)
-        col_starts = (np.arange(c * w) % w * n)[:, None]
-        z_sorted = z_flat.take(sorted_rows + col_starts)
-        sorted_pairs = pairs.take(sorted_rows)
-        del sorted_rows  # lowers the chunk's peak memory
-        losses = _column_split_losses(z_sorted, sorted_pairs)
-        for j in range(c):
-            y_tree = y.take(rows[j])
-            if (y_tree == y_tree[0]).all():
-                continue
-            block = slice(j * w, (j + 1) * w)
-            root = _first_cut(losses[block], z_sorted[block])
-            if root is not None:
-                tree = _grow(zt[:, rows[j]], y_tree, orders[block], depth, root=root)
-                coordinates.append(tree.coordinate)
-    if not coordinates:
-        return np.zeros(q)
-    split_on = np.concatenate(coordinates)
-    counts = np.bincount(leaders[split_on[split_on >= 0]], minlength=q)
-    return counts / counts.sum()
+        ids = rows + (np.arange(c) * n)[:, None]
+        # (c, w, n): each resample's presort, as positions in the resample
+        orders = _stable_order(keys.take(rows, axis=1).swapaxes(0, 1))
+        level = ids.take(orders + (np.arange(c) * n)[:, None, None]).ravel()
+        for _, k, _ in _grow_levels(np.tile(keys, c), np.tile(pairs, c), level,
+                                    np.full(c, n), depth, 1):
+            counts += np.bincount(k[k >= 0], minlength=w)
+    freq = np.zeros(q)
+    if counts.any():
+        freq[leaders] = counts / counts.sum()
+    return freq
 
 
 # ---------------------------------------------------------------------------

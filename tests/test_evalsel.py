@@ -386,6 +386,29 @@ class TestChunkedRepeats:
             ("kendall", 8, (n, 4)), ("kendall", 8, (n, 4)), ("kendall", 2, (n, 1))]
         assert [c for c in calls if c[0] != "kendall"] == [("tree-importance", 2, (n,))] * 9
 
+    def test_tree_importance_runs_without_the_stacked_copy(self, monkeypatch):
+        # the chunk's stacked features and responses are gone once the last
+        # rank method has scored
+        n, q = 50_000, 4
+        memory = {}
+        score = evalsel.score_features
+
+        def traced(fm, y, method, **kwargs):
+            memory[method] = tracemalloc.get_traced_memory()[0]
+            return score(fm, y, method, **kwargs)
+
+        monkeypatch.setattr(evalsel, "score_features", traced)
+        cfg = CandidatesExperimentConfig(
+            truth="x", candidates=("x", "x**2", "x**3", "sin(4*x)"), n=n, repeats=1,
+            methods=("pearson", "tree-importance"), seed=5,
+            tree=TreeParams(n_trees=1, depth=1))
+        tracemalloc.start()
+        try:
+            run_candidates_experiment(cfg)
+        finally:
+            tracemalloc.stop()
+        assert memory["tree-importance"] < memory["pearson"] - n * q * 8
+
     def test_memory_stays_bounded_at_1e5_rows(self):
         # each (1e5, 4) repeat is its own chunk: ~37 MB of tracemalloc peak on
         # a 2-CPU Xeon, against ~120 MB with the four repeats stacked at once

@@ -2,11 +2,13 @@ import json
 import time
 import tracemalloc
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symrank import tree as tree_module
 from symrank.core import build_dataset, derive_rng
 from symrank.errors import (
     ColumnMismatch,
@@ -21,7 +23,10 @@ from symrank.partition import oracle_varying_size
 from symrank.stats import bayes_permutation, ranking_metric_T
 from symrank.tree import (
     SplitRule,
+    _column_split_losses,
     _rank_class_leaders,
+    _response_pairs,
+    _stable_order,
     best_split,
     ensemble_importance,
     grow_tree,
@@ -562,24 +567,100 @@ def tree_inputs(draw):
 
 
 
+@st.composite
+def padded_rows(draw):
+    """Rows of 2 to 12 sorted keys each, tie-heavy, constant or tie-free,
+    with tie-heavy, constant or continuous responses."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        m = draw(st.integers(2, 12))
+        span = draw(st.sampled_from([0, 1, 3, 100]))  # 0: a constant row
+        keys = np.sort(np.array(draw(st.lists(st.integers(0, span), min_size=m,
+                                              max_size=m))))
+        kind = draw(st.sampled_from(["rounded", "continuous", "constant"]))
+        if kind == "constant":
+            y = np.full(m, -1.5)
+        else:
+            y = np.array(draw(st.lists(st.floats(-10, 10, allow_subnormal=False),
+                                       min_size=m, max_size=m)))
+            if kind == "rounded":
+                y = np.round(y)
+        rows.append((keys, y))
+    return rows
+
+
+def forest_case(seed):
+    """Tie-heavy, continuous and rank-equal columns and a response that is
+    often constant on a bootstrap resample, from one integer seed."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 300))
+    base = rng.integers(0, int(rng.choice([3, 20, 1000])), size=(n, 2)).astype(float)
+    z = np.column_stack([base[:, 0], base[:, 0] ** 3, base[:, 1], -base[:, 1],
+                         rng.uniform(size=n)])[:, :int(rng.integers(1, 6))]
+    kind = rng.choice(["sparse", "rounded", "continuous"])
+    if kind == "sparse":  # zero but for one or two rows: resamples often miss them
+        y = np.zeros(n)
+        y[rng.integers(0, n, size=2)] = 1.0
+    else:
+        y = base[:, 0] + rng.normal(size=n)
+        if kind == "rounded":
+            y = np.round(y)
+    return z, y
+
+
+def assert_matches_oracle(tree, oracle, z):
+    """Same document as the oracle tree, the same rows at every node, a node's
+    slice listing its left child's rows first and a leaf's rows increasing."""
+    assert json.dumps(tree_to_json(tree)) == json.dumps(oracle_json(oracle, z.shape[1]))
+    leaves = leaf_ids(tree)
+    assert [tuple(sorted(node_rows(tree, i))) for i in range(tree.coordinate.size)] \
+        == [node.indices for node in oracle.preorder()]
+    assert all(node_rows(tree, i) == tuple(sorted(node_rows(tree, i))) for i in leaves)
+    for i in internal_ids(tree):  # the left child's rows come first
+        assert node_rows(tree, i) == node_rows(tree, i + 1) + node_rows(tree, tree.right[i])
+    # the leaves' slices tile the row-order array in preorder
+    assert tree.start[leaves].tolist() == [0] + tree.stop[leaves][:-1].tolist()
+    assert tree.stop[leaves][-1] == z.shape[0] == tree.rows.size
+
+
+class TestPaddedSplitKernel:
+    @given(padded_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_padded_call_matches_per_row_calls(self, rows):
+        # one call over right-padded rows: keys padded with the row's last
+        # key, pairs with 0, and each row's length passed in
+        width = max(keys.size for keys, _ in rows)
+        keys = np.array([np.pad(k, (0, width - k.size), mode="edge") for k, _ in rows])
+        pairs = np.array([np.pad(_response_pairs(y), (0, width - y.size)) for _, y in rows])
+        sizes = np.array([[k.size] for k, _ in rows])
+        padded = _column_split_losses(keys, pairs, sizes)
+        assert padded.shape == (len(rows), width - 1)
+        for row, (k, y) in zip(padded, rows):
+            alone = _column_split_losses(k[None, :], _response_pairs(y)[None, :])[0]
+            assert row[:k.size - 1].tobytes() == alone.tobytes()
+            assert np.isposinf(row[k.size - 1:]).all()
+
+
 class TestPresortedGrowthMatchesOracle:
     @given(tree_inputs(), st.integers(0, 6), st.integers(1, 3))
     @settings(max_examples=200, deadline=None)
     def test_trees_and_indices_identical(self, inputs, depth, min_leaf):
         z, y = inputs
         tree = grow_tree(z, y, depth, min_leaf)
-        oracle = oracle_grow_tree(z, y, depth, min_leaf)
-        assert json.dumps(tree_to_json(tree)) == json.dumps(oracle_json(oracle, z.shape[1]))
-        # a node's slice lists its left child's rows first; a leaf's increase
-        leaves = leaf_ids(tree)
-        assert [tuple(sorted(node_rows(tree, i))) for i in range(tree.coordinate.size)] \
-            == [node.indices for node in oracle.preorder()]
-        assert all(node_rows(tree, i) == tuple(sorted(node_rows(tree, i))) for i in leaves)
-        # the leaves' slices tile the row-order array in preorder
-        assert tree.start[leaves].tolist() == [0] + tree.stop[leaves][:-1].tolist()
-        assert tree.stop[leaves][-1] == z.shape[0] == tree.rows.size
+        assert_matches_oracle(tree, oracle_grow_tree(z, y, depth, min_leaf), z)
         rows = predict_rows(tree, z)
         assert np.array_equal(rows, [predict(tree, row) for row in z])
+
+    @pytest.mark.parametrize("min_leaf", [1, 2, 3])
+    def test_deep_tree_on_2000_rows(self, min_leaf):
+        # a depth-10 tree has levels of hundreds of nodes in many size classes
+        rng = derive_rng(50)
+        x = rng.uniform(size=(2000, 3))
+        z = np.column_stack([x, np.round(4 * x[:, 0]), x[:, 1] ** 3])
+        y = x[:, 0] + 2 * x[:, 2] ** 2 + 0.1 * rng.normal(size=2000)
+        tree = grow_tree(z, y, 10, min_leaf)
+        assert tree.coordinate.size > 500
+        assert_matches_oracle(tree, oracle_grow_tree(z, y, 10, min_leaf), z)
 
     @given(tree_inputs())
     @settings(max_examples=150, deadline=None)
@@ -600,6 +681,21 @@ class TestPresortedGrowthMatchesOracle:
         expected = oracle_ensemble_importance(z, y, 3, depth, seed)
         assert freq.tobytes() == expected.tobytes()
 
+    @given(st.integers(0, 2**32 - 1), st.integers(20, 40), st.integers(1, 6),
+           st.sampled_from([1, 3, 7]), st.sampled_from([2**6, 2**9, 2**14]))
+    @settings(max_examples=40, deadline=None)
+    def test_chunked_forests_bit_identical(self, seed, n_trees, depth, chunk_trees,
+                                           call_values):
+        # chunks of a few trees whose levels mix many size classes, split
+        # into several kernel calls, and resamples with a constant response
+        z, y = forest_case(seed)
+        w = _rank_class_leaders(z)[0].size
+        with mock.patch.object(tree_module, "FOREST_VALUES", chunk_trees * w * z.shape[0]), \
+                mock.patch.object(tree_module, "LEVEL_VALUES", call_values):
+            freq = ensemble_importance(z, y, n_trees, depth, seed)
+        expected = oracle_ensemble_importance(z, y, n_trees, depth, seed)
+        assert freq.tobytes() == expected.tobytes()
+
     def test_forest_beyond_one_byte_rank_keys(self):
         # 700 rows need two-byte keys; ties and a clipped run test the presort
         rng = derive_rng(49)
@@ -609,6 +705,16 @@ class TestPresortedGrowthMatchesOracle:
         assert _rank_class_leaders(z)[1].dtype == np.uint16
         freq = ensemble_importance(z, y, 3, 3, seed=11)
         assert freq.tobytes() == oracle_ensemble_importance(z, y, 3, 3, seed=11).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+    def test_stable_order_matches_stable_argsort(self, dtype):
+        # radix sort up to 16 bits, one packed sort of key and position above
+        rng = derive_rng(51)
+        for n in (1, 2, 7, 300):
+            keys = rng.integers(0, max(1, n // 3), size=(3, 2, n)).astype(dtype)
+            assert np.array_equal(_stable_order(keys), np.argsort(keys, axis=-1, kind="stable"))
+            view = keys.swapaxes(0, 1)  # as the forest passes its resamples' keys
+            assert np.array_equal(_stable_order(view), np.argsort(view, axis=-1, kind="stable"))
 
     def test_rank_classes(self):
         x = np.array([0.3, -1.2, 0.3, 2.0, 0.7])
@@ -626,8 +732,8 @@ class TestPresortedGrowthMatchesOracle:
 
     def test_grow_and_predict_scale_to_1e5_rows(self):
         # a per-node argsort of every column took ~1.1 s to grow this tree
-        # and a per-row predict loop ~0.5 s to route it; the presort and
-        # per-node masks take ~0.5 s together on a 2-CPU Xeon
+        # and a per-row predict loop ~0.5 s to route it; level-by-level
+        # growth takes ~0.2 s and routing ~0.04 s on a 2-CPU Xeon
         rng = derive_rng(47)
         n = 100_000
         x = rng.uniform(size=(n, 3))
@@ -644,8 +750,8 @@ class TestPresortedGrowthMatchesOracle:
 
     def test_forest_scales_to_1e5_rows(self):
         # a float argsort per bootstrap tree and node objects peaked at
-        # ~135 MB of tracemalloc here; integer rank keys take ~45 MB and
-        # ~3 s under tracemalloc on a 2-CPU Xeon
+        # ~135 MB of tracemalloc here; integer rank keys and level-by-level
+        # growth take ~32 MB and ~1.4 s under tracemalloc on a 2-CPU Xeon
         rng = derive_rng(48)
         n = 100_000
         x = rng.uniform(size=(n, 4))
