@@ -372,17 +372,18 @@ def _run_cells(cells, methods, repeats, n_selected, seed, tree):
                 raise DimensionMismatch(
                     f"{cell.key}: repeat {r} expands to other features than repeat 0 "
                     f"({fm.q} against {len(exprs)} columns)")
-        # built only when a rank method scores, and dropped after the last
-        # one, so that no forest grows while they are held
+        # built at the first rank method and dropped after the last one, so
+        # that no forest grows while they are held
         last_rank = max((mi for mi, method in enumerate(methods)
                          if method != "tree-importance"), default=-1)
-        if last_rank >= 0:
-            # stacked column-major, so the scorers take its columns as rows uncopied
-            stacked = FeatureMatrix(np.concatenate([fm.z.T for fm, _, _ in data]).T,
-                                    exprs * len(reps))
-            ys = np.stack([y for _, y, _ in data], axis=1)
+        stacked = ys = None
         picks = [[] for _ in reps]
         for mi, method in enumerate(methods):
+            if method != "tree-importance" and stacked is None:
+                # stacked column-major, so the scorers take its columns as rows uncopied
+                stacked = FeatureMatrix(np.concatenate([fm.z.T for fm, _, _ in data]).T,
+                                        exprs * len(reps))
+                ys = np.stack([y for _, y, _ in data], axis=1)
             start = time.perf_counter()
             if method == "tree-importance":
                 scored = [score_features(fm, y, method, tree_params=tree,
@@ -391,7 +392,7 @@ def _run_cells(cells, methods, repeats, n_selected, seed, tree):
             else:
                 ms = score_features(stacked, ys, method)
                 if mi == last_rank:
-                    del stacked, ys
+                    stacked = ys = None
                 scored = [MethodScore(method, part, ms.direction)
                           for part in np.split(ms.scores, len(reps))]
             chosen = [(select_top(ms, n_selected), selection_boundary_tie(ms, n_selected))

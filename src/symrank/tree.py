@@ -249,7 +249,7 @@ def _calls(sizes: np.ndarray, w: int):
 
 def _grow_levels(keys: np.ndarray, pairs: np.ndarray, level: np.ndarray, m: np.ndarray,
                  depth: int, min_leaf: int):
-    """Grow trees one depth level at a time; yield (m, coordinate, cut) per level.
+    """Grow trees one depth level at a time; yield (m, coordinate, cut, side) per level.
 
     ``keys`` (w, N) holds integer rank keys of w columns and ``pairs`` the
     response pairs (see :func:`_response_pairs`) of the same N ids. The roots
@@ -258,11 +258,13 @@ def _grow_levels(keys: np.ndarray, pairs: np.ndarray, level: np.ndarray, m: np.n
     (the CART presort).
 
     Level d yields every node at depth d: its size ``m``, its split column
-    or -1 for a leaf, and ``cut``, the id of its last left row in that
-    column's order. A node splits while it has depth left, at least
-    max(2*min_leaf, 2) ids, a non-constant response and an admissible cut;
-    the cut is the node's first minimum in row-major order, the smallest
-    column, then the smallest threshold. A level's open nodes share a few
+    or -1 for a leaf, ``cut``, the id of its last left row in that column's
+    order, and ``side``, which holds for every id of a split an odd code if
+    it goes right (valid until the next level is asked for). A node splits
+    while it has depth left, at least max(2*min_leaf, 2) ids, a
+    non-constant response and an admissible cut; the cut is the node's
+    first minimum in row-major order, the smallest column, then the
+    smallest threshold. A level's open nodes share a few
     kernel calls (see :func:`_calls`); a call of nodes of several sizes pads
     each row on the right. Level d + 1 lists the left children of level d's
     splits, then their right children. The children that may still split get
@@ -273,8 +275,8 @@ def _grow_levels(keys: np.ndarray, pairs: np.ndarray, level: np.ndarray, m: np.n
     key_flat = keys.ravel()
     key_rows = np.arange(w)[:, None] * n  # each key row's start in key_flat
     min_split = max(2 * min_leaf, 2)
-    # per id, where it goes: 0 the next level's left and 1 its right
-    # children, 2 nowhere (a leaf or a child that cannot split)
+    # per id of a split, its child: 0 a left and 1 a right child that may
+    # still split, 2 and 3 a left and a right child that cannot
     side = np.empty(n, dtype=np.uint8)
     is_open = (m >= min_split) & (depth > 0)
     for d in itertools.count():
@@ -312,13 +314,11 @@ def _grow_levels(keys: np.ndarray, pairs: np.ndarray, level: np.ndarray, m: np.n
             coordinate[node[found]] = k[found]
             position[node] = pos
             cut[node] = ids[np.arange(c), k, pos]
-            if not last:
-                left = np.where(found & (pos + 1 >= min_split), 0, 2)
-                right = np.where(found & (mb - pos - 1 >= min_split), 1, 2)
-                side.put(ids[np.arange(c), k],
-                         np.where(np.arange(width) > pos[:, None], right[:, None],
-                                  left[:, None]))
-        yield m, coordinate, cut
+            left = np.where(found & (pos + 1 >= min_split), 0, 2)
+            right = np.where(found & (mb - pos - 1 >= min_split), 1, 3)
+            side.put(ids[np.arange(c), k],
+                     np.where(np.arange(width) > pos[:, None], right[:, None], left[:, None]))
+        yield m, coordinate, cut, side
         split = np.flatnonzero(coordinate >= 0)
         if not split.size:
             return
@@ -343,9 +343,17 @@ def grow_tree(data, y, depth: int, min_leaf: int = 1) -> Tree:
     z, y = _matrix_and_response(data, y)
     n, q = z.shape
     leaders, keys = _rank_class_leaders(z)
-    level = _stable_order(keys).ravel()
-    levels = list(_grow_levels(keys, _response_pairs(y), level, np.array([n]), depth,
-                               min_leaf))
+    level = np.argsort(keys, axis=1, kind="stable").ravel()
+    levels, leaf_rows = [], []
+    members = np.arange(n)  # the level's rows, node after node, each node's increasing
+    for m, k, cut, side in _grow_levels(keys, _response_pairs(y), level, np.array([n]),
+                                        depth, min_leaf):
+        levels.append((m, k, cut))
+        splits = np.repeat(k >= 0, m)
+        leaf_rows.append(members[~splits])
+        members = members[splits]
+        goes_right = (side.take(members) & 1).astype(bool)
+        members = np.concatenate((members[~goes_right], members[goes_right]))
     # subtree sizes, deepest level first: level d + 1 lists the left children
     # of level d's splits, then their right children
     subtree = [np.ones(0, dtype=np.intp)]
@@ -361,11 +369,16 @@ def grow_tree(data, y, depth: int, min_leaf: int = 1) -> Tree:
     right = np.full(total, -1, dtype=np.intp)
     start = np.zeros(total, dtype=np.intp)
     stop = np.zeros(total, dtype=np.intp)
+    rows = np.empty(n, dtype=np.intp)
     at = np.zeros(1, dtype=np.intp)  # the level's nodes' preorder numbers
     lo = np.zeros(1, dtype=np.intp)  # and their slices' starts
     for d, (m, k, cut) in enumerate(levels):
         start[at], stop[at] = lo, lo + m
-        split = np.flatnonzero(k >= 0)
+        leaf = k < 0
+        # each leaf's rows at its slice, in the order the level lists them
+        rows[np.repeat(lo[leaf] - (np.cumsum(m[leaf]) - m[leaf]), m[leaf])
+             + np.arange(leaf_rows[d].size)] = leaf_rows[d]
+        split = np.flatnonzero(~leaf)
         if not split.size:
             break
         column = leaders[k[split]]
@@ -375,8 +388,6 @@ def grow_tree(data, y, depth: int, min_leaf: int = 1) -> Tree:
         right[at[split]] = left_at + subtree[d + 1][:split.size]
         at = np.concatenate((left_at, right[at[split]]))
         lo = np.concatenate((lo[split], lo[split] + levels[d + 1][0][:split.size]))
-    # a leaf's rows increase, and the leaves tile the row order in preorder
-    rows = _stable_order(start.take(_leaves(coordinate, threshold, right, z)))
     mean = np.full(total, np.nan)
     leaves = np.flatnonzero(coordinate < 0)
     leaf_sizes = stop[leaves] - start[leaves]
@@ -385,21 +396,6 @@ def grow_tree(data, y, depth: int, min_leaf: int = 1) -> Tree:
         # each row summed on its own, as np.sum sums one leaf
         mean[same] = y.take(rows.take(start[same][:, None] + np.arange(size))).sum(axis=1) / size
     return Tree(q, coordinate, threshold, right, mean, start, stop, rows)
-
-
-def _leaves(coordinate: np.ndarray, threshold: np.ndarray, right: np.ndarray,
-            z: np.ndarray) -> np.ndarray:
-    """The leaf each row reaches; rows descend one level per step, together."""
-    node = np.zeros(z.shape[0], dtype=np.intp)
-    active = np.arange(z.shape[0])  # rows not yet known to sit at a leaf
-    while active.size:
-        at = node.take(active)
-        column = coordinate.take(at)
-        internal = column >= 0
-        active, at = np.compress(internal, active), np.compress(internal, at)
-        go_left = z[active, np.compress(internal, column)] <= threshold.take(at)
-        node[active] = np.where(go_left, at + 1, right.take(at))
-    return node
 
 
 def predict(tree: Tree, row) -> float:
@@ -420,7 +416,16 @@ def predict_rows(tree: Tree, data) -> np.ndarray:
     if z.shape[1] != tree.n_features:
         raise ColumnMismatch(
             f"rows have {z.shape[1]} columns, tree was grown on {tree.n_features}")
-    return tree.mean.take(_leaves(tree.coordinate, tree.threshold, tree.right, z))
+    node = np.zeros(z.shape[0], dtype=np.intp)
+    active = np.arange(z.shape[0])  # rows not yet known to sit at a leaf
+    while active.size:
+        at = node.take(active)
+        coordinate = tree.coordinate.take(at)
+        internal = coordinate >= 0
+        active, at = np.compress(internal, active), np.compress(internal, at)
+        go_left = z[active, np.compress(internal, coordinate)] <= tree.threshold.take(at)
+        node[active] = np.where(go_left, at + 1, tree.right.take(at))
+    return tree.mean.take(node)
 
 
 def induced_permutation(tree: Tree, data) -> RankPermutation:
@@ -446,23 +451,6 @@ def _rank_class_leaders(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         leaders.setdefault(col.tobytes(), j)
     lead = np.fromiter(leaders.values(), dtype=np.intp, count=len(leaders))
     return lead, ranks[lead]
-
-
-def _stable_order(keys: np.ndarray) -> np.ndarray:
-    """The stable argsort of each row of rank keys below n, the row length.
-
-    Keys of up to 16 bits take numpy's radix sort. Wider keys, which numpy
-    cannot radix-sort, sort several times faster as one unstable sort of
-    key * 2**b + position, b bits holding a position.
-    """
-    if keys.dtype.itemsize <= 2:
-        return np.argsort(keys, axis=-1, kind="stable")
-    bits = (keys.shape[-1] - 1).bit_length()
-    packed = keys.astype(np.int64) << bits
-    packed |= np.arange(keys.shape[-1])
-    packed.sort(axis=-1)
-    packed &= (1 << bits) - 1
-    return packed
 
 
 def ensemble_importance(data, y, n_trees: int, depth: int, seed: int) -> np.ndarray:
@@ -497,9 +485,9 @@ def ensemble_importance(data, y, n_trees: int, depth: int, seed: int) -> np.ndar
         rows = np.stack([derive_rng(seed, t).integers(0, n, size=n) for t in trees])
         ids = rows + (np.arange(c) * n)[:, None]
         # (c, w, n): each resample's presort, as positions in the resample
-        orders = _stable_order(keys.take(rows, axis=1).swapaxes(0, 1))
+        orders = np.argsort(keys.take(rows, axis=1).swapaxes(0, 1), axis=2, kind="stable")
         level = ids.take(orders + (np.arange(c) * n)[:, None, None]).ravel()
-        for _, k, _ in _grow_levels(np.tile(keys, c), np.tile(pairs, c), level,
+        for _, k, _, _ in _grow_levels(np.tile(keys, c), np.tile(pairs, c), level,
                                     np.full(c, n), depth, 1):
             counts += np.bincount(k[k >= 0], minlength=w)
     freq = np.zeros(q)

@@ -386,9 +386,11 @@ class TestChunkedRepeats:
             ("kendall", 8, (n, 4)), ("kendall", 8, (n, 4)), ("kendall", 2, (n, 1))]
         assert [c for c in calls if c[0] != "kendall"] == [("tree-importance", 2, (n,))] * 9
 
-    def test_tree_importance_runs_without_the_stacked_copy(self, monkeypatch):
-        # the chunk's stacked features and responses are gone once the last
-        # rank method has scored
+    @pytest.mark.parametrize("methods", [("pearson", "tree-importance"),
+                                         ("tree-importance", "pearson")])
+    def test_tree_importance_runs_without_the_stacked_copy(self, monkeypatch, methods):
+        # the chunk's stacked features and responses are built at the first
+        # rank method and gone once the last one has scored
         n, q = 50_000, 4
         memory = {}
         score = evalsel.score_features
@@ -400,8 +402,7 @@ class TestChunkedRepeats:
         monkeypatch.setattr(evalsel, "score_features", traced)
         cfg = CandidatesExperimentConfig(
             truth="x", candidates=("x", "x**2", "x**3", "sin(4*x)"), n=n, repeats=1,
-            methods=("pearson", "tree-importance"), seed=5,
-            tree=TreeParams(n_trees=1, depth=1))
+            methods=methods, seed=5, tree=TreeParams(n_trees=1, depth=1))
         tracemalloc.start()
         try:
             run_candidates_experiment(cfg)

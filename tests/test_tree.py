@@ -26,7 +26,6 @@ from symrank.tree import (
     _column_split_losses,
     _rank_class_leaders,
     _response_pairs,
-    _stable_order,
     best_split,
     ensemble_importance,
     grow_tree,
@@ -706,16 +705,6 @@ class TestPresortedGrowthMatchesOracle:
         freq = ensemble_importance(z, y, 3, 3, seed=11)
         assert freq.tobytes() == oracle_ensemble_importance(z, y, 3, 3, seed=11).tobytes()
 
-    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
-    def test_stable_order_matches_stable_argsort(self, dtype):
-        # radix sort up to 16 bits, one packed sort of key and position above
-        rng = derive_rng(51)
-        for n in (1, 2, 7, 300):
-            keys = rng.integers(0, max(1, n // 3), size=(3, 2, n)).astype(dtype)
-            assert np.array_equal(_stable_order(keys), np.argsort(keys, axis=-1, kind="stable"))
-            view = keys.swapaxes(0, 1)  # as the forest passes its resamples' keys
-            assert np.array_equal(_stable_order(view), np.argsort(view, axis=-1, kind="stable"))
-
     def test_rank_classes(self):
         x = np.array([0.3, -1.2, 0.3, 2.0, 0.7])
         z = np.column_stack([np.exp(x), -x, x, np.full(5, 4.0), x**3, np.zeros(5),
@@ -751,7 +740,7 @@ class TestPresortedGrowthMatchesOracle:
     def test_forest_scales_to_1e5_rows(self):
         # a float argsort per bootstrap tree and node objects peaked at
         # ~135 MB of tracemalloc here; integer rank keys and level-by-level
-        # growth take ~32 MB and ~1.4 s under tracemalloc on a 2-CPU Xeon
+        # growth take ~32 MB and ~2.7 s under tracemalloc on a 2-CPU Xeon
         rng = derive_rng(48)
         n = 100_000
         x = rng.uniform(size=(n, 4))
