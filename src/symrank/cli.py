@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import FeatureMatrix, load_csv, var
-from .errors import ConfigError, SymrankError
+from .errors import ConfigError, SymrankError, UsageError
 from .evalsel import (
     CandidatesExperimentConfig,
     CsvExperimentConfig,
@@ -215,12 +215,10 @@ def cmd_score(args) -> int:
             warnings.append(f"{method}: {exc}")
             table[method] = None
             failed = True
-    for j in range(fm.q):
-        col = fm.z[:, j]
-        if np.all(col == col[0]):
-            warnings.append(
-                f"column {ds.column_names[j]!r} has zero variance; "
-                "correlation methods report their worst sentinel")
+    for j in np.flatnonzero((fm.z == fm.z[0]).all(axis=0)):
+        warnings.append(
+            f"column {ds.column_names[j]!r} has zero variance; "
+            "correlation methods report their worst sentinel")
     out = Path(args.out_dir)
     _write_json(out / "scores.json", {
         "columns": list(ds.column_names),
@@ -292,14 +290,28 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+def _c_values(raw: str) -> list[float]:
+    """The --c grid: comma-separated finite numbers, else a UsageError."""
+    values = []
+    for field in raw.split(","):
+        try:
+            value = float(field)
+        except ValueError:
+            value = float("nan")
+        if not np.isfinite(value):
+            raise UsageError(f"--c takes comma-separated finite numbers, got {field!r}")
+        values.append(value)
+    return values
+
+
 def cmd_p12(args) -> int:
+    c_values = _c_values(args.c)
     doc = _load_config(args.maps)
     t1 = load_piecewise(doc["transform_1"])
     t2 = load_piecewise(doc["transform_2"])
     measure = None
     if "cdf" in doc:
         measure = TabulatedCDF(doc["cdf"]["x"], doc["cdf"]["p"])
-    c_values = [float(c) for c in args.c.split(",")]
     rows = []
     for c in c_values:
         rep = preference_probability(t1, t2, c, measure)

@@ -32,6 +32,7 @@ from .errors import (
     LengthMismatch,
     NoPositives,
     SizeMismatch,
+    SizeOutOfRange,
 )
 from .stats import (
     chatterjee_scores,
@@ -134,9 +135,12 @@ def score_features(fm: FeatureMatrix, y, method: str, *, seed: int = 0,
 def select_top(scores: MethodScore, k: int) -> list[int]:
     """The k best columns per the method's direction, best first.
 
-    Exact score ties resolve to the lowest column index.
+    Exact score ties resolve to the lowest column index. Raises
+    SizeOutOfRange for k < 1 and KTooLarge for k beyond the column count.
     """
     q = scores.scores.shape[0]
+    if k < 1:
+        raise SizeOutOfRange(f"k={k} selects no feature; need k >= 1")
     if k > q:
         raise KTooLarge(f"k={k} exceeds {q} features")
     order = np.argsort(scores.ascending, kind="stable")
@@ -144,9 +148,14 @@ def select_top(scores: MethodScore, k: int) -> list[int]:
 
 
 def selection_boundary_tie(scores: MethodScore, k: int) -> bool:
-    """Whether equivalence at the selection boundary makes top-k ambiguous."""
+    """Whether equivalence at the selection boundary makes top-k ambiguous.
+
+    Raises SizeOutOfRange for k < 1.
+    """
     q = scores.scores.shape[0]
-    if k >= q or k == 0:
+    if k < 1:
+        raise SizeOutOfRange(f"k={k} selects no feature; need k >= 1")
+    if k >= q:
         return False
     ranked = np.sort(scores.ascending, kind="stable")
     gap = abs(ranked[k] - ranked[k - 1])

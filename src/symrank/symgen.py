@@ -28,7 +28,6 @@ __all__ = [
     "build_operator_set",
     "expand_binary",
     "expand_unary",
-    "generate",
     "generate_report",
     "label_correct",
     "parse_univariate",
@@ -50,7 +49,6 @@ class BinaryOp:
     name: str
     fn: object
     commutative: bool = False
-    partial: bool = False
 
 
 def _cube(x):
@@ -78,7 +76,7 @@ BUILTIN_BINARY = {
     "+": BinaryOp("+", np.add, commutative=True),
     "-": BinaryOp("-", np.subtract),
     "*": BinaryOp("*", np.multiply, commutative=True),
-    "/": BinaryOp("/", np.divide, partial=True),
+    "/": BinaryOp("/", np.divide),
 }
 
 
@@ -183,14 +181,9 @@ def expand_binary(exprs, ops: OperatorSet) -> list[Expression]:
     m = len(exprs)
     out: list[Expression] = []
     for op in ops.binary:
-        if op.commutative:
-            for i in range(m):
-                for j in range(i, m):
-                    out.append(binary(op.name, exprs[i], exprs[j]))
-        else:
-            for i in range(m):
-                for j in range(m):
-                    out.append(binary(op.name, exprs[i], exprs[j]))
+        for i in range(m):
+            for j in range(i if op.commutative else 0, m):
+                out.append(binary(op.name, exprs[i], exprs[j]))
     return _dedup(out)
 
 
@@ -276,14 +269,9 @@ def generate_report(ds: Dataset, arch: Architecture, ops: OperatorSet,
         raise PartialOperatorDomain("every generated feature left its domain")
     z = np.column_stack(columns)
     z.setflags(write=False)
-    constant = tuple(j for j in range(z.shape[1]) if np.all(z[:, j] == z[0, j]))
+    constant = tuple(np.flatnonzero((z == z[0]).all(axis=0)).tolist())
     return GenerationReport(FeatureMatrix(z, tuple(kept)), tuple(layer_counts),
                             tuple(dropped), constant)
-
-
-def generate(ds: Dataset, arch: Architecture, ops: OperatorSet,
-             value_dedup: bool = False) -> FeatureMatrix:
-    return generate_report(ds, arch, ops, value_dedup).features
 
 
 def label_correct(exprs, active_variables) -> np.ndarray:

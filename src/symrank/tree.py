@@ -11,16 +11,16 @@ Candidate splits are never compared through the exponentiated likelihood
 ratio; comparisons stay on loss differences (its logarithm) to avoid
 overflow.
 
-:func:`grow_tree` and the bootstrap trees of :func:`ensemble_importance`
-share one grower, :func:`_grow_levels`. It grows trees one depth level at a
-time, on integer rank keys, and searches a level's open nodes in a few
-batched calls of one split kernel.
+:func:`grow_tree`, :func:`best_split` (the root of a depth-1 tree) and the
+bootstrap trees of :func:`ensemble_importance` share one grower,
+:func:`_grow_levels`. It takes each tree's resample of the rows, presorts
+it on integer rank keys, grows the trees one depth level at a time, and
+searches a level's open nodes in a few batched calls of one split kernel.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import sys
 from dataclasses import dataclass
 
@@ -175,25 +175,20 @@ def _column_split_losses(keys: np.ndarray, pairs: np.ndarray, m=None) -> np.ndar
 
 
 def best_split(data, y) -> SplitRule:
-    """The (coordinate, threshold) minimizing the two-sided SSE.
+    """The (coordinate, threshold) minimizing the two-sided SSE: the root
+    split of ``grow_tree(data, y, 1)``.
 
-    Scans every coordinate and every admissible observed threshold; exact
-    loss ties resolve to the smallest coordinate, then smallest threshold.
-    Raises Unsplittable when y is constant, fewer than two samples, or no
-    column has two distinct values, and NonFiniteData on NaN or infinite
-    entries.
+    Every coordinate and every admissible observed threshold is a candidate;
+    exact loss ties resolve to the smallest coordinate, then smallest
+    threshold. Raises Unsplittable when y is constant, fewer than two samples,
+    or no column has two distinct values, and NonFiniteData on NaN or
+    infinite entries.
     """
-    z, y = _matrix_and_response(data, y)
-    if z.shape[0] < 2 or np.all(y == y[0]):
-        raise Unsplittable("node needs >= 2 samples and non-constant response")
-    order = np.argsort(z.T, axis=1, kind="stable")
-    z_sorted = np.take_along_axis(z.T, order, axis=1)
-    losses = _column_split_losses(z_sorted, _response_pairs(y)[order])
-    # the first minimum in row-major order: smallest coordinate, then threshold
-    k, pos = divmod(int(losses.argmin()), losses.shape[1])
-    if not math.isfinite(losses[k, pos]):
-        raise Unsplittable("no column admits a two-sided split")
-    return SplitRule(k, float(z_sorted[k, pos]))
+    root = grow_tree(data, y, 1)
+    if root.coordinate[0] < 0:
+        raise Unsplittable("node needs >= 2 samples, a non-constant response "
+                           "and a column with two distinct values")
+    return SplitRule(int(root.coordinate[0]), float(root.threshold[0]))
 
 
 def split_rule_loss(data, y, rule: SplitRule) -> float:
@@ -247,15 +242,16 @@ def _calls(sizes: np.ndarray, w: int):
             yield by_size[first:min(first + per_call, hi)]
 
 
-def _grow_levels(keys: np.ndarray, pairs: np.ndarray, level: np.ndarray, m: np.ndarray,
-                 depth: int, min_leaf: int):
+def _grow_levels(keys: np.ndarray, pairs: np.ndarray, rows: np.ndarray, depth: int,
+                 min_leaf: int):
     """Grow trees one depth level at a time; yield (m, coordinate, cut, side) per level.
 
-    ``keys`` (w, N) holds integer rank keys of w columns and ``pairs`` the
-    response pairs (see :func:`_response_pairs`) of the same N ids. The roots
-    have ``m`` ids each, and ``level`` lists them node after node, each node
-    a (w, m) block whose rows hold its ids in stable key order of one column
-    (the CART presort).
+    ``keys`` (w, n) holds integer rank keys of w columns and ``pairs`` the
+    response pairs (see :func:`_response_pairs`) of the n data rows. Each
+    row of ``rows`` (c, n) is the resample of one tree. Tree j owns the ids
+    j*n .. j*n + n - 1, id j*n + i standing for data row i, and its root
+    lists its resample's ids once per column, in stable key order (the CART
+    presort), as a (w, n) block.
 
     Level d yields every node at depth d: its size ``m``, its split column
     or -1 for a leaf, ``cut``, the id of its last left row in that column's
@@ -272,12 +268,18 @@ def _grow_levels(keys: np.ndarray, pairs: np.ndarray, level: np.ndarray, m: np.n
     each parent's blocks stably.
     """
     w, n = keys.shape
-    key_flat = keys.ravel()
-    key_rows = np.arange(w)[:, None] * n  # each key row's start in key_flat
+    first_id = np.arange(0, rows.size, n)[:, None]  # each tree's first id
+    # (c, w, n): each resample's presort, as positions in the resample
+    orders = np.argsort(keys.take(rows, axis=1).swapaxes(0, 1), axis=2, kind="stable")
+    level = (rows + first_id).take(orders + first_id[:, None]).ravel()
+    key_flat = np.tile(keys, len(rows)).ravel()
+    key_rows = np.arange(w)[:, None] * rows.size  # each key row's start in key_flat
+    pairs = np.tile(pairs, len(rows))
+    m = np.full(len(rows), n)
     min_split = max(2 * min_leaf, 2)
     # per id of a split, its child: 0 a left and 1 a right child that may
     # still split, 2 and 3 a left and a right child that cannot
-    side = np.empty(n, dtype=np.uint8)
+    side = np.empty(rows.size, dtype=np.uint8)
     is_open = (m >= min_split) & (depth > 0)
     for d in itertools.count():
         coordinate = np.full(m.size, -1, dtype=np.intp)
@@ -343,11 +345,10 @@ def grow_tree(data, y, depth: int, min_leaf: int = 1) -> Tree:
     z, y = _matrix_and_response(data, y)
     n, q = z.shape
     leaders, keys = _rank_class_leaders(z)
-    level = np.argsort(keys, axis=1, kind="stable").ravel()
     levels, leaf_rows = [], []
     members = np.arange(n)  # the level's rows, node after node, each node's increasing
-    for m, k, cut, side in _grow_levels(keys, _response_pairs(y), level, np.array([n]),
-                                        depth, min_leaf):
+    for m, k, cut, side in _grow_levels(keys, _response_pairs(y), members[None], depth,
+                                        min_leaf):
         levels.append((m, k, cut))
         splits = np.repeat(k >= 0, m)
         leaf_rows.append(members[~splits])
@@ -399,15 +400,8 @@ def grow_tree(data, y, depth: int, min_leaf: int = 1) -> Tree:
 
 
 def predict(tree: Tree, row) -> float:
-    """Route a single row to its leaf mean."""
-    row = np.asarray(row, dtype=float).ravel()
-    if row.shape[0] != tree.n_features:
-        raise ColumnMismatch(
-            f"row has {row.shape[0]} columns, tree was grown on {tree.n_features}")
-    i = 0
-    while tree.coordinate[i] >= 0:
-        i = i + 1 if row[tree.coordinate[i]] <= tree.threshold[i] else int(tree.right[i])
-    return float(tree.mean[i])
+    """Route a single row to its leaf mean: one row of :func:`predict_rows`."""
+    return float(predict_rows(tree, np.asarray(row, dtype=float).reshape(1, -1))[0])
 
 
 def predict_rows(tree: Tree, data) -> np.ndarray:
@@ -479,16 +473,9 @@ def ensemble_importance(data, y, n_trees: int, depth: int, seed: int) -> np.ndar
     chunk = max(1, FOREST_VALUES // (w * n))
     counts = np.zeros(w, dtype=np.intp)
     for first in range(0, n_trees, chunk):
-        trees = range(first, min(first + chunk, n_trees))
-        c = len(trees)
-        # (c, n): each tree's resample of the data rows
-        rows = np.stack([derive_rng(seed, t).integers(0, n, size=n) for t in trees])
-        ids = rows + (np.arange(c) * n)[:, None]
-        # (c, w, n): each resample's presort, as positions in the resample
-        orders = np.argsort(keys.take(rows, axis=1).swapaxes(0, 1), axis=2, kind="stable")
-        level = ids.take(orders + (np.arange(c) * n)[:, None, None]).ravel()
-        for _, k, _, _ in _grow_levels(np.tile(keys, c), np.tile(pairs, c), level,
-                                    np.full(c, n), depth, 1):
+        rows = np.stack([derive_rng(seed, t).integers(0, n, size=n)
+                         for t in range(first, min(first + chunk, n_trees))])
+        for _, k, _, _ in _grow_levels(keys, pairs, rows, depth, 1):
             counts += np.bincount(k[k >= 0], minlength=w)
     freq = np.zeros(q)
     if counts.any():

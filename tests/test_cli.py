@@ -134,6 +134,15 @@ class TestSelect:
         doc = json.loads((out / "selection.json").read_text())
         assert doc["methods"][0]["selected_names"] == ["a"]
 
+    @pytest.mark.parametrize("k", ["-1", "0"])
+    def test_size_below_one_exits_2(self, k, fig2a, tmp_path, capsys):
+        out = tmp_path / "sel"
+        rc = main(["select", "--input", str(fig2a), "--response", "y",
+                   "--n-selected", k, "--out-dir", str(out)])
+        assert rc == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
 
 class TestOraclePartition:
     def test_fig2a_winner(self, fig2a, tmp_path):
@@ -179,6 +188,16 @@ class TestP12:
         assert rc == 0
         doc = json.loads((out / "p12.json").read_text())
         assert doc["rows"][0]["p"] == pytest.approx(0.8)
+
+    @pytest.mark.parametrize("c", ["0.5,abc", "1,", "nan", "0.5,-inf"])
+    def test_non_finite_grid_value_exits_2(self, c, tmp_path, capsys):
+        maps = tmp_path / "maps.json"
+        maps.write_text(json.dumps(MAPS_DOC))
+        out = tmp_path / "p12"
+        rc = main(["p12", "--maps", str(maps), f"--c={c}", "--out-dir", str(out)])
+        assert rc == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
 
 
 VALID_CONFIGS = {

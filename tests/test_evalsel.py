@@ -13,6 +13,7 @@ from symrank.errors import (
     LengthMismatch,
     NoPositives,
     SizeMismatch,
+    SizeOutOfRange,
 )
 from symrank.evalsel import (
     CandidatesExperimentConfig,
@@ -143,6 +144,15 @@ class TestSelectTop:
         ms = MethodScore("t0", np.array([0.1]), "lower")
         with pytest.raises(KTooLarge):
             select_top(ms, 2)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one(self, k):
+        # order[:k] would select nothing for 0 and all but the worst for -1
+        ms = MethodScore("t0", np.array([0.1, 0.0, 5.0]), "lower")
+        for select in (select_top, selection_boundary_tie,
+                       lambda ms, k: pr_auc([True, False, False], ms, k)):
+            with pytest.raises(SizeOutOfRange):
+                select(ms, k)
 
     def test_boundary_tie_flag(self):
         tied = MethodScore("t0", np.array([0.0, 1.0, 1.0, 2.0]), "lower")

@@ -9,7 +9,6 @@ from symrank.symgen import (
     build_operator_set,
     expand_binary,
     expand_unary,
-    generate,
     generate_report,
     label_correct,
     parse_univariate,
@@ -80,20 +79,21 @@ class TestGenerate:
 
     def test_identity_architecture_returns_inputs(self):
         ds = random_dataset(63, n=8, d=2)
-        fm = generate(ds, Architecture("u"), build_operator_set(["id"], ["+"]))
+        ops = build_operator_set(["id"], ["+"])
+        fm = generate_report(ds, Architecture("u"), ops).features
         assert np.array_equal(fm.z, ds.x)
 
     def test_columns_match_expression_evaluation(self):
         ds = random_dataset(64, n=10)
-        fm = generate(ds, Architecture("bu"), OPS)
+        fm = generate_report(ds, Architecture("bu"), OPS).features
         for j, e in enumerate(fm.exprs):
             expected = e.evaluate(ds.x, OPS.unary_table(), OPS.binary_table())
             assert np.array_equal(fm.z[:, j], expected)
 
     def test_deterministic(self):
         ds = random_dataset(65)
-        a = generate(ds, Architecture("ub"), OPS)
-        b = generate(ds, Architecture("ub"), OPS)
+        a = generate_report(ds, Architecture("ub"), OPS).features
+        b = generate_report(ds, Architecture("ub"), OPS).features
         assert a.column_names() == b.column_names()
         assert np.array_equal(a.z, b.z)
 
@@ -140,12 +140,12 @@ class TestLabelCorrect:
 
     def test_correct_count_bu(self):
         ds = random_dataset(67)
-        fm = generate(ds, Architecture("bu"), OPS)
+        fm = generate_report(ds, Architecture("bu"), OPS).features
         assert int(label_correct(fm.exprs, (0, 2)).sum()) == 12
 
     def test_correct_count_ub(self):
         ds = random_dataset(68)
-        fm = generate(ds, Architecture("ub"), OPS)
+        fm = generate_report(ds, Architecture("ub"), OPS).features
         assert int(label_correct(fm.exprs, (0, 2)).sum()) == 20
 
 

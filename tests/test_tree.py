@@ -98,20 +98,35 @@ class TestBestSplit:
         assert split_rule_loss(z, y, rule) == pytest.approx(0.5)
 
     def test_matches_brute_force(self):
+        # column 0's cube and exp join its rank class, its negation does not,
+        # and a constant column admits no cut; a random subset of the
+        # columns in random order, on 1 to 24 rows
         rng = derive_rng(31)
-        for _ in range(60):
-            n = int(rng.integers(2, 25))
-            q = int(rng.integers(1, 4))
-            z = rng.integers(0, 5, size=(n, q)).astype(float)
+        for n in [1, 2] * 5 + rng.integers(3, 25, size=110).tolist():
+            x = rng.integers(0, 5, size=(n, 3)).astype(float)
+            z = np.column_stack([x[:, 0], x[:, 1], x[:, 0] ** 3, -x[:, 0], np.full(n, 2.0),
+                                 np.exp(x[:, 0]), x[:, 2]])
+            z = z[:, rng.permutation(7)[:int(rng.integers(1, 8))]]
             y = rng.normal(size=n)
             expected = brute_force_best_split(z, y)
             if expected is None:
                 with pytest.raises(Unsplittable):
                     best_split(z, y)
                 continue
+            loss, k, threshold = expected
             rule = best_split(z, y)
-            assert (split_rule_loss(z, y, rule), rule.coordinate, rule.threshold) \
-                == pytest.approx(expected)
+            assert split_rule_loss(z, y, rule) == pytest.approx(loss)
+            # the brute-force partition; a negated column may realize it
+            # with the sides swapped, and its loss then ties up to rounding
+            left = z[:, rule.coordinate] <= rule.threshold
+            assert np.array_equal(left, z[:, k] <= threshold) \
+                or np.array_equal(left, z[:, k] > threshold)
+            if np.array_equal(left, z[:, k] <= threshold):
+                assert (rule.coordinate, rule.threshold) == (k, threshold)
+            # the smallest coordinate of its rank class
+            pair_order = np.sign(z[:, :, None] - z[:, None, :])
+            assert not any(np.array_equal(pair_order[:, j], pair_order[:, rule.coordinate])
+                           for j in range(rule.coordinate))
 
     def test_monotone_column_equals_varying_size_oracle(self):
         rng = derive_rng(32)
@@ -338,6 +353,12 @@ class TestSerialization:
         doc = tree_to_json(tree)
         rebuilt = tree_from_json(doc)
         assert np.array_equal(predict_rows(tree, z), predict_rows(rebuilt, z))
+        # a tree read from JSON has no rows; predict routes one row as
+        # predict_rows does and checks its width
+        assert rebuilt.rows.size == 0
+        assert [predict(rebuilt, row) for row in z] == predict_rows(rebuilt, z).tolist()
+        with pytest.raises(ColumnMismatch):
+            predict(rebuilt, z[0, :1])
 
     def test_document_shape(self):
         z = np.array([[1.0], [2.0], [3.0]])
