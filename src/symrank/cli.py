@@ -141,6 +141,26 @@ _CONFIG_VALUES = {
 }
 
 
+def _option(spec):
+    """An argparse ``type`` taking the integers an ``_integer`` spec takes;
+    argparse turns a rejected value into a usage error (exit 2)."""
+    kind, valid, _ = spec
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            value = raw
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"takes {kind}, got {raw!r}")
+        return value
+    return parse
+
+
+_SEED = _option(_CONFIG_VALUES["seed"])
+_DEPTH = _option(_CONFIG_VALUES["depth"])
+
+
 def _config_value(key: str, value):
     kind, valid, convert = _CONFIG_VALUES[key]
     if not valid(value):
@@ -413,8 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--response", required=True)
     p.add_argument("--methods", default="all")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--depth", type=int, default=3, help="tree-importance depth")
+    p.add_argument("--seed", type=_SEED, default=0)
+    p.add_argument("--depth", type=_DEPTH, default=3, help="tree-importance depth")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(fn=cmd_score)
 
@@ -423,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--response", required=True)
     p.add_argument("--methods", default="t0")
     p.add_argument("--n-selected", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--seed", type=_SEED, default=0)
+    p.add_argument("--depth", type=_DEPTH, default=3)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(fn=cmd_select)
 
@@ -456,8 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     g = tree_sub.add_parser("grow")
     g.add_argument("--input", required=True)
     g.add_argument("--response", required=True)
-    g.add_argument("--depth", type=int, required=True)
-    g.add_argument("--min-leaf", type=int, default=1)
+    g.add_argument("--depth", type=_DEPTH, required=True)
+    g.add_argument("--min-leaf", type=_option(_integer(1)), default=1)
     g.add_argument("--out", default="tree.json")
     g.set_defaults(fn=cmd_tree_grow)
     r = tree_sub.add_parser("predict")

@@ -7,6 +7,7 @@ safe to share across concurrent workers.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -333,39 +334,85 @@ def derive_rng(seed: int, *stream: int) -> np.random.Generator:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
+# A line break, then a nonempty line of only whitespace, commas and quotes:
+# csv.reader may read such a line as a blank row. loadtxt skips empty lines
+# itself, so the body is filtered only when this finds a line.
+_BLANKISH_LINE = re.compile(r'\n(?:[^\S\n]|[,"])+$', re.MULTILINE)
+_BLANKISH = re.compile(r'[\s,"]*')
+_LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 2}
+
+
+def _blank_row(line: str) -> bool:
+    return all(not field.strip() for field in next(csv.reader([line])))
+
+
+def _bad_row(path, lines, rows, width) -> DimensionMismatch:
+    """The error naming the first of ``lines`` that is not ``width`` numbers.
+
+    Bisects on prefixes: once a prefix fails to parse, every longer one does.
+    """
+    def parses(k):
+        if not any(lines[:k]):  # loadtxt warns on input without data
+            return True
+        try:
+            return np.loadtxt(lines[:k], **_LOADTXT).shape[1] == width
+        except ValueError:
+            return False
+
+    good, bad = 0, len(lines)  # lines[:good] parse, lines[:bad] do not
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        good, bad = (mid, bad) if parses(mid) else (good, mid)
+    fields = next(csv.reader([lines[good]]))
+    if len(fields) != width:
+        return DimensionMismatch(
+            f"{path}: row {rows[good]} has {len(fields)} fields, expected {width}")
+    return DimensionMismatch(f"{path}: row {rows[good]}: {fields} are not all numbers")
+
+
 def load_csv(path, response: str) -> Dataset:
     """Read a headed CSV into a Dataset.
 
-    The ``response`` column becomes y; every other column must be numeric and
-    becomes an input column, in header order. Raises DimensionMismatch with
-    the offending row number on malformed input.
+    The header row names the columns; ``response`` becomes y and every other
+    column becomes an input column, in header order. The data rows are
+    comma-separated numbers, optionally quoted with ``"`` and padded with
+    whitespace, parsed by one ``np.loadtxt`` call; ``#`` is not a comment, and
+    a quoted field that spans lines is joined without its line breaks. Lines
+    that are empty or hold only whitespace, commas and empty quotes are
+    skipped but keep their place in the numbering: row N is line N of the
+    file. Raises DimensionMismatch naming the row on a wrong field count or a
+    field that is not a number, including underscore literals (``1_0``) and
+    non-ASCII digits, which Python's ``float`` would accept.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DimensionMismatch(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        if response not in header:
-            raise DimensionMismatch(f"{path}: no column named {response!r}")
-        y_col = header.index(response)
-        x_cols = [j for j in range(len(header)) if j != y_col]
-        if not x_cols:
-            raise DimensionMismatch(f"{path}: no input columns besides {response!r}")
-        xs, ys = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise DimensionMismatch(
-                    f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}")
-            try:
-                values = [float(c) for c in row]
-            except ValueError as exc:
-                raise DimensionMismatch(f"{path}: row {lineno}: {exc}") from None
-            xs.append([values[j] for j in x_cols])
-            ys.append(values[y_col])
-    if not xs:
+    with open(path, encoding="utf-8") as fh:  # reads \r\n and \r as \n
+        text = fh.read()
+    if not text:
+        raise DimensionMismatch(f"{path}: file is empty")
+    blankish = _BLANKISH_LINE.search(text)
+    lines = text.split("\n")
+    del text  # the lines hold it; one copy is enough for a large file
+    reader = csv.reader(line + "\n" for line in lines)
+    header = [h.strip() for h in next(reader)]
+    if response not in header:
+        raise DimensionMismatch(f"{path}: no column named {response!r}")
+    y_col = header.index(response)
+    x_cols = [j for j in range(len(header)) if j != y_col]
+    if not x_cols:
+        raise DimensionMismatch(f"{path}: no input columns besides {response!r}")
+    lines = lines[reader.line_num:]
+    rows = range(reader.line_num + 1, reader.line_num + 1 + len(lines))
+    if blankish:
+        kept = [i for i, line in enumerate(lines)
+                if not (_BLANKISH.fullmatch(line) and _blank_row(line))]
+        lines, rows = [lines[i] for i in kept], [rows[i] for i in kept]
+    if not any(lines):
         raise DimensionMismatch(f"{path}: no data rows")
-    return build_dataset(np.array(xs), np.array(ys), [header[j] for j in x_cols])
+    try:
+        a = np.loadtxt(lines, **_LOADTXT)
+    except ValueError:
+        a = None
+    if a is None or a.shape[1] != len(header):
+        raise _bad_row(path, lines, rows, len(header))
+    # copies in C order, so the parsed table is freed and x is laid out as before
+    return build_dataset(np.ascontiguousarray(a[:, x_cols]), a[:, y_col].copy(),
+                         [header[j] for j in x_cols])

@@ -430,6 +430,24 @@ class TestUsage:
                    "--methods", "voodoo", "--out-dir", str(tmp_path / "o")])
         assert rc == 1
 
+    # the experiment config's ranges: depth >= 0, seed >= 0; and min_leaf >= 1
+    @pytest.mark.parametrize("argv", [
+        ["tree", "grow", "--depth", "-1"],
+        ["tree", "grow", "--depth", "2", "--min-leaf", "0"],
+        ["tree", "grow", "--depth", "2", "--min-leaf", "-3"],
+        ["score", "--depth", "-1"],
+        ["select", "--depth", "-1"],
+        ["score", "--methods", "tree-importance", "--seed", "-1"],
+        ["select", "--methods", "tree-importance", "--seed", "-1"],
+        ["score", "--seed", "x"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_out_of_range_option_exits_2(self, argv, fig2a, tmp_path, capsys):
+        out = tmp_path / "o"
+        where = ["--out", str(out)] if argv[0] == "tree" else ["--out-dir", str(out)]
+        rc = main([*argv, "--input", str(fig2a), "--response", "y", *where])
+        assert rc == 2 and not out.exists()
+        assert "takes an integer >= " in capsys.readouterr().err
+
 
 def _error_classes(cls=errors.SymrankError):
     return [cls] + [c for sub in cls.__subclasses__() for c in _error_classes(sub)]
