@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FeatureMatrix, load_csv, var
+from .core import FeatureMatrix, load_csv, read_text, var
 from .errors import ConfigError, SymrankError, UsageError
 from .evalsel import (
     CandidatesExperimentConfig,
@@ -68,8 +68,8 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _load_config(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    """A JSON file: an experiment config, a p12 maps file or a grown tree."""
+    return json.loads(read_text(path))
 
 
 def _unary_entry(entry):

@@ -17,6 +17,7 @@ from .errors import (
     EmptySide,
     NonFiniteData,
     TiesInResponse,
+    UsageError,
 )
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "derive_rng",
     "load_csv",
     "make_partition2",
+    "read_text",
     "sort_by_response",
     "var",
     "unary",
@@ -342,6 +344,17 @@ _BLANKISH = re.compile(r'[\s,"]*')
 _LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 2}
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 file; UsageError naming the file when it is not
+    UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:  # reads \r\n and \r as \n
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x} "
+                         f"at offset {exc.start})") from None
+
+
 def _blank_row(line: str) -> bool:
     return all(not field.strip() for field in next(csv.reader([line])))
 
@@ -382,10 +395,10 @@ def load_csv(path, response: str) -> Dataset:
     skipped but keep their place in the numbering: row N is line N of the
     file. Raises DimensionMismatch naming the row on a wrong field count or a
     field that is not a number, including underscore literals (``1_0``) and
-    non-ASCII digits, which Python's ``float`` would accept.
+    non-ASCII digits, which Python's ``float`` would accept. Raises
+    UsageError naming the file when it is not UTF-8 text.
     """
-    with open(path, encoding="utf-8") as fh:  # reads \r\n and \r as \n
-        text = fh.read()
+    text = read_text(path)
     if not text:
         raise DimensionMismatch(f"{path}: file is empty")
     blankish = _BLANKISH_LINE.search(text)

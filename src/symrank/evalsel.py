@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import (
     Dataset,
+    Expression,
     FeatureMatrix,
     build_dataset,
     derive_rng,
@@ -30,17 +31,13 @@ from .errors import (
     DimensionMismatch,
     KTooLarge,
     LengthMismatch,
+    NonFiniteData,
     NoPositives,
     SizeMismatch,
     SizeOutOfRange,
+    TiesInResponse,
 )
-from .stats import (
-    chatterjee_scores,
-    kendall_scores,
-    pearson_scores,
-    spearman_scores,
-    t0_scores,
-)
+from .stats import batched_scores, sorted_runs
 from .symgen import (
     Architecture,
     UnaryOp,
@@ -101,24 +98,21 @@ class TreeParams:
     depth: int = 3
 
 
-_BATCHED_SCORERS = {
-    "t0": t0_scores,
-    "pearson": lambda z, y: np.abs(pearson_scores(z, y)),
-    "spearman": lambda z, y: np.abs(spearman_scores(z, y)),
-    "kendall": lambda z, y: np.abs(kendall_scores(z, y)),
-    "chatterjee": chatterjee_scores,
-}
+# the correlations, scored by their magnitude
+_SIGNED_METHODS = ("pearson", "spearman", "kendall")
 
 
 def score_features(fm: FeatureMatrix, y, method: str, *, seed: int = 0,
-                   tree_params: TreeParams = TreeParams()) -> MethodScore:
+                   tree_params: TreeParams = TreeParams(), runs=None) -> MethodScore:
     """Score every feature column against the response with one method.
 
     Zero-variance columns get the worst in-range sentinel: 0 for the
     absolute correlations, -1 for the rank coefficient that rejects ties;
     the concordant divergence and the split importance handle them natively.
     The rank methods ignore ``seed`` and also take y of shape (n, g), one
-    response per group of q // g consecutive columns (see :mod:`.stats`).
+    response per group of q // g consecutive columns, and ``runs``, the
+    sorted runs of fm's columns that they may share (see
+    :func:`.stats.batched_scores`).
     """
     y = np.asarray(y, dtype=float)
     if method not in SCORE_METHODS:
@@ -128,8 +122,10 @@ def score_features(fm: FeatureMatrix, y, method: str, *, seed: int = 0,
             raise LengthMismatch(f"tree importance takes one response, got shape {y.shape}")
         scores = ensemble_importance(fm.z, y, tree_params.n_trees, tree_params.depth, seed)
         return MethodScore(method, scores, "higher")
-    direction = "lower" if method == "t0" else "higher"
-    return MethodScore(method, _BATCHED_SCORERS[method](fm.z, y), direction)
+    scores = batched_scores(method, fm.z, y, runs)
+    if method in _SIGNED_METHODS:
+        scores = np.abs(scores)
+    return MethodScore(method, scores, "lower" if method == "t0" else "higher")
 
 
 def select_top(scores: MethodScore, k: int) -> list[int]:
@@ -252,14 +248,46 @@ def synth_candidates(n: int, truth, candidates, noise_var: float, seed: int = 0,
     truth_op = _as_unary(truth)
     y = np.asarray(truth_op.fn(x[:, 0]), dtype=float) + np.sqrt(noise_var) * eps
     ds = build_dataset(x, y)
-    columns, exprs = [], []
-    for cand in candidates:
-        op = _as_unary(cand)
-        columns.append(np.asarray(op.fn(x[:, 0]), dtype=float))
-        exprs.append(var(0) if op.name in ("x", "id") else unary_expr(op.name, var(0)))
-    z = np.column_stack(columns)
+    ops = [_as_unary(cand) for cand in candidates]
+    z = np.column_stack([np.asarray(op.fn(x[:, 0]), dtype=float) for op in ops])
     z.setflags(write=False)
-    return ds, FeatureMatrix(z, tuple(exprs))
+    return ds, FeatureMatrix(z, _candidate_exprs(ops))
+
+
+def _candidate_exprs(ops) -> tuple[Expression, ...]:
+    return tuple(var(0) if op.name in ("x", "id") else unary_expr(op.name, var(0))
+                 for op in ops)
+
+
+def _candidate_chunk(n: int, truth: UnaryOp, candidates, noise_var: float, seed: int,
+                     reps: range) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`synth_candidates` of each repeat r in ``reps``, on the stream
+    ``derive_rng(seed, r)``, bit for bit: the candidate columns side by side
+    as an (n, len(reps) q) column-major matrix, and the responses as
+    (len(reps), n) rows.
+
+    Each repeat draws its own inputs and noise; the truth and each candidate
+    are then evaluated once over the whole (len(reps), n) block. Raises what
+    building the first failing repeat's dataset raises.
+    """
+    x = np.empty((len(reps), n))
+    eps = np.empty((len(reps), n))
+    for i, r in enumerate(reps):
+        rng = derive_rng(seed, r)
+        rng.standard_normal(out=x[i])
+        rng.standard_normal(out=eps[i])
+    y = np.asarray(truth.fn(x), dtype=float) + np.sqrt(noise_var) * eps
+    infinite = ~np.isfinite(y).all(axis=1)
+    s = np.sort(y, axis=1)
+    bad = infinite | (s[:, 1:] == s[:, :-1]).any(axis=1)
+    if bad.any():
+        if infinite[bad.argmax()]:
+            raise NonFiniteData("dataset entries must be finite")
+        raise TiesInResponse("response vector contains exact ties")
+    z = np.empty((len(reps), len(candidates), n))
+    for j, op in enumerate(candidates):
+        z[:, j] = op.fn(x)
+    return z.reshape(-1, n).T, y
 
 
 # ---------------------------------------------------------------------------
@@ -345,94 +373,108 @@ def _method_seed(master: int, *key: int) -> int:
 @dataclass(frozen=True)
 class _Cell:
     """One report run: its timing-key prefix, the (ai, ni) part of its method
-    seeds, and data(r) -> (FeatureMatrix, y, labels or None) per repeat."""
+    seeds, its sample count, the expressions every repeat expands to and
+    their labels (or None), and data(reps) -> (z, ys), the features of a
+    chunk of repeats already in the scorers' layout.
+
+    z holds the repeats' (n, q) matrices side by side as one (n, len(reps) q)
+    column-major matrix, repeat i in columns i q .. i q + q - 1; ys holds
+    their responses as (len(reps), n) rows. A repeat that expands to other
+    expressions raises DimensionMismatch, because the report names and
+    labels the cell's columns.
+    """
 
     key: str
     seed_key: tuple[int, int]
-    data: Callable[[int], tuple]
+    n: int
+    exprs: tuple[Expression, ...]
+    labels: np.ndarray | None
+    data: Callable[[range], tuple[np.ndarray, np.ndarray]]
 
 
 # Feature values one rank-method call scores: a chunk of a cell's repeats
-# stacked side by side. A few small repeats per call amortize the call
-# overhead; stacking every repeat raises peak memory for little more speed.
+# side by side. A few small repeats per call amortize the call overhead;
+# stacking every repeat raises peak memory for little more speed.
 CHUNK_VALUES = 2**14
+
+# the rank methods that read the features' sorted runs, which a chunk sorts once
+_SORTING_METHODS = ("t0", "spearman", "kendall", "chatterjee")
+
+
+def _chunks(values: int, repeats: int) -> list[range]:
+    """The repeats in order, in chunks of at most CHUNK_VALUES feature
+    values at ``values`` per repeat, and at least one repeat."""
+    size = max(1, CHUNK_VALUES // max(1, values))
+    return [range(lo, min(lo + size, repeats)) for lo in range(0, repeats, size)]
 
 
 def _run_cells(cells, methods, repeats, n_selected, seed, tree):
     """Score and select with every method on every cell, over the repeats.
 
-    Returns, per cell, repeat 0's FeatureMatrix, each repeat's labels and one
-    report entry per method, and the scoring and selection time of each cell
-    and method. A repeat that expands to other features than repeat 0 raises
-    DimensionMismatch, because the report names and labels repeat 0's columns.
+    Returns, per cell, one report entry per method, and the scoring and
+    selection time of each cell and method.
 
-    A cell's repeats run in chunks of at most CHUNK_VALUES feature values,
-    and at least one repeat. Each rank method scores a chunk in one call: the
-    chunk's matrices side by side, with one response per repeat.
+    Each cell builds its repeats a chunk at a time (see :func:`_chunks`).
+    Each rank method scores a chunk in one call: the chunk's matrix, with
+    one response per repeat. The methods that rank the features share one
+    sort of the chunk's columns, dropped after the last of them, so that no
+    forest grows while it is held. Tree importance grows each repeat's
+    forest on that repeat's columns of the chunk's matrix, uncopied.
     """
     runtimes = dict.fromkeys((f"{c.key}/{m}" for c in cells for m in methods), 0.0)
+    last_sorting = max((mi for mi, method in enumerate(methods)
+                        if method in _SORTING_METHODS), default=-1)
 
     def job(chunk) -> list:
-        cell, first, reps = chunk
-        data = [first if r == 0 else cell.data(r) for r in reps]
-        exprs = first[0].exprs
-        for r, (fm, _, _) in zip(reps, data):
-            if fm.exprs != exprs:
-                raise DimensionMismatch(
-                    f"{cell.key}: repeat {r} expands to other features than repeat 0 "
-                    f"({fm.q} against {len(exprs)} columns)")
-        # built at the first rank method and dropped after the last one, so
-        # that no forest grows while they are held
-        last_rank = max((mi for mi, method in enumerate(methods)
-                         if method != "tree-importance"), default=-1)
-        stacked = ys = None
+        cell, reps = chunk
+        z, ys = cell.data(reps)
+        q = len(cell.exprs)
+        runs = None
         picks = [[] for _ in reps]
         for mi, method in enumerate(methods):
-            if method != "tree-importance" and stacked is None:
-                # stacked column-major, so the scorers take its columns as rows uncopied
-                stacked = FeatureMatrix(np.concatenate([fm.z.T for fm, _, _ in data]).T,
-                                        exprs * len(reps))
-                ys = np.stack([y for _, y, _ in data], axis=1)
             start = time.perf_counter()
             if method == "tree-importance":
-                scored = [score_features(fm, y, method, tree_params=tree,
+                scored = [score_features(FeatureMatrix(z[:, i * q:(i + 1) * q], cell.exprs),
+                                         y, method, tree_params=tree,
                                          seed=_method_seed(seed, *cell.seed_key, r, mi))
-                          for r, (fm, y, _) in zip(reps, data)]
+                          for i, (r, y) in enumerate(zip(reps, ys))]
             else:
-                ms = score_features(stacked, ys, method)
-                if mi == last_rank:
-                    stacked = ys = None
+                if runs is None and method in _SORTING_METHODS:
+                    runs = sorted_runs(z.T)
+                ms = score_features(FeatureMatrix(z, cell.exprs * len(reps)), ys.T, method,
+                                    runs=runs)
+                if mi == last_sorting:
+                    runs = None
                 scored = [MethodScore(method, part, ms.direction)
                           for part in np.split(ms.scores, len(reps))]
             chosen = [(select_top(ms, n_selected), selection_boundary_tie(ms, n_selected))
                       for ms in scored]
             runtimes[f"{cell.key}/{method}"] += time.perf_counter() - start
-            for pick, (selection, tie), ms, (_, _, labels) in zip(picks, chosen, scored, data):
-                pr = pr_auc(labels, ms, n_selected) if labels is not None else None
+            for pick, (selection, tie), ms in zip(picks, chosen, scored):
+                pr = pr_auc(cell.labels, ms, n_selected) if cell.labels is not None else None
                 pick.append((selection, tie, pr))
-        return [(labels, pick) for (_, _, labels), pick in zip(data, picks)]
+        return picks
 
-    firsts = [cell.data(0) for cell in cells]
-    chunks = []
-    for cell, first in zip(cells, firsts):
-        size = max(1, CHUNK_VALUES // max(1, first[0].z.size))
-        chunks += [(cell, first, range(lo, min(lo + size, repeats)))
-                   for lo in range(0, repeats, size)]
-    per_repeat = [rep for part in _run_repeats(job, chunks) for rep in part]
+    chunks = [(cell, reps) for cell in cells
+              for reps in _chunks(cell.n * len(cell.exprs), repeats)]
+    per_repeat = [pick for part in _run_repeats(job, chunks) for pick in part]
     results = []
-    for ci, (fm, _, _) in enumerate(firsts):
-        cell_repeats = per_repeat[ci * repeats:(ci + 1) * repeats]
-        labels = [lab for lab, _ in cell_repeats]
-        entries = [_method_entry(method, [picks[mi] for _, picks in cell_repeats],
-                                 labels[0], n_selected)
-                   for mi, method in enumerate(methods)]
-        results.append((fm, labels, entries))
+    for ci, cell in enumerate(cells):
+        picks = per_repeat[ci * repeats:(ci + 1) * repeats]
+        results.append([_method_entry(method, [pick[mi] for pick in picks], cell.labels,
+                                      n_selected)
+                        for mi, method in enumerate(methods)])
     return results, runtimes
+
+
+def _side_by_side(matrices) -> np.ndarray:
+    """(n, q) matrices side by side, as one column-major (n, len q) matrix."""
+    return np.concatenate([z.T for z in matrices]).T
 
 
 def _method_entry(method: str, picks: list[tuple], labels, n_selected: int) -> dict:
     """One method's report entry from its (selection, tie, (curve, auc) or
-    None) per repeat; labels (repeat 0's) add the AIP and PR columns."""
+    None) per repeat; the cell's labels add the AIP and PR columns."""
     selections = [sel for sel, _, _ in picks]
     entry = {
         "method": method,
@@ -458,28 +500,43 @@ def run_signal_experiment(cfg: SignalExperimentConfig) -> ExperimentReport:
     """
     ops = build_operator_set(cfg.unary_ops, cfg.binary_ops)
 
-    def data(arch: Architecture, noise_var: float, r: int):
+    def repeat(arch: Architecture, noise_var: float, r: int):
         ds = synth_3var(cfg.n, noise_var, rng=derive_rng(cfg.seed, r))
-        fm = generate_report(ds, arch, ops, cfg.value_dedup).features
-        return fm, ds.y, label_correct(fm.exprs, EQ15_ACTIVE_VARIABLES)
+        return generate_report(ds, arch, ops, cfg.value_dedup).features, ds.y
+
+    def cell(ai: int, arch: Architecture, ni: int, noise_var: float) -> _Cell:
+        key = f"{arch.order}/{noise_var:g}"
+        first = repeat(arch, noise_var, 0)
+        exprs = first[0].exprs
+
+        def data(reps: range):
+            built = [first if r == 0 else repeat(arch, noise_var, r) for r in reps]
+            for r, (fm, _) in zip(reps, built):
+                if fm.exprs != exprs:
+                    raise DimensionMismatch(
+                        f"{key}: repeat {r} expands to other features than repeat 0 "
+                        f"({fm.q} against {len(exprs)} columns)")
+            return _side_by_side([fm.z for fm, _ in built]), np.stack([y for _, y in built])
+
+        return _Cell(key, (ai, ni), cfg.n, exprs,
+                     label_correct(exprs, EQ15_ACTIVE_VARIABLES), data)
 
     grid = [(ai, Architecture(a), ni, nv) for ai, a in enumerate(cfg.architectures)
             for ni, nv in enumerate(cfg.noise_vars)]
-    cells = [_Cell(f"{arch.order}/{nv:g}", (ai, ni), partial(data, arch, nv))
-             for ai, arch, ni, nv in grid]
+    cells = [cell(*point) for point in grid]
     results, runtimes = _run_cells(cells, cfg.methods, cfg.repeats, cfg.n_selected,
                                    cfg.seed, cfg.tree)
     runs = []
-    for (_, arch, _, nv), (fm, labels, entries) in zip(grid, results):
+    for (_, arch, _, nv), c, entries in zip(grid, cells, results):
         for entry in entries:
-            entry["correct_counts"] = [int(lab[sel].sum())
-                                       for lab, sel in zip(labels, entry["selections"])]
+            entry["correct_counts"] = [int(c.labels[sel].sum())
+                                       for sel in entry["selections"]]
         runs.append({
             "architecture": arch.order,
             "noise_var": nv,
-            "q": fm.q,
-            "feature_names": list(fm.column_names()),
-            "correct_columns": [int(j) for j in np.flatnonzero(labels[0])],
+            "q": len(c.exprs),
+            "feature_names": [e.canonical() for e in c.exprs],
+            "correct_columns": [int(j) for j in np.flatnonzero(c.labels)],
             "methods": entries,
         })
     config = {**_config_dict(cfg), "active_variables": list(EQ15_ACTIVE_VARIABLES)}
@@ -503,14 +560,10 @@ def run_candidates_experiment(cfg: CandidatesExperimentConfig) -> ExperimentRepo
     truth_op = _as_unary(cfg.truth)
     cand_ops = [_as_unary(c) for c in cfg.candidates]
 
-    def data(r: int):
-        ds, fm = synth_candidates(cfg.n, truth_op, cand_ops, cfg.noise_var,
-                                  rng=derive_rng(cfg.seed, r))
-        return fm, ds.y, None
-
-    ((_, _, entries),), runtimes = _run_cells(
-        [_Cell("candidates", (0, 0), data)], cfg.methods, cfg.repeats, cfg.n_selected,
-        cfg.seed, cfg.tree)
+    data = partial(_candidate_chunk, cfg.n, truth_op, cand_ops, cfg.noise_var, cfg.seed)
+    (entries,), runtimes = _run_cells(
+        [_Cell("candidates", (0, 0), cfg.n, _candidate_exprs(cand_ops), None, data)],
+        cfg.methods, cfg.repeats, cfg.n_selected, cfg.seed, cfg.tree)
     for entry in entries:
         selections = entry["selections"]
         inclusion = {
@@ -540,24 +593,33 @@ def run_csv_experiment(ds: Dataset, cfg: CsvExperimentConfig) -> ExperimentRepor
     for ai, arch in enumerate(cfg.architectures):
         fm = generate_report(ds, Architecture(arch), ops, cfg.value_dedup).features
         labels = label_correct(fm.exprs, active) if active is not None else None
-        cells.append(_Cell(f"{arch}/csv", (ai, 0), lambda r, d=(fm, ds.y, labels): d))
+        cells.append(_Cell(f"{arch}/csv", (ai, 0), ds.n, fm.exprs, labels,
+                           partial(_repeated, fm.z, ds.y)))
     results, runtimes = _run_cells(cells, cfg.methods, cfg.repeats, cfg.n_selected,
                                    cfg.seed, cfg.tree)
     runs = []
-    for arch, (fm, labels, entries) in zip(cfg.architectures, results):
-        names = fm.column_names()
+    for arch, c, entries in zip(cfg.architectures, cells, results):
+        names = [e.canonical() for e in c.exprs]
         for entry in entries:
             entry["selected_names"] = [[names[j] for j in sel]
                                        for sel in entry["selections"]]
-        run = {"architecture": arch, "q": fm.q, "feature_names": list(names),
+        run = {"architecture": arch, "q": len(names), "feature_names": names,
                "methods": entries}
         if active is not None:
-            run["correct_columns"] = [int(j) for j in np.flatnonzero(labels[0])]
+            run["correct_columns"] = [int(j) for j in np.flatnonzero(c.labels)]
         runs.append(run)
     # the csv echo leaves out tree and value_dedup
     config = {k: v for k, v in _config_dict(cfg).items() if k not in ("tree", "value_dedup")}
     config.update(mode="csv", active_variables=active)
     return ExperimentReport(config, runs, runtimes)
+
+
+def _repeated(z: np.ndarray, y: np.ndarray, reps: range) -> tuple[np.ndarray, np.ndarray]:
+    """One fixed matrix and response as every repeat of a chunk; a chunk of
+    one repeat gets z itself, uncopied."""
+    if len(reps) > 1:
+        z = _side_by_side([z] * len(reps))
+    return z, np.broadcast_to(y, (len(reps), y.shape[0]))
 
 
 def _input_column(ds: Dataset, entry) -> int:

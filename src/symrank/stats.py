@@ -17,7 +17,9 @@ Every statistic but Pearson's, and every CART split, sees a feature only
 through its tie-aware ranks, and :func:`sorted_runs` makes that decision
 once. Dense ranks, midranks (bit for bit scipy's ``rankdata``), tied-pair
 counts and, for a tie-free row, ordinal ranks all derive from it; ``tree``
-keys its forests on the same dense ranks.
+keys its forests on the same dense ranks. :func:`batched_scores` takes the
+sorted runs of a matrix's columns, so the methods that score one matrix can
+share one sort of it.
 
 Every statistic of a feature and a response raises NonFiniteData on NaN
 or infinite entries. All functions are pure and safe for concurrent
@@ -38,6 +40,7 @@ from .errors import (
 )
 
 __all__ = [
+    "batched_scores",
     "bayes_permutation",
     "chatterjee_scores",
     "chatterjee_xi",
@@ -229,14 +232,19 @@ def t0_scores(z, y) -> np.ndarray:
     bracket is 2 sum_k (k - r_(k)) y_(k), whose gaps k - r_(k) are exact
     half-integers, all zero for a strictly concordant feature.
     """
-    rows, ys = _rows(z, y)
+    return batched_scores("t0", z, y)
+
+
+def _t0(rows, ys, runs) -> np.ndarray:
     g, n = ys.shape
     order, head = sorted_runs(ys)
     if not head.all():
         raise TiesInResponse("response vector contains exact ties")
     ys = np.take_along_axis(ys, order, axis=1)
-    by_y = np.take_along_axis(_grouped(rows, g), order[:, None, :], axis=2)
-    gaps = np.arange(1.0, n + 1.0) - midranks(*sorted_runs(by_y.reshape(rows.shape)))
+    # the features' midranks read in increasing-response order: exact
+    # half-integers, so bit for bit the midranks of the reordered rows
+    by_y = np.take_along_axis(_grouped(midranks(*runs), g), order[:, None, :], axis=2)
+    gaps = np.arange(1.0, n + 1.0) - by_y.reshape(rows.shape)
     # the gaps sum to zero, so centring y changes nothing but the rounding
     centred = ys - ys.mean(axis=1, keepdims=True)
     total = (_grouped(gaps, g) * centred[:, None, :]).sum(axis=2).ravel()
@@ -245,7 +253,10 @@ def t0_scores(z, y) -> np.ndarray:
 
 def pearson_scores(z, y) -> np.ndarray:
     """:func:`pearson` of every column, bit for bit; 0.0 in place of ZeroVariance."""
-    rows, ys = _rows(z, y)
+    return batched_scores("pearson", z, y)
+
+
+def _pearson(rows, ys, runs=None) -> np.ndarray:
     q, g = rows.shape[0], ys.shape[0]
     dz = rows - rows.mean(axis=1, keepdims=True)
     dy = ys - ys.mean(axis=1, keepdims=True)
@@ -261,8 +272,11 @@ def pearson_scores(z, y) -> np.ndarray:
 
 def spearman_scores(z, y) -> np.ndarray:
     """:func:`spearman` of every column, bit for bit; 0.0 in place of ZeroVariance."""
-    rows, ys = _rows(z, y)
-    return pearson_scores(midranks(*sorted_runs(rows)).T, midranks(*sorted_runs(ys)).T)
+    return batched_scores("spearman", z, y)
+
+
+def _spearman(rows, ys, runs) -> np.ndarray:
+    return _pearson(midranks(*runs), midranks(*sorted_runs(ys)))
 
 
 def _inversions(v, ref) -> np.ndarray:
@@ -304,10 +318,13 @@ def kendall_scores(z, y) -> np.ndarray:
     bit for bit the pair enumeration's quotient. A constant column or a
     constant y scores 0.0. Entries must be finite.
     """
-    rows, ys = _rows(z, y)
+    return batched_scores("kendall", z, y)
+
+
+def _kendall(rows, ys, runs) -> np.ndarray:
     (q, n), g = rows.shape, ys.shape[0]
     y_order, y_head = sorted_runs(ys)
-    u_order, u_head = sorted_runs(rows)
+    u_order, u_head = runs
     y_rank, n1 = dense_ranks(y_order, y_head), tied_pairs(u_head)
     n2 = _per_column(tied_pairs(y_head), q)
     bits = int(y_rank.max()).bit_length()
@@ -332,16 +349,40 @@ def kendall_scores(z, y) -> np.ndarray:
 def chatterjee_scores(z, y) -> np.ndarray:
     """:func:`chatterjee_xi` of every column, bit for bit; -1.0 in place of
     TiesPresent, so every column of a response with ties scores -1.0."""
-    rows, ys = _rows(z, y)
+    return batched_scores("chatterjee", z, y)
+
+
+def _chatterjee(rows, ys, runs) -> np.ndarray:
     (q, n), g = rows.shape, ys.shape[0]
     y_order, y_head = sorted_runs(ys)
-    order, head = sorted_runs(rows)
+    order, head = runs
     # a tie-free y's ranks in feature order are its overall ranks
     y_rank = dense_ranks(y_order, y_head)[:, None, :]
     path = np.take_along_axis(y_rank, _grouped(order, g), axis=2)
     steps = np.abs(np.diff(path, axis=2)).sum(axis=2).ravel()
     xi = 1.0 - 3.0 * steps / (n * n - 1)
     return np.where(head.all(axis=1) & _per_column(y_head.all(axis=1), q), xi, -1.0)
+
+
+_KERNELS = {"t0": _t0, "pearson": _pearson, "spearman": _spearman,
+            "kendall": _kendall, "chatterjee": _chatterjee}
+
+
+def batched_scores(method: str, z, y, runs=None) -> np.ndarray:
+    """The ``{method}_scores`` of every column of z, for ``method`` one of
+    "t0", "pearson", "spearman", "kendall" and "chatterjee".
+
+    ``runs`` is :func:`sorted_runs` of z's columns as rows (of ``z.T``); it
+    is not checked against z. With it, several methods scoring one z share
+    one sort, and each gives bit for bit what it gives alone; without it,
+    every method but Pearson's sorts z itself.
+    """
+    if method not in _KERNELS:
+        raise LengthMismatch(f"no batched scorer {method!r}; choose from {tuple(_KERNELS)}")
+    rows, ys = _rows(z, y)
+    if runs is None and method != "pearson":
+        runs = sorted_runs(rows)
+    return _KERNELS[method](rows, ys, runs)
 
 
 # ---------------------------------------------------------------------------

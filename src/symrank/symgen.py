@@ -267,7 +267,8 @@ def generate_report(ds: Dataset, arch: Architecture, ops: OperatorSet,
         columns.append(col)
     if not kept:
         raise PartialOperatorDomain("every generated feature left its domain")
-    z = np.column_stack(columns)
+    # column-major, so the rank scorers read its columns as rows uncopied
+    z = np.array(columns).T
     z.setflags(write=False)
     constant = tuple(np.flatnonzero((z == z[0]).all(axis=0)).tolist())
     return GenerationReport(FeatureMatrix(z, tuple(kept)), tuple(layer_counts),

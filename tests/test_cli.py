@@ -449,6 +449,44 @@ class TestUsage:
         assert "takes an integer >= " in capsys.readouterr().err
 
 
+class TestNonUtf8Files:
+    # byte 0xE9 is "é" in Latin-1 and starts no valid UTF-8 sequence here
+    LATIN1 = "x,y\n0.1,5\n0.3,2\n# caf\xe9\n".encode("latin-1")
+
+    def assert_names_the_file(self, rc, path, capsys):
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {path}: not UTF-8 text (byte 0xe9 at offset ")
+
+    def test_csv(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(self.LATIN1)
+        rc = main(["score", "--input", str(path), "--response", "y",
+                   "--out-dir", str(tmp_path / "o")])
+        self.assert_names_the_file(rc, path, capsys)
+        assert not (tmp_path / "o").exists()
+
+    def test_experiment_config(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes('{"mode": "signal", "note": "caf\xe9"}'.encode("latin-1"))
+        rc = main(["experiment", "--config", str(path), "--out-dir", str(tmp_path / "o")])
+        self.assert_names_the_file(rc, path, capsys)
+        assert not (tmp_path / "o").exists()
+
+    def test_tree_file(self, data3, tmp_path, capsys):
+        tree_path = tmp_path / "tree.json"
+        assert main(["tree", "grow", "--input", str(data3), "--response", "y",
+                     "--depth", "2", "--out", str(tree_path)]) == 0
+        doc = json.loads(tree_path.read_text())
+        doc["columns"][0] = "caf\xe9"
+        tree_path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
+        preds_path = tmp_path / "preds.csv"
+        rc = main(["tree", "predict", "--tree", str(tree_path), "--input", str(data3),
+                   "--response", "y", "--out", str(preds_path)])
+        self.assert_names_the_file(rc, tree_path, capsys)
+        assert not preds_path.exists()
+
+
 def _error_classes(cls=errors.SymrankError):
     return [cls] + [c for sub in cls.__subclasses__() for c in _error_classes(sub)]
 

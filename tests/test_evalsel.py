@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from symrank import evalsel
 from symrank.core import FeatureMatrix, derive_rng, var
@@ -11,9 +12,11 @@ from symrank.errors import (
     DimensionMismatch,
     KTooLarge,
     LengthMismatch,
+    NonFiniteData,
     NoPositives,
     SizeMismatch,
     SizeOutOfRange,
+    TiesInResponse,
 )
 from symrank.evalsel import (
     CandidatesExperimentConfig,
@@ -31,6 +34,7 @@ from symrank.evalsel import (
     synth_candidates,
 )
 from symrank.stats import t0_divergence
+from symrank.symgen import unary_from_expr
 
 
 def feature_matrix(z):
@@ -285,6 +289,54 @@ class TestGenerators:
         assert int(np.argmin(t0s)) == 3
 
 
+# transforms for candidate chunks: the builtin functions, powers, division
+# and constants; "2" ties every response and "1/(x-x)" leaves the reals
+CANDIDATE_EXPRS = ("x", "sin(4*x+0.2)", "cos(3*x)", "exp(x)", "exp(-x**2)", "x**3",
+                   "x**2", "x**0.5", "1/(1+x**2)", "x/3", "-x+0.5", "sin(x)*cos(x)",
+                   "2", "1/(x-x)")
+
+
+def synth_or_error(*args, **kwargs):
+    try:
+        return synth_candidates(*args, **kwargs)
+    except (NonFiniteData, TiesInResponse) as exc:
+        return type(exc)
+
+
+class TestCandidateChunks:
+    @given(n=st.sampled_from([1, 2, 7, 8, 9, 15, 16, 17, 33, 64, 100]) | st.integers(1, 80),
+           truth=st.sampled_from(CANDIDATE_EXPRS),
+           candidates=st.lists(st.sampled_from(CANDIDATE_EXPRS), min_size=1, max_size=5),
+           noise_var=st.sampled_from([0.0, 0.01, 0.1, 2.0]),
+           seed=st.integers(0, 2**32), repeats=st.integers(1, 9), size=st.integers(1, 4))
+    @example(n=1, truth="x", candidates=["x"], noise_var=0.1, seed=0, repeats=5, size=2)
+    @example(n=9, truth="2", candidates=["x"], noise_var=0.0, seed=1, repeats=3, size=3)
+    @settings(max_examples=150, deadline=None)
+    def test_chunks_are_bit_identical_to_synth_candidates(self, n, truth, candidates,
+                                                          noise_var, seed, repeats, size):
+        # chunks of `size` repeats, the last one short when size does not divide
+        truth_op = unary_from_expr(truth)
+        ops = [unary_from_expr(c) for c in candidates]
+        q = len(ops)
+        with np.errstate(all="ignore"):
+            for lo in range(0, repeats, size):
+                reps = range(lo, min(lo + size, repeats))
+                built = [synth_or_error(n, truth_op, ops, noise_var, rng=derive_rng(seed, r))
+                         for r in reps]
+                failed = [b for b in built if isinstance(b, type)]
+                if failed:
+                    with pytest.raises(failed[0]):
+                        evalsel._candidate_chunk(n, truth_op, ops, noise_var, seed, reps)
+                    continue
+                z, ys = evalsel._candidate_chunk(n, truth_op, ops, noise_var, seed, reps)
+                assert z.shape == (n, len(reps) * q) and z.flags.f_contiguous
+                assert ys.shape == (len(reps), n)
+                for i, (ds, fm) in enumerate(built):
+                    assert ys[i].tobytes() == ds.y.tobytes()
+                    assert (np.ascontiguousarray(z[:, i * q:(i + 1) * q]).tobytes()
+                            == np.ascontiguousarray(fm.z).tobytes())
+
+
 class TestExperimentHarness:
     def test_signal_experiment_shape_and_determinism(self):
         cfg = SignalExperimentConfig(
@@ -331,27 +383,22 @@ class TestExperimentHarness:
 
 
 def per_repeat_cells(cells, methods, repeats, n_selected, seed, tree):
-    """The experiment loop scoring one repeat per call: the oracle for the
-    chunked ``evalsel._run_cells``."""
+    """The experiment loop building and scoring one repeat per call: the
+    oracle for the chunked ``evalsel._run_cells``."""
     results = []
     for cell in cells:
-        labels, picks = [], [[] for _ in methods]
+        picks = [[] for _ in methods]
         for r in range(repeats):
-            fm, y, lab = cell.data(r)
-            if r == 0:
-                first = fm
-            if fm.exprs != first.exprs:
-                raise DimensionMismatch(f"{cell.key}: repeat {r}")
-            labels.append(lab)
+            z, ys = cell.data(range(r, r + 1))
+            fm = FeatureMatrix(np.array(z), cell.exprs)
             for mi, method in enumerate(methods):
-                ms = score_features(fm, y, method, tree_params=tree,
+                ms = score_features(fm, ys[0], method, tree_params=tree,
                                     seed=evalsel._method_seed(seed, *cell.seed_key, r, mi))
-                pr = pr_auc(lab, ms, n_selected) if lab is not None else None
+                pr = pr_auc(cell.labels, ms, n_selected) if cell.labels is not None else None
                 picks[mi].append((select_top(ms, n_selected),
                                   selection_boundary_tie(ms, n_selected), pr))
-        entries = [evalsel._method_entry(method, picks[mi], labels[0], n_selected)
-                   for mi, method in enumerate(methods)]
-        results.append((first, labels, entries))
+        results.append([evalsel._method_entry(method, picks[mi], cell.labels, n_selected)
+                        for mi, method in enumerate(methods)])
     return results, {f"{c.key}/{m}": 0.0 for c in cells for m in methods}
 
 
@@ -396,29 +443,40 @@ class TestChunkedRepeats:
             ("kendall", 8, (n, 4)), ("kendall", 8, (n, 4)), ("kendall", 2, (n, 1))]
         assert [c for c in calls if c[0] != "kendall"] == [("tree-importance", 2, (n,))] * 9
 
-    @pytest.mark.parametrize("methods", [("pearson", "tree-importance"),
-                                         ("tree-importance", "pearson")])
-    def test_tree_importance_runs_without_the_stacked_copy(self, monkeypatch, methods):
-        # the chunk's stacked features and responses are built at the first
-        # rank method and gone once the last one has scored
-        n, q = 50_000, 4
-        memory = {}
+    @pytest.mark.parametrize("methods", [("t0", "tree-importance"),
+                                         ("tree-importance", "kendall")])
+    def test_tree_importance_reads_views_of_the_chunk(self, monkeypatch, methods):
+        # each repeat's forest grows on its own columns of the chunk's matrix,
+        # uncopied, and the chunk's features are held once: no stacked copy,
+        # and no shared sort once the last rank method has scored
+        n, q = 200_000, 4
+        calls = {}
         score = evalsel.score_features
 
         def traced(fm, y, method, **kwargs):
-            memory[method] = tracemalloc.get_traced_memory()[0]
+            calls.setdefault(method, []).append((fm.z, tracemalloc.get_traced_memory()[0]))
             return score(fm, y, method, **kwargs)
 
         monkeypatch.setattr(evalsel, "score_features", traced)
+        monkeypatch.setattr(evalsel, "CHUNK_VALUES", 2 * n * q)
         cfg = CandidatesExperimentConfig(
-            truth="x", candidates=("x", "x**2", "x**3", "sin(4*x)"), n=n, repeats=1,
+            truth="x", candidates=("x", "x**2", "x**3", "sin(4*x)"), n=n, repeats=2,
             methods=methods, seed=5, tree=TreeParams(n_trees=1, depth=1))
         tracemalloc.start()
         try:
             run_candidates_experiment(cfg)
         finally:
             tracemalloc.stop()
-        assert memory["tree-importance"] < memory["pearson"] - n * q * 8
+        ((chunk, _),) = calls[methods[1 - methods.index("tree-importance")]]
+        assert chunk.shape == (n, 2 * q)
+        (first, held), (second, _) = calls["tree-importance"]
+        assert first.shape == second.shape == (n, q)
+        assert np.shares_memory(first, chunk) and np.shares_memory(second, chunk)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, chunk[:, :q]) and np.array_equal(second, chunk[:, q:])
+        # the chunk's features and responses, with room for neither a second
+        # copy of the features nor the shared sort of them
+        assert chunk.nbytes < held < 1.5 * chunk.nbytes
 
     def test_memory_stays_bounded_at_1e5_rows(self):
         # each (1e5, 4) repeat is its own chunk: ~37 MB of tracemalloc peak on

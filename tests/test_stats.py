@@ -15,6 +15,7 @@ from symrank.errors import (
 )
 from symrank.stats import (
     _inversions,
+    batched_scores,
     bayes_permutation,
     chatterjee_scores,
     chatterjee_xi,
@@ -419,7 +420,49 @@ def grouped_inputs(draw):
     return np.hstack(blocks), np.column_stack(ys)
 
 
+def t0_from_reordered_rows(z, y):
+    """:func:`t0_scores` with each column's gaps taken from a sort of its
+    copy put in increasing-response order, one response group at a time."""
+    n = z.shape[0]
+    y = y.reshape(n, -1)
+    m = z.shape[1] // y.shape[1]
+    totals = []
+    for k, yk in enumerate(y.T):
+        order = np.argsort(yk)
+        by_y = np.ascontiguousarray(z[order, k * m:(k + 1) * m].T)
+        gaps = np.arange(1.0, n + 1.0) - midranks(*sorted_runs(by_y))
+        centred = yk[order] - yk[order].mean()
+        totals.append((gaps * centred).sum(axis=1))
+    return 4.0 * np.concatenate(totals) / (n * (n - 1))
+
+
 class TestBatchedScorers:
+    @given(grouped_inputs(), st.booleans(), st.randoms(use_true_random=False))
+    @example((np.array([[1.0, 0.1], [1.0, 0.1]]), np.array([[0.0, 3.0], [0.0, 2.0]])),
+             False, None)
+    @settings(max_examples=200, deadline=None)
+    def test_shared_sort_is_bit_identical_to_separate_calls(self, inputs, column_major,
+                                                           shuffle):
+        z, y = inputs
+        if column_major:
+            z = np.asfortranarray(z)
+        separate = {"pearson": pearson_scores, "spearman": spearman_scores,
+                    "kendall": kendall_scores, "chatterjee": chatterjee_scores}
+        if all(np.unique(yk).size == yk.size for yk in y.T):
+            separate["t0"] = t0_scores
+            assert t0_scores(z, y).tobytes() == t0_from_reordered_rows(z, y).tobytes()
+        else:
+            with pytest.raises(TiesInResponse):
+                batched_scores("t0", z, y, sorted_runs(z.T))
+        methods = list(separate)
+        if shuffle is not None:
+            shuffle.shuffle(methods)
+        # one sort for every method in turn: no scorer may change it
+        runs = sorted_runs(z.T)
+        for method in methods:
+            assert (batched_scores(method, z, y, runs).tobytes()
+                    == separate[method](z, y).tobytes())
+
     @given(grouped_inputs())
     @example((np.array([[1.0, 0.1], [1.0, 0.1]]), np.array([[0.0, 3.0], [0.0, 2.0]])))
     @settings(max_examples=200, deadline=None)
@@ -518,3 +561,5 @@ class TestBatchedScorers:
         for groups in (0, 2):  # three columns split into no groups or uneven ones
             with pytest.raises(LengthMismatch):
                 pearson_scores(np.zeros((3, 3)), np.zeros((3, groups)))
+        with pytest.raises(LengthMismatch, match="no batched scorer"):
+            batched_scores("tree-importance", np.zeros((3, 1)), [1.0, 2.0, 3.0])
