@@ -429,6 +429,7 @@ def _run_cells(cells, methods, repeats, n_selected, seed, tree):
         cell, reps = chunk
         z, ys = cell.data(reps)
         q = len(cell.exprs)
+        chunk_fm = FeatureMatrix(z, cell.exprs * len(reps))
         runs = None
         picks = [[] for _ in reps]
         for mi, method in enumerate(methods):
@@ -441,8 +442,7 @@ def _run_cells(cells, methods, repeats, n_selected, seed, tree):
             else:
                 if runs is None and method in _SORTING_METHODS:
                     runs = sorted_runs(z.T)
-                ms = score_features(FeatureMatrix(z, cell.exprs * len(reps)), ys.T, method,
-                                    runs=runs)
+                ms = score_features(chunk_fm, ys.T, method, runs=runs)
                 if mi == last_sorting:
                     runs = None
                 scored = [MethodScore(method, part, ms.direction)
@@ -468,7 +468,8 @@ def _run_cells(cells, methods, repeats, n_selected, seed, tree):
 
 
 def _side_by_side(matrices) -> np.ndarray:
-    """(n, q) matrices side by side, as one column-major (n, len q) matrix."""
+    """(n, q) matrices side by side, as one column-major (n, len(matrices) q)
+    matrix."""
     return np.concatenate([z.T for z in matrices]).T
 
 
