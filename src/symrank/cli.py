@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FeatureMatrix, load_csv, read_text, var
+from .core import FeatureMatrix, _is_number, load_csv, read_text, var
 from .errors import ConfigError, SymrankError, UsageError
 from .evalsel import (
     CandidatesExperimentConfig,
@@ -107,12 +107,14 @@ def _known_methods(methods):
     unknown = [m for m in methods if m not in SCORE_METHODS]
     if unknown:
         raise SymrankError(f"unknown methods {unknown}; choose from {SCORE_METHODS}")
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise SymrankError(f"methods {repeated} named more than once")
     return methods
 
 
-def _is_number(value) -> bool:
-    # exact for huge JSON integers too; false for bools, NaN and infinities
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+def _is_variance(value) -> bool:
+    return _is_number(value) and value >= 0
 
 
 def _integer(low: int):
@@ -125,10 +127,10 @@ _ARRAY = ("an array", lambda v: type(v) is list, tuple)
 _CONFIG_VALUES = {
     "n": _integer(1), "repeats": _integer(1), "n_selected": _integer(1),
     "n_trees": _integer(1), "seed": _integer(0), "depth": _integer(0),
-    "noise_var": ("a finite number", _is_number, float),
+    "noise_var": ("a finite number >= 0", _is_variance, float),
     "value_dedup": ("true or false", lambda v: type(v) is bool, bool),
-    "noise_vars": ("an array of finite numbers",
-                   lambda v: type(v) is list and all(map(_is_number, v)), tuple),
+    "noise_vars": ("an array of finite numbers >= 0",
+                   lambda v: type(v) is list and all(map(_is_variance, v)), tuple),
     "methods": ("a nonempty array", lambda v: type(v) is list and len(v) > 0, tuple),
     "architectures": _ARRAY, "binary_ops": _ARRAY, "candidates": _ARRAY,
     "unary_ops": ("an array", lambda v: type(v) is list,
@@ -220,9 +222,9 @@ def cmd_gen_features(args) -> int:
 
 
 def cmd_score(args) -> int:
+    methods = _methods_arg(args.methods)
     ds = load_csv(args.input, args.response)
     fm = _dataset_as_features(ds)
-    methods = _methods_arg(args.methods)
     table: dict[str, list] = {}
     warnings: list[str] = []
     failed = False
@@ -257,9 +259,9 @@ def _dataset_as_features(ds):
 
 
 def cmd_select(args) -> int:
+    methods = _methods_arg(args.methods)
     ds = load_csv(args.input, args.response)
     fm = _dataset_as_features(ds)
-    methods = _methods_arg(args.methods)
     doc = {"n_selected": args.n_selected, "methods": []}
     for method in methods:
         ms = score_features(fm, ds.y, method, seed=args.seed,
@@ -324,14 +326,32 @@ def _c_values(raw: str) -> list[float]:
     return values
 
 
+def _p12_maps(doc):
+    """The two transforms and the optional CDF of a p12 maps document; a
+    malformed document is a ConfigError that names its bad key."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"p12 maps file must be a JSON object, got {doc!r}")
+    transforms = []
+    for key in ("transform_1", "transform_2"):
+        try:
+            transforms.append(load_piecewise(doc.get(key)))
+        except ConfigError as exc:
+            raise ConfigError(f"p12 maps key {key!r}: {exc}") from None
+    if "cdf" not in doc:
+        return (*transforms, None)
+    cdf = doc["cdf"]
+    if not isinstance(cdf, dict):
+        raise ConfigError(f"p12 maps key 'cdf' takes an object, got {cdf!r}")
+    for key in ("x", "p"):
+        if type(cdf.get(key)) is not list or not all(map(_is_number, cdf[key])):
+            raise ConfigError(f"p12 maps key 'cdf': key {key!r} takes an array of "
+                              f"finite numbers, got {cdf.get(key)!r}")
+    return (*transforms, TabulatedCDF(cdf["x"], cdf["p"]))
+
+
 def cmd_p12(args) -> int:
     c_values = _c_values(args.c)
-    doc = _load_config(args.maps)
-    t1 = load_piecewise(doc["transform_1"])
-    t2 = load_piecewise(doc["transform_2"])
-    measure = None
-    if "cdf" in doc:
-        measure = TabulatedCDF(doc["cdf"]["x"], doc["cdf"]["p"])
+    t1, t2, measure = _p12_maps(_load_config(args.maps))
     rows = []
     for c in c_values:
         rep = preference_probability(t1, t2, c, measure)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,20 @@ __all__ = [
 ]
 
 COMMUTATIVE_BINARY_OPS = frozenset({"+", "*"})
+
+# relative gap below which two losses or scores count as tied
+TIE_RTOL = 1e-12
+
+
+def _tied(a: float, b: float) -> bool:
+    """Whether a and b differ by at most TIE_RTOL * max(|a|, |b|, 1)."""
+    return bool(abs(a - b) <= TIE_RTOL * max(abs(a), abs(b), 1.0))
+
+
+def _is_number(value) -> bool:
+    """Whether a JSON value is a finite number."""
+    # exact for huge JSON integers too; false for bools, NaN and infinities
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

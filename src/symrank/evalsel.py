@@ -21,6 +21,7 @@ from .core import (
     Dataset,
     Expression,
     FeatureMatrix,
+    _tied,
     build_dataset,
     derive_rng,
     unary as unary_expr,
@@ -69,9 +70,6 @@ __all__ = [
 ]
 
 SCORE_METHODS = ("t0", "pearson", "spearman", "kendall", "chatterjee", "tree-importance")
-
-# score equality below this relative gap counts as a selection tie
-TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -154,9 +152,7 @@ def selection_boundary_tie(scores: MethodScore, k: int) -> bool:
     if k >= q:
         return False
     ranked = np.sort(scores.ascending, kind="stable")
-    gap = abs(ranked[k] - ranked[k - 1])
-    scale = max(abs(ranked[k]), abs(ranked[k - 1]), 1.0)
-    return bool(gap <= TIE_RTOL * scale)
+    return _tied(ranked[k - 1], ranked[k])
 
 
 def pr_auc(ground_truth, scores: MethodScore, n_selected: int

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Interval
+from .core import Interval, _is_number
 from .errors import (
     CaseThreePresent,
+    ConfigError,
     DimensionMismatch,
     DomainMismatch,
     IntervalSpansBreakpoint,
@@ -157,11 +158,25 @@ def load_piecewise(doc: dict) -> PiecewiseMonotone:
 
     Schema: {"domain": [lo, hi], "breakpoints": [...],
              "segments": [{"expr": str, "direction": str}, ...]}.
+    A document of another shape is a ConfigError that names its bad key.
     """
-    segments = doc["segments"]
+    if not isinstance(doc, dict):
+        raise ConfigError(f"transform must be a JSON object, got {doc!r}")
+    domain, breakpoints = doc.get("domain"), doc.get("breakpoints", [])
+    segments = doc.get("segments")
+    if type(domain) is not list or len(domain) != 2 or not all(map(_is_number, domain)):
+        raise ConfigError(f"key 'domain' takes two finite numbers, got {domain!r}")
+    if type(breakpoints) is not list or not all(map(_is_number, breakpoints)):
+        raise ConfigError(f"key 'breakpoints' takes an array of finite numbers, "
+                          f"got {breakpoints!r}")
+    if type(segments) is not list or not all(
+            isinstance(s, dict) and all(type(s.get(k)) is str for k in ("expr", "direction"))
+            for s in segments):
+        raise ConfigError(f"key 'segments' takes an array of objects with string keys "
+                          f"'expr' and 'direction', got {segments!r}")
     return piecewise_monotone(
-        doc["domain"], doc.get("breakpoints", ()),
-        [s["expr"] for s in segments], [s["direction"] for s in segments])
+        domain, breakpoints, [s["expr"] for s in segments],
+        [s["direction"] for s in segments])
 
 
 # ---------------------------------------------------------------------------

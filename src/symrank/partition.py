@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Partition2, make_partition2
+from .core import Partition2, _tied, make_partition2
 from .errors import (
     EmptySide,
     MembershipViolation,
@@ -33,9 +33,6 @@ __all__ = [
     "oracle_varying_size",
     "swap_gain",
 ]
-
-# relative tolerance for declaring the two fixed-size candidates tied
-TIE_RTOL = 1e-12
 
 
 def loss(p: Partition2, y) -> float:
@@ -89,8 +86,7 @@ def oracle_fixed_size(y, i: int) -> OracleFixedSize:
     prefix = make_partition2(y, order[:i])
     suffix = make_partition2(y, order[n - i:])
     lp, ls = prefix.total_sse, suffix.total_sse
-    scale = max(abs(lp), abs(ls), 1.0)
-    if abs(lp - ls) <= TIE_RTOL * scale:
+    if _tied(lp, ls):
         return OracleFixedSize(prefix, suffix, "prefix", True)
     winner = "prefix" if lp < ls else "suffix"
     return OracleFixedSize(prefix, suffix, winner, False)

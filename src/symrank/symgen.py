@@ -290,16 +290,14 @@ _ALLOWED_BINOPS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
 _ALLOWED_UNARYOPS = {ast.UAdd: lambda v: v, ast.USub: np.negative}
 
 
-def parse_univariate(expr: str, functions: dict | None = None):
+def parse_univariate(expr: str):
     """Compile an arithmetic expression string in one variable ``x``.
 
-    Supports numbers, x, + - * / **, parentheses, and calls to registered
-    unary names (defaults to the built-in table). Returns a vectorized
-    callable. Raises DimensionMismatch on anything outside that grammar.
+    Supports numbers, x, + - * / **, parentheses, and calls to the built-in
+    unary names. Returns a vectorized callable. Raises DimensionMismatch on
+    anything outside that grammar.
     """
     funcs = {name: op.fn for name, op in BUILTIN_UNARY.items()}
-    if functions:
-        funcs.update(functions)
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:

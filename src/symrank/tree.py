@@ -21,12 +21,11 @@ searches a level's open nodes in a few batched calls of one split kernel.
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, FeatureMatrix, RankPermutation, derive_rng
+from .core import RankPermutation, _is_number, derive_rng
 from .errors import (
     ColumnMismatch,
     DimensionMismatch,
@@ -36,7 +35,7 @@ from .errors import (
     NonFiniteData,
     Unsplittable,
 )
-from .stats import dense_ranks, sorted_runs
+from .stats import bayes_permutation, dense_ranks, sorted_runs
 
 __all__ = [
     "SplitRule",
@@ -70,11 +69,9 @@ class Tree:
     Node 0 is the root. An internal node i splits column ``coordinate[i]`` at
     ``threshold[i]``; its left child is node i + 1 and its right child node
     ``right[i]``. A leaf has coordinate -1 and carries ``mean``, the sample
-    mean of its responses. Node i encloses the training rows
-    ``rows[start[i]:stop[i]]``: a split's slice lists its left child's rows
-    first, and a leaf's rows increase. A tree read from JSON has no rows.
-    ``n_features`` records the training width so prediction can validate
-    inputs.
+    mean of its responses. ``n_features`` records the training width so
+    prediction can validate inputs. :func:`tree_from_json` rebuilds the same
+    five fields that :func:`tree_to_json` wrote.
     """
 
     n_features: int
@@ -82,16 +79,9 @@ class Tree:
     threshold: np.ndarray
     right: np.ndarray
     mean: np.ndarray
-    start: np.ndarray
-    stop: np.ndarray
-    rows: np.ndarray
 
 
 def _matrix(data) -> np.ndarray:
-    if isinstance(data, Dataset):
-        return data.x
-    if isinstance(data, FeatureMatrix):
-        return data.z
     z = np.asarray(data, dtype=float)
     if z.ndim != 2:
         raise ColumnMismatch(f"predictor matrix must be 2-D, got shape {z.shape}")
@@ -368,18 +358,11 @@ def grow_tree(data, y, depth: int, min_leaf: int = 1) -> Tree:
     coordinate = np.full(total, -1, dtype=np.intp)
     threshold = np.full(total, np.nan)
     right = np.full(total, -1, dtype=np.intp)
-    start = np.zeros(total, dtype=np.intp)
-    stop = np.zeros(total, dtype=np.intp)
-    rows = np.empty(n, dtype=np.intp)
+    leaves = []  # the leaves' preorder numbers, level after level
     at = np.zeros(1, dtype=np.intp)  # the level's nodes' preorder numbers
-    lo = np.zeros(1, dtype=np.intp)  # and their slices' starts
-    for d, (m, k, cut) in enumerate(levels):
-        start[at], stop[at] = lo, lo + m
-        leaf = k < 0
-        # each leaf's rows at its slice, in the order the level lists them
-        rows[np.repeat(lo[leaf] - (np.cumsum(m[leaf]) - m[leaf]), m[leaf])
-             + np.arange(leaf_rows[d].size)] = leaf_rows[d]
-        split = np.flatnonzero(~leaf)
+    for d, (_, k, cut) in enumerate(levels):
+        leaves.append(at[k < 0])
+        split = np.flatnonzero(k >= 0)
         if not split.size:
             break
         column = leaders[k[split]]
@@ -388,15 +371,17 @@ def grow_tree(data, y, depth: int, min_leaf: int = 1) -> Tree:
         left_at = at[split] + 1
         right[at[split]] = left_at + subtree[d + 1][:split.size]
         at = np.concatenate((left_at, right[at[split]]))
-        lo = np.concatenate((lo[split], lo[split] + levels[d + 1][0][:split.size]))
+    leaves = np.concatenate(leaves)
+    leaf_rows = np.concatenate(leaf_rows)
+    leaf_sizes = np.concatenate([m[k < 0] for m, k, _ in levels])
+    leaf_starts = np.cumsum(leaf_sizes) - leaf_sizes
     mean = np.full(total, np.nan)
-    leaves = np.flatnonzero(coordinate < 0)
-    leaf_sizes = stop[leaves] - start[leaves]
     for size in np.unique(leaf_sizes):
-        same = leaves[leaf_sizes == size]
-        # each row summed on its own, as np.sum sums one leaf
-        mean[same] = y.take(rows.take(start[same][:, None] + np.arange(size))).sum(axis=1) / size
-    return Tree(q, coordinate, threshold, right, mean, start, stop, rows)
+        same = leaf_sizes == size
+        # each leaf's rows, increasing, summed on their own as np.sum sums one leaf
+        rows = leaf_rows.take(leaf_starts[same][:, None] + np.arange(size))
+        mean[leaves[same]] = y.take(rows).sum(axis=1) / size
+    return Tree(q, coordinate, threshold, right, mean)
 
 
 def predict(tree: Tree, row) -> float:
@@ -424,9 +409,7 @@ def predict_rows(tree: Tree, data) -> np.ndarray:
 
 def induced_permutation(tree: Tree, data) -> RankPermutation:
     """Rows sorted by predicted score descending, stable on ties."""
-    scores = predict_rows(tree, data)
-    order = np.argsort(-scores, kind="stable")
-    return RankPermutation(tuple(int(i) for i in order))
+    return bayes_permutation(predict_rows(tree, data))
 
 
 def _rank_class_leaders(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -497,14 +480,13 @@ def tree_to_json(tree: Tree) -> dict:
 
 def _finite_number(entry: dict, key: str, i: int) -> float:
     value = entry.get(key)
-    # exact for huge JSON integers too; false for NaN and infinities
-    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+    if not _is_number(value):
         raise ColumnMismatch(f"tree node {i}: {key} {value!r} is not a finite number")
     return float(value)
 
 
 def tree_from_json(doc: dict) -> Tree:
-    """Rebuild a tree for prediction; training rows are not persisted.
+    """Rebuild a tree from its document.
 
     Raises ColumnMismatch unless the nodes form one complete tree in
     preorder, every split coordinate lies in [0, n_features) and every
@@ -542,5 +524,4 @@ def tree_from_json(doc: dict) -> Tree:
         slots += [i, -1]
     if slots:
         raise ColumnMismatch(f"tree document ends with {len(slots)} child nodes missing")
-    return Tree(q, coordinate, threshold, right, mean, np.zeros(size, dtype=np.intp),
-                np.zeros(size, dtype=np.intp), np.zeros(0, dtype=np.intp))
+    return Tree(q, coordinate, threshold, right, mean)

@@ -199,6 +199,26 @@ class TestP12:
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc, key", [
+        ([MAPS_DOC], "p12 maps file must be a JSON object"),
+        ({**MAPS_DOC, "transform_1": {"domain": [0, 1], "segments": ["x + 1.2"]}},
+         "'segments'"),
+        ({**MAPS_DOC, "transform_1": {**MAPS_DOC["transform_1"], "domain": [0, 1, 2]}},
+         "'domain'"),
+        ({"transform_1": MAPS_DOC["transform_1"]}, "'transform_2'"),
+        ({**MAPS_DOC, "cdf": {"x": [0.0, 1.0]}}, "'p'"),
+    ], ids=["array", "string-segment", "three-number-domain", "no-transform_2",
+            "cdf-without-p"])
+    def test_malformed_maps_file_exits_2_naming_the_key(self, doc, key, tmp_path, capsys):
+        maps = tmp_path / "maps.json"
+        maps.write_text(json.dumps(doc))
+        out = tmp_path / "p12"
+        rc = main(["p12", "--maps", str(maps), "--c=1.5", "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+        assert not out.exists()
+
 
 VALID_CONFIGS = {
     "signal": {"mode": "signal", "n": 20, "noise_vars": [0.0], "architectures": ["bu"],
@@ -325,6 +345,9 @@ class TestExperiment:
         ("signal", {"unary_ops": [{"op": "sin", "a": "abc"}]}),
         ("signal", {"unary_ops": [{"expr": 5}]}),
         ("signal", {"unary_ops": [{"foo": 1}]}),
+        # negative noise variances
+        ("signal", {"noise_vars": [0.0, -0.1]}),
+        ("candidates", {"noise_var": -0.05}),
     ])
     def test_invalid_config_exits_2_before_any_work(self, mode, change, data3, tmp_path,
                                                     capsys, monkeypatch):
@@ -383,6 +406,36 @@ class TestExperiment:
                    "--out-dir", str(tmp_path / "x")])
         assert rc == 1 and scored == []
 
+    @pytest.mark.parametrize("mode, change", [
+        ("signal", {"noise_vars": [0.1, -0.1]}),
+        ("candidates", {"noise_var": -1e-9}),
+    ])
+    def test_negative_noise_variance_exits_2_naming_the_key(self, mode, change, tmp_path,
+                                                            capsys, monkeypatch):
+        scored = []
+        monkeypatch.setattr("symrank.evalsel.score_features",
+                            lambda *args, **kwargs: scored.append(args))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**VALID_CONFIGS[mode], **change}))
+        out = tmp_path / "out"
+        rc = main(["experiment", "--config", str(cfg_path), "--out-dir", str(out)])
+        assert rc == 2 and scored == [] and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {next(iter(change))!r} takes a")
+        assert ">= 0, got " in err
+
+    def test_repeated_method_exits_1_before_scoring(self, tmp_path, monkeypatch, capsys):
+        scored = []
+        monkeypatch.setattr("symrank.evalsel.score_features",
+                            lambda *args, **kwargs: scored.append(args))
+        cfg = {**VALID_CONFIGS["signal"], "methods": ["t0", "t0"]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "x"
+        rc = main(["experiment", "--config", str(cfg_path), "--out-dir", str(out)])
+        assert rc == 1 and scored == [] and not out.exists()
+        assert "['t0'] named more than once" in capsys.readouterr().err
+
     def test_unknown_mode_exits_1(self, tmp_path):
         cfg_path = tmp_path / "mode.json"
         cfg_path.write_text(json.dumps({"mode": "nope"}))
@@ -429,6 +482,17 @@ class TestUsage:
         rc = main(["score", "--input", str(fig2a), "--response", "y",
                    "--methods", "voodoo", "--out-dir", str(tmp_path / "o")])
         assert rc == 1
+
+    @pytest.mark.parametrize("command", ["score", "select"])
+    def test_repeated_method_rejected_before_reading_the_csv(self, command, fig2a, tmp_path,
+                                                             capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_csv", None)
+        out = tmp_path / "o"
+        rc = main([command, "--input", str(fig2a), "--response", "y",
+                   "--methods", "t0,pearson,t0", "--out-dir", str(out)])
+        assert rc == 1 and not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: methods ['t0'] named more than once"]
 
     # the experiment config's ranges: depth >= 0, seed >= 0; and min_leaf >= 1
     @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symrank import tree as tree_module
-from symrank.core import build_dataset, derive_rng
+from symrank.core import derive_rng
 from symrank.errors import (
     ColumnMismatch,
     DimensionMismatch,
@@ -43,9 +44,22 @@ FIG2A_X = np.array([[0.1], [0.3], [0.5], [0.6], [0.9]])
 FIG2A_Y = np.array([5.0, 2.1, 1.0, 2.0, 4.0])
 
 
-def node_rows(tree, i):
-    """Training rows of node i as a tuple of ints."""
-    return tuple(tree.rows[tree.start[i]:tree.stop[i]].tolist())
+def node_rows(tree, z):
+    """The rows of z that reach each node, routed from the root as
+    predict_rows routes them: one increasing tuple of ints per node, in
+    preorder."""
+    rows = [()] * tree.coordinate.size
+
+    def route(i, idx):
+        rows[i] = tuple(idx.tolist())
+        k = tree.coordinate[i]
+        if k >= 0:
+            left = z[idx, k] <= tree.threshold[i]
+            route(i + 1, idx[left])
+            route(tree.right[i], idx[~left])
+
+    route(0, np.arange(z.shape[0]))
+    return rows
 
 
 def leaf_ids(tree):
@@ -247,8 +261,8 @@ class TestGrowPredict:
 
     def test_depth_two_realizes_three_components(self):
         tree = grow_tree(FIG2A_X, FIG2A_Y, 2)
-        assert sorted(node_rows(tree, i) for i in leaf_ids(tree)) \
-            == [(0,), (1, 2, 3), (4,)]
+        rows = node_rows(tree, FIG2A_X)
+        assert sorted(rows[i] for i in leaf_ids(tree)) == [(0,), (1, 2, 3), (4,)]
 
     def test_squared_feature_realizes_oracle_partition(self):
         # same responses on inputs centered at zero: one split on x^2
@@ -272,8 +286,9 @@ class TestGrowPredict:
         z = rng.normal(size=(40, 3))
         y = rng.normal(size=40)
         tree = grow_tree(z, y, 3)
+        routed = node_rows(tree, z)
         for leaf in leaf_ids(tree):
-            rows = list(node_rows(tree, leaf))
+            rows = list(routed[leaf])
             for i in rows:
                 assert predict(tree, z[i]) == pytest.approx(float(y[rows].mean()))
 
@@ -283,7 +298,7 @@ class TestGrowPredict:
         z = rng.normal(size=(16, 1))
         y = rng.normal(size=16)
         tree = grow_tree(z, y, 10, min_leaf=4)
-        sizes = tree.stop - tree.start
+        sizes = np.array([len(rows) for rows in node_rows(tree, z)])
         assert (sizes[internal_ids(tree)] >= 8).all()
         assert (sizes[leaf_ids(tree)] < 8).any()
 
@@ -338,11 +353,6 @@ class TestGrowPredict:
         with pytest.raises(DimensionMismatch):
             grow_tree(np.empty((3, 0)), np.array([1.0, 2.0, 3.0]), depth)
 
-    def test_dataset_input_accepted(self):
-        ds = build_dataset(FIG2A_X, FIG2A_Y)
-        tree = grow_tree(ds, ds.y, 2)
-        assert len(leaf_ids(tree)) == 3
-
 
 class TestSerialization:
     def test_round_trip(self):
@@ -353,9 +363,11 @@ class TestSerialization:
         doc = tree_to_json(tree)
         rebuilt = tree_from_json(doc)
         assert np.array_equal(predict_rows(tree, z), predict_rows(rebuilt, z))
-        # a tree read from JSON has no rows; predict routes one row as
-        # predict_rows does and checks its width
-        assert rebuilt.rows.size == 0
+        # the rebuilt tree holds the grown tree's arrays
+        for field in dataclasses.fields(tree):
+            assert np.array_equal(getattr(rebuilt, field.name), getattr(tree, field.name),
+                                  equal_nan=True)
+        # predict routes one row as predict_rows does and checks its width
         assert [predict(rebuilt, row) for row in z] == predict_rows(rebuilt, z).tolist()
         with pytest.raises(ColumnMismatch):
             predict(rebuilt, z[0, :1])
@@ -629,18 +641,10 @@ def forest_case(seed):
 
 
 def assert_matches_oracle(tree, oracle, z):
-    """Same document as the oracle tree, the same rows at every node, a node's
-    slice listing its left child's rows first and a leaf's rows increasing."""
+    """Same document as the oracle tree, and the training rows routed to every
+    node are the oracle node's rows."""
     assert json.dumps(tree_to_json(tree)) == json.dumps(oracle_json(oracle, z.shape[1]))
-    leaves = leaf_ids(tree)
-    assert [tuple(sorted(node_rows(tree, i))) for i in range(tree.coordinate.size)] \
-        == [node.indices for node in oracle.preorder()]
-    assert all(node_rows(tree, i) == tuple(sorted(node_rows(tree, i))) for i in leaves)
-    for i in internal_ids(tree):  # the left child's rows come first
-        assert node_rows(tree, i) == node_rows(tree, i + 1) + node_rows(tree, tree.right[i])
-    # the leaves' slices tile the row-order array in preorder
-    assert tree.start[leaves].tolist() == [0] + tree.stop[leaves][:-1].tolist()
-    assert tree.stop[leaves][-1] == z.shape[0] == tree.rows.size
+    assert node_rows(tree, z) == [node.indices for node in oracle.preorder()]
 
 
 class TestPaddedSplitKernel:
@@ -753,10 +757,9 @@ class TestPresortedGrowthMatchesOracle:
         pred = predict_rows(tree, x)
         elapsed = time.perf_counter() - start
         assert elapsed < 20.0
-        leaves = leaf_ids(tree)
-        assert int((tree.stop - tree.start)[leaves].sum()) == n
-        for leaf in leaves:
-            assert np.all(pred[list(node_rows(tree, leaf))] == tree.mean[leaf])
+        routed = node_rows(tree, x)
+        for leaf in leaf_ids(tree):
+            assert routed[leaf] and np.all(pred[list(routed[leaf])] == tree.mean[leaf])
 
     def test_forest_scales_to_1e5_rows(self):
         # a float argsort per bootstrap tree and node objects peaked at
