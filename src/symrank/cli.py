@@ -121,9 +121,10 @@ def _integer(low: int):
     return (f"an integer >= {low}", lambda v: type(v) is int and v >= low, int)
 
 
-# what the JSON value of each config field must be, and how it becomes the
+# what the JSON value of each config key must be, and how it becomes the
 # field value
 _ARRAY = ("an array", lambda v: type(v) is list, tuple)
+_STRING = ("a string", lambda v: type(v) is str, str)
 _CONFIG_VALUES = {
     "n": _integer(1), "repeats": _integer(1), "n_selected": _integer(1),
     "n_trees": _integer(1), "seed": _integer(0), "depth": _integer(0),
@@ -137,7 +138,7 @@ _CONFIG_VALUES = {
                   lambda v: tuple(map(_unary_entry, v))),
     "active_variables": ("an array or null", lambda v: v is None or type(v) is list,
                          lambda v: v if v is None else tuple(v)),
-    "truth": ("a string", lambda v: type(v) is str, str),
+    "truth": _STRING, "input": _STRING, "response": _STRING,
     "tree": ("an object", lambda v: isinstance(v, dict),
              lambda raw: _config(TreeParams, raw)),
 }
@@ -190,10 +191,26 @@ def _config(cls, raw, extra=()):
                   for key, value in raw.items() if key in fields})
 
 
+# the run label of each entry of a config array; two entries with one label
+# would share a run's output files, or a candidate's report entry
+_LABELS = {
+    "architectures": ("run label", str),
+    "noise_vars": ("run label", "{:g}".format),
+    "candidates": ("expression", lambda c: str(c).replace(" ", "")),
+}
+
+
 def _experiment_config(cls, raw, extra=()):
     """The validated experiment config of one mode, before any work is done."""
     cfg = _config(cls, raw, ("mode", *extra))
     _known_methods(cfg.methods)
+    for key, (kind, label) in _LABELS.items():
+        entries = getattr(cfg, key, ())
+        labels = [label(entry) for entry in entries]
+        for i, name in enumerate(labels):
+            if name in labels[:i]:
+                raise ConfigError(f"config key {key!r}: entries {entries[labels.index(name)]!r} "
+                                  f"and {entries[i]!r} share the {kind} {name!r}")
     return cfg
 
 
@@ -292,7 +309,8 @@ def cmd_experiment(args) -> int:
             _experiment_config(CandidatesExperimentConfig, raw))
     elif mode == "csv":
         cfg = _experiment_config(CsvExperimentConfig, raw, ("input", "response"))
-        report = run_csv_experiment(load_csv(raw["input"], raw["response"]), cfg)
+        source = [_config_value(key, raw.get(key)) for key in ("input", "response")]
+        report = run_csv_experiment(load_csv(*source), cfg)
     else:
         raise SymrankError(f"unknown experiment mode {mode!r}")
 
@@ -438,72 +456,65 @@ def build_parser() -> argparse.ArgumentParser:
         prog="symrank",
         description="Rank-based split analysis and symbolic feature selection.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # options shared by several subcommands, each declared once
+    csv_input = argparse.ArgumentParser(add_help=False)
+    csv_input.add_argument("--input", required=True)
+    csv_input.add_argument("--response", required=True)
+    out_dir = argparse.ArgumentParser(add_help=False)
+    out_dir.add_argument("--out-dir", default=".")
+    scoring = argparse.ArgumentParser(add_help=False)
+    scoring.add_argument("--seed", type=_SEED, default=0)
+    scoring.add_argument("--depth", type=_DEPTH, default=3, help="tree-importance depth")
 
-    p = sub.add_parser("gen-features", help="expand symbolic features from a CSV")
-    p.add_argument("--input", required=True)
-    p.add_argument("--response", required=True)
+    p = sub.add_parser("gen-features", parents=[csv_input, out_dir],
+                       help="expand symbolic features from a CSV")
     p.add_argument("--arch", default="bu", help="layer order over u/b, e.g. bu, ub, ubb")
     p.add_argument("--unary", default="id,cube", help="comma-separated unary ops")
     p.add_argument("--binary", default="+,*", help="comma-separated binary ops")
     p.add_argument("--value-dedup", action="store_true")
-    p.add_argument("--out-dir", default=".")
     p.set_defaults(fn=cmd_gen_features)
 
-    p = sub.add_parser("score", help="score feature columns against the response")
-    p.add_argument("--input", required=True)
-    p.add_argument("--response", required=True)
+    p = sub.add_parser("score", parents=[csv_input, out_dir, scoring],
+                       help="score feature columns against the response")
     p.add_argument("--methods", default="all")
-    p.add_argument("--seed", type=_SEED, default=0)
-    p.add_argument("--depth", type=_DEPTH, default=3, help="tree-importance depth")
-    p.add_argument("--out-dir", default=".")
     p.set_defaults(fn=cmd_score)
 
-    p = sub.add_parser("select", help="pick the top features per method")
-    p.add_argument("--input", required=True)
-    p.add_argument("--response", required=True)
+    p = sub.add_parser("select", parents=[csv_input, out_dir, scoring],
+                       help="pick the top features per method")
     p.add_argument("--methods", default="t0")
     p.add_argument("--n-selected", type=int, default=3)
-    p.add_argument("--seed", type=_SEED, default=0)
-    p.add_argument("--depth", type=_DEPTH, default=3)
-    p.add_argument("--out-dir", default=".")
     p.set_defaults(fn=cmd_select)
 
-    p = sub.add_parser("experiment", help="run a JSON-configured experiment")
+    p = sub.add_parser("experiment", parents=[out_dir],
+                       help="run a JSON-configured experiment")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None,
                    help="fallback seed when the config omits one")
-    p.add_argument("--out-dir", default=".")
     p.set_defaults(fn=cmd_experiment)
 
-    p = sub.add_parser("p12", help="signed preference probability over a C grid")
+    p = sub.add_parser("p12", parents=[out_dir],
+                       help="signed preference probability over a C grid")
     p.add_argument("--maps", required=True,
                    help="JSON file with transform_1/transform_2 (and optional cdf)")
     p.add_argument("--c", required=True, help="comma-separated splitting values")
-    p.add_argument("--out-dir", default=".")
     p.set_defaults(fn=cmd_p12)
 
-    p = sub.add_parser("oracle-partition", help="fixed-size oracle 2-partition of y")
-    p.add_argument("--input", required=True)
-    p.add_argument("--response", required=True)
+    p = sub.add_parser("oracle-partition", parents=[csv_input, out_dir],
+                       help="fixed-size oracle 2-partition of y")
     p.add_argument("--i", type=int, required=True, help="first group size")
     p.add_argument("--brute-force", action="store_true",
                    help="cross-check by enumeration (n <= 16)")
-    p.add_argument("--out-dir", default=".")
     p.set_defaults(fn=cmd_oracle_partition)
 
     p = sub.add_parser("tree", help="grow or apply a regression tree")
     tree_sub = p.add_subparsers(dest="tree_command", required=True)
-    g = tree_sub.add_parser("grow")
-    g.add_argument("--input", required=True)
-    g.add_argument("--response", required=True)
+    g = tree_sub.add_parser("grow", parents=[csv_input])
     g.add_argument("--depth", type=_DEPTH, required=True)
     g.add_argument("--min-leaf", type=_option(_integer(1)), default=1)
     g.add_argument("--out", default="tree.json")
     g.set_defaults(fn=cmd_tree_grow)
-    r = tree_sub.add_parser("predict")
+    r = tree_sub.add_parser("predict", parents=[csv_input])
     r.add_argument("--tree", required=True)
-    r.add_argument("--input", required=True)
-    r.add_argument("--response", required=True)
     r.add_argument("--out", default="predictions.csv")
     r.set_defaults(fn=cmd_tree_predict)
 

@@ -60,10 +60,6 @@ class TooLarge(UsageError):
     """Input exceeds the combinatorial guard for exhaustive search."""
 
 
-class TooSmall(UsageError):
-    """Input is below the minimum size for this operation."""
-
-
 class MembershipViolation(SymrankError):
     """A swap index does not belong to the stated partition side."""
 

@@ -20,7 +20,6 @@ from .errors import (
     MembershipViolation,
     SizeOutOfRange,
     TooLarge,
-    TooSmall,
 )
 from .tree import _column_split_losses, _response_pairs
 
@@ -123,7 +122,7 @@ def oracle_varying_size(y) -> tuple[int, Partition2]:
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
     if n <= 4:
-        raise TooSmall(f"need n > 4, got n={n}")
+        raise SizeOutOfRange(f"need n > 4, got n={n}")
     order = np.argsort(y, kind="stable")
     pairs = _response_pairs(y[order])[None, :]
     losses = _column_split_losses(np.arange(n)[None, :], pairs)

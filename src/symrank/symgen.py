@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Expression, FeatureMatrix, binary, unary, var
+from .core import COMMUTATIVE_BINARY_OPS, Dataset, Expression, FeatureMatrix, binary, unary, var
 from .errors import DimensionMismatch, PartialOperatorDomain
 
 __all__ = [
@@ -48,7 +48,6 @@ class UnaryOp:
 class BinaryOp:
     name: str
     fn: object
-    commutative: bool = False
 
 
 def _cube(x):
@@ -73,9 +72,9 @@ BUILTIN_UNARY = {
 }
 
 BUILTIN_BINARY = {
-    "+": BinaryOp("+", np.add, commutative=True),
+    "+": BinaryOp("+", np.add),
     "-": BinaryOp("-", np.subtract),
-    "*": BinaryOp("*", np.multiply, commutative=True),
+    "*": BinaryOp("*", np.multiply),
     "/": BinaryOp("/", np.divide),
 }
 
@@ -119,7 +118,8 @@ class OperatorSet:
 
 
 def build_operator_set(unary_names, binary_names) -> OperatorSet:
-    """Assemble an OperatorSet from built-in names and/or op objects."""
+    """Assemble an OperatorSet from built-in names; unary entries may also be
+    UnaryOp objects."""
     u_ops = []
     for entry in unary_names:
         if isinstance(entry, UnaryOp):
@@ -128,15 +128,10 @@ def build_operator_set(unary_names, binary_names) -> OperatorSet:
             u_ops.append(BUILTIN_UNARY[entry])
         else:
             raise DimensionMismatch(f"unknown unary operator {entry!r}")
-    b_ops = []
     for entry in binary_names:
-        if isinstance(entry, BinaryOp):
-            b_ops.append(entry)
-        elif entry in BUILTIN_BINARY:
-            b_ops.append(BUILTIN_BINARY[entry])
-        else:
+        if entry not in BUILTIN_BINARY:
             raise DimensionMismatch(f"unknown binary operator {entry!r}")
-    return OperatorSet(tuple(u_ops), tuple(b_ops))
+    return OperatorSet(tuple(u_ops), tuple(BUILTIN_BINARY[entry] for entry in binary_names))
 
 
 @dataclass(frozen=True)
@@ -173,8 +168,9 @@ def _dedup(exprs) -> list[Expression]:
 def expand_binary(exprs, ops: OperatorSet) -> list[Expression]:
     """One binary layer: op(e_i, e_j) over pairs, canonicalized, deduplicated.
 
-    Commutative operators enumerate unordered pairs with repetition (i <= j);
-    non-commutative ones enumerate all ordered pairs.
+    Commutative operators (``core.COMMUTATIVE_BINARY_OPS``) enumerate
+    unordered pairs with repetition (i <= j); the others enumerate all
+    ordered pairs.
     """
     if not exprs:
         raise DimensionMismatch("binary layer needs a nonempty expression list")
@@ -182,7 +178,7 @@ def expand_binary(exprs, ops: OperatorSet) -> list[Expression]:
     out: list[Expression] = []
     for op in ops.binary:
         for i in range(m):
-            for j in range(i if op.commutative else 0, m):
+            for j in range(i if op.name in COMMUTATIVE_BINARY_OPS else 0, m):
                 out.append(binary(op.name, exprs[i], exprs[j]))
     return _dedup(out)
 

@@ -234,7 +234,7 @@ def _calls(sizes: np.ndarray, w: int):
 
 def _grow_levels(keys: np.ndarray, pairs: np.ndarray, rows: np.ndarray, depth: int,
                  min_leaf: int):
-    """Grow trees one depth level at a time; yield (m, coordinate, cut, side) per level.
+    """Grow trees one depth level at a time; yield (coordinate, cut) per level.
 
     ``keys`` (w, n) holds integer rank keys of w columns and ``pairs`` the
     response pairs (see :func:`_response_pairs`) of the n data rows. Each
@@ -243,11 +243,9 @@ def _grow_levels(keys: np.ndarray, pairs: np.ndarray, rows: np.ndarray, depth: i
     lists its resample's ids once per column, in stable key order (the CART
     presort), as a (w, n) block.
 
-    Level d yields every node at depth d: its size ``m``, its split column
-    or -1 for a leaf, ``cut``, the id of its last left row in that column's
-    order, and ``side``, which holds for every id of a split an odd code if
-    it goes right (valid until the next level is asked for). A node splits
-    while it has depth left, at least max(2*min_leaf, 2) ids, a
+    Level d yields, for every node at depth d, its split column or -1 for a
+    leaf, and ``cut``, the id of its last left row in that column's order. A
+    node splits while it has depth left, at least max(2*min_leaf, 2) ids, a
     non-constant response and an admissible cut; the cut is the node's
     first minimum in row-major order, the smallest column, then the
     smallest threshold. A level's open nodes share a few
@@ -267,8 +265,8 @@ def _grow_levels(keys: np.ndarray, pairs: np.ndarray, rows: np.ndarray, depth: i
     pairs = np.tile(pairs, len(rows))
     m = np.full(len(rows), n)
     min_split = max(2 * min_leaf, 2)
-    # per id of a split, its child: 0 a left and 1 a right child that may
-    # still split, 2 and 3 a left and a right child that cannot
+    # per id of an open node, its child: 0 a left and 1 a right child that
+    # may still split, 2 one that cannot
     side = np.empty(rows.size, dtype=np.uint8)
     is_open = (m >= min_split) & (depth > 0)
     for d in itertools.count():
@@ -307,10 +305,10 @@ def _grow_levels(keys: np.ndarray, pairs: np.ndarray, rows: np.ndarray, depth: i
             position[node] = pos
             cut[node] = ids[np.arange(c), k, pos]
             left = np.where(found & (pos + 1 >= min_split), 0, 2)
-            right = np.where(found & (mb - pos - 1 >= min_split), 1, 3)
+            right = np.where(found & (mb - pos - 1 >= min_split), 1, 2)
             side.put(ids[np.arange(c), k],
                      np.where(np.arange(width) > pos[:, None], right[:, None], left[:, None]))
-        yield m, coordinate, cut, side
+        yield coordinate, cut
         split = np.flatnonzero(coordinate >= 0)
         if not split.size:
             return
@@ -330,25 +328,19 @@ def grow_tree(data, y, depth: int, min_leaf: int = 1) -> Tree:
     :func:`_rank_class_leaders`): each leader's rows are sorted once by their
     integer rank keys (the CART presort), and each level's nodes are searched
     in a few batched split-kernel calls, so a node costs O(m*q) for m rows.
-    Raises NonFiniteData on NaN or infinite entries.
+    The leaf means average the training rows that :func:`predict_rows`
+    routes to each leaf: a cut lies only between distinct keys and its
+    threshold is the value at its last left row, so routing splits a node's
+    rows as the grower did. Raises NonFiniteData on NaN or infinite entries.
     """
     z, y = _matrix_and_response(data, y)
     n, q = z.shape
     leaders, keys = _rank_class_leaders(z)
-    levels, leaf_rows = [], []
-    members = np.arange(n)  # the level's rows, node after node, each node's increasing
-    for m, k, cut, side in _grow_levels(keys, _response_pairs(y), members[None], depth,
-                                        min_leaf):
-        levels.append((m, k, cut))
-        splits = np.repeat(k >= 0, m)
-        leaf_rows.append(members[~splits])
-        members = members[splits]
-        goes_right = (side.take(members) & 1).astype(bool)
-        members = np.concatenate((members[~goes_right], members[goes_right]))
+    levels = list(_grow_levels(keys, _response_pairs(y), np.arange(n)[None], depth, min_leaf))
     # subtree sizes, deepest level first: level d + 1 lists the left children
     # of level d's splits, then their right children
     subtree = [np.ones(0, dtype=np.intp)]
-    for _, k, _ in reversed(levels):
+    for k, _ in reversed(levels):
         size = np.ones(k.size, dtype=np.intp)
         below = subtree[-1]
         size[k >= 0] += below[:below.size // 2] + below[below.size // 2:]
@@ -358,10 +350,8 @@ def grow_tree(data, y, depth: int, min_leaf: int = 1) -> Tree:
     coordinate = np.full(total, -1, dtype=np.intp)
     threshold = np.full(total, np.nan)
     right = np.full(total, -1, dtype=np.intp)
-    leaves = []  # the leaves' preorder numbers, level after level
     at = np.zeros(1, dtype=np.intp)  # the level's nodes' preorder numbers
-    for d, (_, k, cut) in enumerate(levels):
-        leaves.append(at[k < 0])
+    for d, (k, cut) in enumerate(levels):
         split = np.flatnonzero(k >= 0)
         if not split.size:
             break
@@ -371,17 +361,29 @@ def grow_tree(data, y, depth: int, min_leaf: int = 1) -> Tree:
         left_at = at[split] + 1
         right[at[split]] = left_at + subtree[d + 1][:split.size]
         at = np.concatenate((left_at, right[at[split]]))
-    leaves = np.concatenate(leaves)
-    leaf_rows = np.concatenate(leaf_rows)
-    leaf_sizes = np.concatenate([m[k < 0] for m, k, _ in levels])
-    leaf_starts = np.cumsum(leaf_sizes) - leaf_sizes
+    leaf = _route(coordinate, threshold, right, z)
+    rows = np.argsort(leaf, kind="stable")  # leaf after leaf, each leaf's increasing
+    sizes = np.bincount(leaf, minlength=total)  # 0 at an internal node
+    starts = np.cumsum(sizes) - sizes
     mean = np.full(total, np.nan)
-    for size in np.unique(leaf_sizes):
-        same = leaf_sizes == size
+    for size in np.unique(sizes[sizes > 0]):
+        same = np.flatnonzero(sizes == size)
         # each leaf's rows, increasing, summed on their own as np.sum sums one leaf
-        rows = leaf_rows.take(leaf_starts[same][:, None] + np.arange(size))
-        mean[leaves[same]] = y.take(rows).sum(axis=1) / size
+        block = rows.take(starts[same][:, None] + np.arange(size))
+        mean[same] = y.take(block).sum(axis=1) / size
     return Tree(q, coordinate, threshold, right, mean)
+
+
+def _route(coordinate: np.ndarray, threshold: np.ndarray, right: np.ndarray,
+           z: np.ndarray) -> np.ndarray:
+    """The leaf each row of z reaches: every row descends one level per step,
+    a row at a leaf staying there, until no row sits at an internal node."""
+    rows = np.arange(z.shape[0])
+    node = np.zeros(z.shape[0], dtype=np.intp)
+    while ((k := coordinate.take(node)) >= 0).any():
+        go_left = z[rows, np.maximum(k, 0)] <= threshold.take(node)
+        node = np.where(k < 0, node, np.where(go_left, node + 1, right.take(node)))
+    return node
 
 
 def predict(tree: Tree, row) -> float:
@@ -390,21 +392,12 @@ def predict(tree: Tree, row) -> float:
 
 
 def predict_rows(tree: Tree, data) -> np.ndarray:
-    """Leaf mean of every row; rows descend one level per step, together."""
+    """Leaf mean of every row (see :func:`_route`)."""
     z = _matrix(data)
     if z.shape[1] != tree.n_features:
         raise ColumnMismatch(
             f"rows have {z.shape[1]} columns, tree was grown on {tree.n_features}")
-    node = np.zeros(z.shape[0], dtype=np.intp)
-    active = np.arange(z.shape[0])  # rows not yet known to sit at a leaf
-    while active.size:
-        at = node.take(active)
-        coordinate = tree.coordinate.take(at)
-        internal = coordinate >= 0
-        active, at = np.compress(internal, active), np.compress(internal, at)
-        go_left = z[active, np.compress(internal, coordinate)] <= tree.threshold.take(at)
-        node[active] = np.where(go_left, at + 1, tree.right.take(at))
-    return tree.mean.take(node)
+    return tree.mean.take(_route(tree.coordinate, tree.threshold, tree.right, z))
 
 
 def induced_permutation(tree: Tree, data) -> RankPermutation:
@@ -458,7 +451,7 @@ def ensemble_importance(data, y, n_trees: int, depth: int, seed: int) -> np.ndar
     for first in range(0, n_trees, chunk):
         rows = np.stack([derive_rng(seed, t).integers(0, n, size=n)
                          for t in range(first, min(first + chunk, n_trees))])
-        for _, k, _, _ in _grow_levels(keys, pairs, rows, depth, 1):
+        for k, _ in _grow_levels(keys, pairs, rows, depth, 1):
             counts += np.bincount(k[k >= 0], minlength=w)
     freq = np.zeros(q)
     if counts.any():

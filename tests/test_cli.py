@@ -436,6 +436,51 @@ class TestExperiment:
         assert rc == 1 and scored == [] and not out.exists()
         assert "['t0'] named more than once" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode, change, named", [
+        ("signal", {"noise_vars": [0.1, 0.1]}, "share the run label '0.1'"),
+        ("signal", {"noise_vars": [0.1, 0.1000001]},
+         "entries 0.1 and 0.1000001 share the run label '0.1'"),
+        ("signal", {"architectures": ["bu", "ub", "bu"]}, "share the run label 'bu'"),
+        ("csv", {"architectures": ["bu", "bu"]}, "share the run label 'bu'"),
+        ("candidates", {"candidates": ["x", "sin(4*x)", "x", "sin(4*x)"]},
+         "share the expression 'x'"),
+        ("candidates", {"candidates": ["x", "sin(4*x)", "sin(4 * x)"]},
+         "'sin(4*x)' and 'sin(4 * x)' share the expression 'sin(4*x)'"),
+    ])
+    def test_repeated_run_label_exits_2_before_any_work(self, mode, change, named, data3,
+                                                       tmp_path, capsys, monkeypatch):
+        cfg = {**VALID_CONFIGS[mode], **change}
+        if mode == "csv":
+            cfg["input"] = str(data3)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        monkeypatch.setattr(cli, "load_csv", None)
+        out = tmp_path / "out"
+        rc = main(["experiment", "--config", str(cfg_path), "--out-dir", str(out)])
+        assert rc == 2 and not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: config key {next(iter(change))!r}: entries ")
+        assert named in err[0]
+
+    @pytest.mark.parametrize("key, value", [
+        ("input", 3), ("input", None), ("input", ["data.csv"]), ("response", 0),
+        ("response", None),
+    ])
+    def test_csv_input_and_response_must_be_strings(self, key, value, data3, tmp_path,
+                                                    capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_csv", None)  # nothing may be read
+        cfg = {**VALID_CONFIGS["csv"], "input": str(data3), key: value}
+        if value is None:
+            del cfg[key]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        rc = main(["experiment", "--config", str(cfg_path), "--out-dir", str(out)])
+        assert rc == 2 and not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: config key {key!r} takes a string, got {value!r}"]
+
     def test_unknown_mode_exits_1(self, tmp_path):
         cfg_path = tmp_path / "mode.json"
         cfg_path.write_text(json.dumps({"mode": "nope"}))
@@ -560,7 +605,7 @@ EXIT_CODES = {
     "SymrankError": 1, "UsageError": 2, "ConfigError": 2,
     "TiesInResponse": 2, "DimensionMismatch": 2, "NonFiniteData": 2,
     "LengthMismatch": 1, "TiesPresent": 1, "ZeroVariance": 1,
-    "EmptySide": 1, "SizeOutOfRange": 2, "TooLarge": 2, "TooSmall": 2,
+    "EmptySide": 1, "SizeOutOfRange": 2, "TooLarge": 2,
     "MembershipViolation": 1, "Unsplittable": 1, "InadmissibleRule": 1,
     "ColumnMismatch": 1, "DomainMismatch": 2, "NotMonotone": 2,
     "MergeableSegments": 2, "IntervalSpansBreakpoint": 1, "NotRefinedInterval": 1,

@@ -11,7 +11,6 @@ from symrank.errors import (
     MembershipViolation,
     SizeOutOfRange,
     TooLarge,
-    TooSmall,
 )
 from symrank.partition import (
     apply_swap,
@@ -110,7 +109,7 @@ class TestOracleVaryingSize:
         assert p.left == (0, 1, 2)
 
     def test_too_small(self):
-        with pytest.raises(TooSmall):
+        with pytest.raises(SizeOutOfRange):
             oracle_varying_size([1, 2, 3])
 
     def test_consistent_with_fixed_size_winners(self):
