@@ -123,8 +123,9 @@ def _integer(low: int):
 
 # what the JSON value of each config key must be, and how it becomes the
 # field value
-_ARRAY = ("an array", lambda v: type(v) is list, tuple)
 _STRING = ("a string", lambda v: type(v) is str, str)
+_STRINGS = ("an array of strings",
+            lambda v: type(v) is list and all(type(e) is str for e in v), tuple)
 _CONFIG_VALUES = {
     "n": _integer(1), "repeats": _integer(1), "n_selected": _integer(1),
     "n_trees": _integer(1), "seed": _integer(0), "depth": _integer(0),
@@ -133,8 +134,9 @@ _CONFIG_VALUES = {
     "noise_vars": ("an array of finite numbers >= 0",
                    lambda v: type(v) is list and all(map(_is_variance, v)), tuple),
     "methods": ("a nonempty array", lambda v: type(v) is list and len(v) > 0, tuple),
-    "architectures": _ARRAY, "binary_ops": _ARRAY, "candidates": _ARRAY,
-    "unary_ops": ("an array", lambda v: type(v) is list,
+    "architectures": _STRINGS, "binary_ops": _STRINGS, "candidates": _STRINGS,
+    "unary_ops": ("an array of strings and objects",
+                  lambda v: type(v) is list and all(type(e) in (str, dict) for e in v),
                   lambda v: tuple(map(_unary_entry, v))),
     "active_variables": ("an array or null", lambda v: v is None or type(v) is list,
                          lambda v: v if v is None else tuple(v)),
@@ -196,7 +198,7 @@ def _config(cls, raw, extra=()):
 _LABELS = {
     "architectures": ("run label", str),
     "noise_vars": ("run label", "{:g}".format),
-    "candidates": ("expression", lambda c: str(c).replace(" ", "")),
+    "candidates": ("expression", lambda c: c.replace(" ", "")),
 }
 
 

@@ -254,8 +254,9 @@ class Partition2:
         return self.sse_left + self.sse_right
 
 
-def _group_stats(y: np.ndarray, idx: tuple[int, ...]) -> tuple[float, float]:
-    vals = y[list(idx)]
+def _group_stats(y: np.ndarray, idx) -> tuple[float, float]:
+    """The mean and SSE of ``y[idx]``, for idx a list of indices or a mask."""
+    vals = y[idx]
     mean = float(vals.mean())
     return mean, float(np.sum((vals - mean) ** 2))
 
@@ -282,8 +283,8 @@ def make_partition2(y, left, right=None) -> Partition2:
         raise DimensionMismatch("partition sides overlap")
     if left_set | right_set != set(range(n)):
         raise DimensionMismatch("partition sides must cover all indices")
-    mean_l, sse_l = _group_stats(y, left)
-    mean_r, sse_r = _group_stats(y, right)
+    mean_l, sse_l = _group_stats(y, list(left))
+    mean_r, sse_r = _group_stats(y, list(right))
     return Partition2(left, right, mean_l, mean_r, sse_l, sse_r)
 
 

@@ -38,7 +38,7 @@ from .errors import (
     SizeOutOfRange,
     TiesInResponse,
 )
-from .stats import batched_scores, sorted_runs
+from .stats import _RUNS_METHODS, batched_scores, sorted_runs
 from .symgen import (
     Architecture,
     UnaryOp,
@@ -393,9 +393,6 @@ class _Cell:
 # stacking every repeat raises peak memory for little more speed.
 CHUNK_VALUES = 2**14
 
-# the rank methods that read the features' sorted runs, which a chunk sorts once
-_SORTING_METHODS = ("t0", "spearman", "kendall", "chatterjee")
-
 
 def _chunks(values: int, repeats: int) -> list[range]:
     """The repeats in order, in chunks of at most CHUNK_VALUES feature
@@ -411,15 +408,14 @@ def _run_cells(cells, methods, repeats, n_selected, seed, tree):
     selection time of each cell and method.
 
     Each cell builds its repeats a chunk at a time (see :func:`_chunks`).
-    Each rank method scores a chunk in one call: the chunk's matrix, with
-    one response per repeat. The methods that rank the features share one
-    sort of the chunk's columns, dropped after the last of them, so that no
-    forest grows while it is held. Tree importance grows each repeat's
+    A chunk is scored in one fixed order: the rank methods first, then tree
+    importance. Each rank method scores the chunk in one call: the chunk's
+    matrix, with one response per repeat. The methods that rank the features
+    share one sort of the chunk's columns, taken by the first of them and
+    released before any forest grows. Tree importance grows each repeat's
     forest on that repeat's columns of the chunk's matrix, uncopied.
     """
     runtimes = dict.fromkeys((f"{c.key}/{m}" for c in cells for m in methods), 0.0)
-    last_sorting = max((mi for mi, method in enumerate(methods)
-                        if method in _SORTING_METHODS), default=-1)
 
     def job(chunk) -> list:
         cell, reps = chunk
@@ -427,20 +423,19 @@ def _run_cells(cells, methods, repeats, n_selected, seed, tree):
         q = len(cell.exprs)
         chunk_fm = FeatureMatrix(z, cell.exprs * len(reps))
         runs = None
-        picks = [[] for _ in reps]
-        for mi, method in enumerate(methods):
+        picks = [[None] * len(methods) for _ in reps]
+        for mi, method in sorted(enumerate(methods), key=lambda m: m[1] == "tree-importance"):
             start = time.perf_counter()
             if method == "tree-importance":
+                runs = None
                 scored = [score_features(FeatureMatrix(z[:, i * q:(i + 1) * q], cell.exprs),
                                          y, method, tree_params=tree,
                                          seed=_method_seed(seed, *cell.seed_key, r, mi))
                           for i, (r, y) in enumerate(zip(reps, ys))]
             else:
-                if runs is None and method in _SORTING_METHODS:
+                if runs is None and method in _RUNS_METHODS:
                     runs = sorted_runs(z.T)
                 ms = score_features(chunk_fm, ys.T, method, runs=runs)
-                if mi == last_sorting:
-                    runs = None
                 scored = [MethodScore(method, part, ms.direction)
                           for part in np.split(ms.scores, len(reps))]
             chosen = [(select_top(ms, n_selected), selection_boundary_tie(ms, n_selected))
@@ -448,7 +443,7 @@ def _run_cells(cells, methods, repeats, n_selected, seed, tree):
             runtimes[f"{cell.key}/{method}"] += time.perf_counter() - start
             for pick, (selection, tie), ms in zip(picks, chosen, scored):
                 pr = pr_auc(cell.labels, ms, n_selected) if cell.labels is not None else None
-                pick.append((selection, tie, pr))
+                pick[mi] = (selection, tie, pr)
         return picks
 
     chunks = [(cell, reps) for cell in cells

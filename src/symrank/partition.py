@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Partition2, _tied, make_partition2
+from .core import Partition2, _group_stats, _tied, make_partition2
 from .errors import (
     EmptySide,
     MembershipViolation,
@@ -42,11 +42,7 @@ def loss(p: Partition2, y) -> float:
         raise EmptySide("both partition sides must be nonempty")
     if sorted(p.left + p.right) != list(range(n)):
         raise EmptySide(f"partition does not cover 0..{n - 1} exactly")
-    total = 0.0
-    for side in (p.left, p.right):
-        vals = y[list(side)]
-        total += float(np.sum((vals - vals.mean()) ** 2))
-    return total
+    return _group_stats(y, list(p.left))[1] + _group_stats(y, list(p.right))[1]
 
 
 @dataclass(frozen=True)

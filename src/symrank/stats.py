@@ -366,6 +366,8 @@ def _chatterjee(rows, ys, runs) -> np.ndarray:
 
 _KERNELS = {"t0": _t0, "pearson": _pearson, "spearman": _spearman,
             "kendall": _kendall, "chatterjee": _chatterjee}
+# the kernels that read the sorted runs of the features: all but Pearson's
+_RUNS_METHODS = ("t0", "spearman", "kendall", "chatterjee")
 
 
 def batched_scores(method: str, z, y, runs=None) -> np.ndarray:
@@ -380,7 +382,7 @@ def batched_scores(method: str, z, y, runs=None) -> np.ndarray:
     if method not in _KERNELS:
         raise LengthMismatch(f"no batched scorer {method!r}; choose from {tuple(_KERNELS)}")
     rows, ys = _rows(z, y)
-    if runs is None and method != "pearson":
+    if runs is None and method in _RUNS_METHODS:
         runs = sorted_runs(rows)
     return _KERNELS[method](rows, ys, runs)
 

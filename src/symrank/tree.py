@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RankPermutation, _is_number, derive_rng
+from .core import RankPermutation, _group_stats, _is_number, derive_rng
 from .errors import (
     ColumnMismatch,
     DimensionMismatch,
@@ -108,7 +108,7 @@ def split_means(y, left_mask) -> tuple[float, float]:
     left_mask = np.asarray(left_mask, dtype=bool)
     if not left_mask.any() or left_mask.all():
         raise EmptySide("both split sides must be nonempty")
-    return float(y[left_mask].mean()), float(y[~left_mask].mean())
+    return _group_stats(y, left_mask)[0], _group_stats(y, ~left_mask)[0]
 
 
 def _response_pairs(y: np.ndarray) -> np.ndarray:
@@ -196,12 +196,7 @@ def split_rule_loss(data, y, rule: SplitRule) -> float:
     if not np.isfinite(rule.threshold):
         raise InadmissibleRule(f"threshold {rule.threshold} is not finite")
     mask = z[:, rule.coordinate] <= rule.threshold
-    total = 0.0
-    for side in (mask, ~mask):
-        if side.any():
-            vals = y[side]
-            total += float(np.sum((vals - vals.mean()) ** 2))
-    return total
+    return sum((_group_stats(y, side)[1] for side in (mask, ~mask) if side.any()), 0.0)
 
 
 def log_principal_decision_ratio(data, y, rule1: SplitRule, rule2: SplitRule) -> float:

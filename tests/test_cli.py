@@ -348,6 +348,14 @@ class TestExperiment:
         # negative noise variances
         ("signal", {"noise_vars": [0.0, -0.1]}),
         ("candidates", {"noise_var": -0.05}),
+        # array entries of the wrong JSON type
+        ("signal", {"architectures": [["b", "u"]]}),  # not the architecture "bu"
+        ("csv", {"architectures": [["b", "u"]]}),
+        ("signal", {"architectures": [3]}),
+        ("signal", {"binary_ops": [["+"]]}),
+        ("signal", {"unary_ops": [["id"]]}),
+        ("candidates", {"candidates": ["x", 3]}),
+        ("candidates", {"candidates": [["x"], "x"]}),
     ])
     def test_invalid_config_exits_2_before_any_work(self, mode, change, data3, tmp_path,
                                                     capsys, monkeypatch):
@@ -360,7 +368,10 @@ class TestExperiment:
         out = tmp_path / "out"
         rc = main(["experiment", "--config", str(cfg_path), "--out-dir", str(out)])
         assert rc == 2
-        assert len(capsys.readouterr().err.splitlines()) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        # the line names the bad key, or the bad key of the bad nested object
+        assert any(key in line for key in change) or any(
+            key in line for v in change.values() if isinstance(v, dict) for key in v)
         assert not out.exists()
 
     @pytest.mark.parametrize("cls", [SignalExperimentConfig, CandidatesExperimentConfig,

@@ -413,6 +413,13 @@ class TestChunkedRepeats:
                                     candidates=("x", "x**3", "sin(4*x+0.2)", "sin(4*x)"),
                                     repeats=10, methods=evalsel.SCORE_METHODS[:5], seed=2),
          4),
+        # tree importance listed between rank methods, which score before it
+        (run_candidates_experiment,
+         CandidatesExperimentConfig(truth="sin(4*x)",
+                                    candidates=("x", "x**3", "sin(4*x+0.2)", "sin(4*x)"),
+                                    repeats=10, seed=2, tree=TreeParams(n_trees=3, depth=2),
+                                    methods=("kendall", "tree-importance", "t0", "pearson")),
+         4),
     ])
     def test_report_bytes_match_the_per_repeat_loop(self, run, cfg, q, monkeypatch):
         # the first cell's repeats split into full chunks and a shorter last one
@@ -444,11 +451,12 @@ class TestChunkedRepeats:
         assert [c for c in calls if c[0] != "kendall"] == [("tree-importance", 2, (n,))] * 9
 
     @pytest.mark.parametrize("methods", [("t0", "tree-importance"),
-                                         ("tree-importance", "kendall")])
+                                         ("tree-importance", "kendall"),
+                                         ("t0", "tree-importance", "kendall")])
     def test_tree_importance_reads_views_of_the_chunk(self, monkeypatch, methods):
         # each repeat's forest grows on its own columns of the chunk's matrix,
         # uncopied, and the chunk's features are held once: no stacked copy,
-        # and no shared sort once the last rank method has scored
+        # and no shared sort once the forests grow
         n, q = 200_000, 4
         calls = {}
         score = evalsel.score_features
@@ -467,7 +475,7 @@ class TestChunkedRepeats:
             run_candidates_experiment(cfg)
         finally:
             tracemalloc.stop()
-        ((chunk, _),) = calls[methods[1 - methods.index("tree-importance")]]
+        ((chunk, _),) = calls[next(m for m in methods if m != "tree-importance")]
         assert chunk.shape == (n, 2 * q)
         (first, held), (second, _) = calls["tree-importance"]
         assert first.shape == second.shape == (n, q)
