@@ -121,24 +121,28 @@ def _integer(low: int):
     return (f"an integer >= {low}", lambda v: type(v) is int and v >= low, int)
 
 
+def _array(entries: str, valid_entry, convert=tuple):
+    """The spec of a nonempty JSON array whose entries pass ``valid_entry``."""
+    return (f"a nonempty array{entries}",
+            lambda v: type(v) is list and len(v) > 0 and all(map(valid_entry, v)), convert)
+
+
 # what the JSON value of each config key must be, and how it becomes the
 # field value
 _STRING = ("a string", lambda v: type(v) is str, str)
-_STRINGS = ("an array of strings",
-            lambda v: type(v) is list and all(type(e) is str for e in v), tuple)
+_STRINGS = _array(" of strings", lambda e: type(e) is str)
 _CONFIG_VALUES = {
     "n": _integer(1), "repeats": _integer(1), "n_selected": _integer(1),
     "n_trees": _integer(1), "seed": _integer(0), "depth": _integer(0),
     "noise_var": ("a finite number >= 0", _is_variance, float),
     "value_dedup": ("true or false", lambda v: type(v) is bool, bool),
-    "noise_vars": ("an array of finite numbers >= 0",
-                   lambda v: type(v) is list and all(map(_is_variance, v)), tuple),
-    "methods": ("a nonempty array", lambda v: type(v) is list and len(v) > 0, tuple),
+    "noise_vars": _array(" of finite numbers >= 0", _is_variance),
+    "methods": _array("", lambda e: True),
     "architectures": _STRINGS, "binary_ops": _STRINGS, "candidates": _STRINGS,
-    "unary_ops": ("an array of strings and objects",
-                  lambda v: type(v) is list and all(type(e) in (str, dict) for e in v),
-                  lambda v: tuple(map(_unary_entry, v))),
-    "active_variables": ("an array or null", lambda v: v is None or type(v) is list,
+    "unary_ops": _array(" of strings and objects", lambda e: type(e) in (str, dict),
+                        lambda v: tuple(map(_unary_entry, v))),
+    "active_variables": ("a nonempty array or null",
+                         lambda v: v is None or type(v) is list and len(v) > 0,
                          lambda v: v if v is None else tuple(v)),
     "truth": _STRING, "input": _STRING, "response": _STRING,
     "tree": ("an object", lambda v: isinstance(v, dict),
@@ -531,7 +535,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SymrankError as exc:

@@ -544,7 +544,7 @@ def run_candidates_experiment(cfg: CandidatesExperimentConfig) -> ExperimentRepo
     truth_key = cfg.truth.replace(" ", "")
     cand_keys = [c.replace(" ", "") for c in cfg.candidates]
     if truth_key not in cand_keys:
-        raise LengthMismatch("truth expression must appear among the candidates")
+        raise ConfigError(f"config key 'truth': {cfg.truth!r} is not among the candidates")
     truth_col = cand_keys.index(truth_key)
     labels = np.zeros(len(cfg.candidates), dtype=bool)
     labels[truth_col] = True

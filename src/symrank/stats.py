@@ -1,12 +1,12 @@
 """Rank statistics: the concordant divergence, classical correlations, and
 the pairwise ranking quality metric with its optimal permutation.
 
-Each feature-response statistic has a column-batched ``*_scores`` scorer
-over an (n, q) feature matrix, and all but Kendall's tau a per-column
-reference function. Kendall's reference, the O(n^2) pair enumeration
-``kendall_tau``, is the test oracle in ``tests/test_stats.py``.
+:func:`batched_scores` scores each feature-response statistic over every
+column of an (n, q) feature matrix. All but Kendall's tau also have a
+per-column reference function. Kendall's reference, the O(n^2) pair
+enumeration ``kendall_tau``, is the test oracle in ``tests/test_stats.py``.
 
-A scorer takes one response of shape (n,) or one per column group, of
+The scorer takes one response of shape (n,) or one per column group, of
 shape (n, g) with q a multiple of g: column j pairs with response
 ``j // (q // g)``. Work on a response (its sort, ranks, ties and centring)
 runs once per group, and every column is still reduced on its own, so the
@@ -42,19 +42,14 @@ from .errors import (
 __all__ = [
     "batched_scores",
     "bayes_permutation",
-    "chatterjee_scores",
     "chatterjee_xi",
     "dense_ranks",
-    "kendall_scores",
     "midranks",
     "pearson",
-    "pearson_scores",
     "ranking_metric_T",
     "sorted_runs",
     "spearman",
-    "spearman_scores",
     "t0_divergence",
-    "t0_scores",
     "tied_pairs",
 ]
 
@@ -139,8 +134,8 @@ def t0_divergence(u, y) -> float:
     a concordant pair contributes 0. Zero exactly when the feature ranks the
     responses concordantly with strict feature order; always >= 0.
 
-    This is the O(n^2) pair-enumeration reference path; :func:`t0_scores`
-    computes it from midranks.
+    This is the O(n^2) pair-enumeration reference path;
+    :func:`batched_scores` computes it from midranks.
     """
     u, y = _paired(u, y)
     n = u.shape[0]
@@ -221,7 +216,7 @@ def _per_column(values, q) -> np.ndarray:
     return np.repeat(values, q // values.shape[0])
 
 
-def t0_scores(z, y) -> np.ndarray:
+def _t0(rows, ys, runs) -> np.ndarray:
     """:func:`t0_divergence` of every column, from midranks in O(q n log n).
 
     With r the feature's midranks and y_(k) the k-th smallest response,
@@ -232,10 +227,6 @@ def t0_scores(z, y) -> np.ndarray:
     bracket is 2 sum_k (k - r_(k)) y_(k), whose gaps k - r_(k) are exact
     half-integers, all zero for a strictly concordant feature.
     """
-    return batched_scores("t0", z, y)
-
-
-def _t0(rows, ys, runs) -> np.ndarray:
     g, n = ys.shape
     order, head = sorted_runs(ys)
     if not head.all():
@@ -251,11 +242,6 @@ def _t0(rows, ys, runs) -> np.ndarray:
     return 4.0 * total / (n * (n - 1))
 
 
-def pearson_scores(z, y) -> np.ndarray:
-    """:func:`pearson` of every column, bit for bit; 0.0 in place of ZeroVariance."""
-    return batched_scores("pearson", z, y)
-
-
 def _pearson(rows, ys, runs=None) -> np.ndarray:
     q, g = rows.shape[0], ys.shape[0]
     dz = rows - rows.mean(axis=1, keepdims=True)
@@ -268,11 +254,6 @@ def _pearson(rows, ys, runs=None) -> np.ndarray:
     out = np.zeros(q)
     out[live] = dots[live] / spread[live]
     return out
-
-
-def spearman_scores(z, y) -> np.ndarray:
-    """:func:`spearman` of every column, bit for bit; 0.0 in place of ZeroVariance."""
-    return batched_scores("spearman", z, y)
 
 
 def _spearman(rows, ys, runs) -> np.ndarray:
@@ -307,7 +288,7 @@ def _inversions(v, ref) -> np.ndarray:
     return ones_at[-1] - ones_at[:-1]
 
 
-def kendall_scores(z, y) -> np.ndarray:
+def _kendall(rows, ys, runs) -> np.ndarray:
     """(concordant - discordant) / C(n, 2) of every column, exactly, in
     O(q n log n); tied pairs count as neither.
 
@@ -316,12 +297,8 @@ def kendall_scores(z, y) -> np.ndarray:
     D counts the strict inversions of the y-ranks once each column is sorted
     by (u, y). Every count is an integer, so S is exact and S / C(n, 2) is
     bit for bit the pair enumeration's quotient. A constant column or a
-    constant y scores 0.0. Entries must be finite.
+    constant y scores 0.0.
     """
-    return batched_scores("kendall", z, y)
-
-
-def _kendall(rows, ys, runs) -> np.ndarray:
     (q, n), g = rows.shape, ys.shape[0]
     y_order, y_head = sorted_runs(ys)
     u_order, u_head = runs
@@ -346,12 +323,6 @@ def _kendall(rows, ys, runs) -> np.ndarray:
     return s / (n * (n - 1) / 2)
 
 
-def chatterjee_scores(z, y) -> np.ndarray:
-    """:func:`chatterjee_xi` of every column, bit for bit; -1.0 in place of
-    TiesPresent, so every column of a response with ties scores -1.0."""
-    return batched_scores("chatterjee", z, y)
-
-
 def _chatterjee(rows, ys, runs) -> np.ndarray:
     (q, n), g = rows.shape, ys.shape[0]
     y_order, y_head = sorted_runs(ys)
@@ -371,8 +342,14 @@ _RUNS_METHODS = ("t0", "spearman", "kendall", "chatterjee")
 
 
 def batched_scores(method: str, z, y, runs=None) -> np.ndarray:
-    """The ``{method}_scores`` of every column of z, for ``method`` one of
-    "t0", "pearson", "spearman", "kendall" and "chatterjee".
+    """The ``method`` statistic of every column of z against y, for
+    ``method`` one of "t0" (:func:`t0_divergence`, see :func:`_t0`),
+    "pearson", "spearman", "kendall" (see :func:`_kendall`) and "chatterjee"
+    (:func:`chatterjee_xi`). Entries must be finite. Pearson, Spearman and
+    Chatterjee give their per-column function's value bit for bit, with 0.0
+    in place of ZeroVariance for Pearson and Spearman and -1.0 in place of
+    TiesPresent for Chatterjee, so every column of a response with ties
+    scores -1.0.
 
     ``runs`` is :func:`sorted_runs` of z's columns as rows (of ``z.T``); it
     is not checked against z. With it, several methods scoring one z share

@@ -35,10 +35,10 @@ from symrank.partition import (
     oracle_varying_size,
 )
 from symrank.stats import (
+    batched_scores,
     bayes_permutation,
     ranking_metric_T,
     t0_divergence,
-    t0_scores,
 )
 from symrank.symgen import build_operator_set, expand_binary, expand_unary, raw_binary_count
 from symrank.tree import best_split, grow_tree, induced_permutation
@@ -241,7 +241,7 @@ def test_06_divergence_identities():
             dy = np.abs(y[:, None] - y[None, :])
             target = 2.0 * float(dy.sum() / 2.0) * 2.0 / (n * (n - 1))
             assert abs(ref + rev - target) <= 1e-12 * max(1.0, target)
-            assert abs(t0_scores(u[:, None], y)[0] - ref) <= 1e-12 * max(1.0, ref)
+            assert abs(batched_scores("t0", u[:, None], y)[0] - ref) <= 1e-12 * max(1.0, ref)
         # independent feature keeps the divergence bounded away from zero
         for n in (20, 50, 200):
             y = rng.normal(size=n)

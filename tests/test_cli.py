@@ -1,13 +1,17 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import symrank
 from symrank import cli, errors
@@ -30,12 +34,12 @@ MAPS_DOC = {
 }
 
 
-@pytest.fixture
-def data3(tmp_path):
+@pytest.fixture(scope="session")
+def data3(tmp_path_factory):
     rng = np.random.default_rng(123)
     x = rng.uniform(size=(12, 3))
     y = 2 * x[:, 0] ** 3 + 5 * x[:, 2] + 10
-    path = tmp_path / "data3.csv"
+    path = tmp_path_factory.mktemp("data") / "data3.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x1", "x2", "x3", "y"])
@@ -230,6 +234,41 @@ VALID_CONFIGS = {
 }
 
 
+# the csv config's input, replaced by the path of the data3 CSV when run
+FUZZ_CSV = "data3.csv"
+# what a mutation may set a config key to, and the keys it may set
+FUZZ_VALUES = (None, True, False, 0, 1, 2, -1, 0.5, "", "x", "bu", "t0", "sin(4*x)",
+               [], {}, ["ub"], ["x", "x**2"], ["t0", "kendall"], [0.0, 0.5], {"depth": 1})
+FUZZ_KEYS = sorted({"mode", *cli._CONFIG_VALUES})
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid experiment config with one or two mutations: a key set to a
+    value from FUZZ_VALUES (which adds a known key, too), a key dropped, a
+    value nested in an array, an array emptied, or an array entry repeated."""
+    mode = draw(st.sampled_from(sorted(VALID_CONFIGS)))
+    cfg = {**VALID_CONFIGS[mode], **({"input": FUZZ_CSV} if mode == "csv" else {})}
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["set", "drop", "nest", "empty", "repeat"]))
+        if kind == "set":
+            cfg[draw(st.sampled_from(FUZZ_KEYS))] = draw(st.sampled_from(FUZZ_VALUES))
+            continue
+        keys = sorted(k for k, v in cfg.items() if kind in ("drop", "nest") or type(v) is list)
+        if not keys:
+            continue
+        key = draw(st.sampled_from(keys))
+        if kind == "drop":
+            del cfg[key]
+        elif kind == "nest":
+            cfg[key] = [cfg[key]]
+        elif kind == "empty":
+            cfg[key] = []
+        else:
+            cfg[key] = cfg[key] + cfg[key][:1]
+    return cfg
+
+
 class TestExperiment:
     def test_signal_mode_deterministic(self, tmp_path):
         cfg = {"mode": "signal", "n": 30, "noise_vars": [0.0],
@@ -356,6 +395,15 @@ class TestExperiment:
         ("signal", {"unary_ops": [["id"]]}),
         ("candidates", {"candidates": ["x", 3]}),
         ("candidates", {"candidates": [["x"], "x"]}),
+        # empty arrays
+        ("signal", {"architectures": []}),
+        ("csv", {"architectures": []}),
+        ("signal", {"noise_vars": []}),
+        ("signal", {"binary_ops": []}),
+        ("csv", {"unary_ops": []}),
+        ("csv", {"active_variables": []}),
+        ("candidates", {"candidates": []}),
+        ("candidates", {"truth": "cos(x)"}),  # not among the candidates
     ])
     def test_invalid_config_exits_2_before_any_work(self, mode, change, data3, tmp_path,
                                                     capsys, monkeypatch):
@@ -491,6 +539,35 @@ class TestExperiment:
         assert rc == 2 and not out.exists()
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: config key {key!r} takes a string, got {value!r}"]
+
+    @given(cfg=mutated_configs())
+    @example(cfg={**VALID_CONFIGS["signal"], "architectures": []})
+    @example(cfg={**VALID_CONFIGS["signal"], "noise_vars": []})
+    @example(cfg={**VALID_CONFIGS["signal"], "binary_ops": []})
+    @example(cfg={**VALID_CONFIGS["signal"], "unary_ops": []})
+    @example(cfg={**VALID_CONFIGS["csv"], "input": FUZZ_CSV, "architectures": []})
+    @example(cfg={**VALID_CONFIGS["csv"], "input": FUZZ_CSV, "active_variables": []})
+    @example(cfg={**VALID_CONFIGS["candidates"], "candidates": []})
+    @example(cfg={**VALID_CONFIGS["signal"], "architectures": [["b", "u"]]})
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_config_runs_or_fails_cleanly(self, data3, cfg):
+        if cfg.get("input") == FUZZ_CSV:
+            cfg = {**cfg, "input": str(data3)}
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = Path(tmp) / "cfg.json"
+            cfg_path.write_text(json.dumps(cfg))
+            out = Path(tmp) / "out"
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(["experiment", "--config", str(cfg_path), "--out-dir", str(out)])
+            if rc == 0:
+                assert json.loads((out / "report.json").read_text())["runs"]
+                assert not [p.name for p in out.iterdir() if "[" in p.name or "'" in p.name]
+            else:
+                assert rc in (1, 2)
+                (line,) = err.getvalue().splitlines()
+                assert line.startswith("error: ")
+                assert not out.exists()
 
     def test_unknown_mode_exits_1(self, tmp_path):
         cfg_path = tmp_path / "mode.json"

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from symrank import evalsel
 from symrank.core import FeatureMatrix, derive_rng, var
 from symrank.errors import (
+    ConfigError,
     DimensionMismatch,
     KTooLarge,
     LengthMismatch,
@@ -378,7 +379,7 @@ class TestExperimentHarness:
     def test_truth_must_be_a_candidate(self):
         cfg = CandidatesExperimentConfig(
             truth="cos(x)", candidates=("x",), n=10, repeats=1, seed=1)
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigError, match=r"config key 'truth': 'cos\(x\)' is not among"):
             run_candidates_experiment(cfg)
 
 

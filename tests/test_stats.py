@@ -17,19 +17,14 @@ from symrank.stats import (
     _inversions,
     batched_scores,
     bayes_permutation,
-    chatterjee_scores,
     chatterjee_xi,
     dense_ranks,
-    kendall_scores,
     midranks,
     pearson,
-    pearson_scores,
     ranking_metric_T,
     sorted_runs,
     spearman,
-    spearman_scores,
     t0_divergence,
-    t0_scores,
     tied_pairs,
 )
 
@@ -49,7 +44,7 @@ def t0_by_ordered_pairs(u, y):
 
 def kendall_tau(u, y):
     """(concordant - discordant) / C(n, 2) by O(n^2) pair enumeration; tied
-    pairs count as neither. The oracle for :func:`kendall_scores`."""
+    pairs count as neither. The oracle for ``batched_scores("kendall", ...)``."""
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
     n = u.shape[0]
@@ -130,7 +125,7 @@ class TestT0:
             y = np.arange(n, dtype=float) * rng.uniform(0.5, 2.0)
             rng.shuffle(y)
             ref = t0_divergence(u, y)
-            fast = t0_scores(u[:, None], y)[0]
+            fast = batched_scores("t0", u[:, None], y)[0]
             assert fast == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
     def test_ranks_features_by_midrank_response_covariance(self):
@@ -158,8 +153,8 @@ class TestT0:
 
 
 def batched_tau(u, y):
-    """:func:`kendall_scores` of one column."""
-    return kendall_scores(np.asarray(u, dtype=float)[:, None], y)[0]
+    """``batched_scores("kendall", ...)`` of one column."""
+    return batched_scores("kendall", np.asarray(u, dtype=float)[:, None], y)[0]
 
 
 class TestKendall:
@@ -421,8 +416,9 @@ def grouped_inputs(draw):
 
 
 def t0_from_reordered_rows(z, y):
-    """:func:`t0_scores` with each column's gaps taken from a sort of its
-    copy put in increasing-response order, one response group at a time."""
+    """``batched_scores("t0", ...)`` with each column's gaps taken from a sort
+    of its copy put in increasing-response order, one response group at a
+    time."""
     n = z.shape[0]
     y = y.reshape(n, -1)
     m = z.shape[1] // y.shape[1]
@@ -446,22 +442,20 @@ class TestBatchedScorers:
         z, y = inputs
         if column_major:
             z = np.asfortranarray(z)
-        separate = {"pearson": pearson_scores, "spearman": spearman_scores,
-                    "kendall": kendall_scores, "chatterjee": chatterjee_scores}
+        methods = ["pearson", "spearman", "kendall", "chatterjee"]
         if all(np.unique(yk).size == yk.size for yk in y.T):
-            separate["t0"] = t0_scores
-            assert t0_scores(z, y).tobytes() == t0_from_reordered_rows(z, y).tobytes()
+            methods.append("t0")
+            assert batched_scores("t0", z, y).tobytes() == t0_from_reordered_rows(z, y).tobytes()
         else:
             with pytest.raises(TiesInResponse):
                 batched_scores("t0", z, y, sorted_runs(z.T))
-        methods = list(separate)
         if shuffle is not None:
             shuffle.shuffle(methods)
         # one sort for every method in turn: no scorer may change it
         runs = sorted_runs(z.T)
         for method in methods:
             assert (batched_scores(method, z, y, runs).tobytes()
-                    == separate[method](z, y).tobytes())
+                    == batched_scores(method, z, y).tobytes())
 
     @given(grouped_inputs())
     @example((np.array([[1.0, 0.1], [1.0, 0.1]]), np.array([[0.0, 3.0], [0.0, 2.0]])))
@@ -471,29 +465,29 @@ class TestBatchedScorers:
         g = y.shape[1]
         m = z.shape[1] // g
         groups = [(z[:, k * m:(k + 1) * m], y[:, k]) for k in range(g)]
-        for scorer in (pearson_scores, spearman_scores, kendall_scores, chatterjee_scores):
-            expected = np.concatenate([scorer(zk, yk) for zk, yk in groups])
-            assert scorer(z, y).tobytes() == expected.tobytes()
-        kendall, chatterjee = kendall_scores(z, y), chatterjee_scores(z, y)
+        for method in ("pearson", "spearman", "kendall", "chatterjee"):
+            expected = np.concatenate([batched_scores(method, zk, yk) for zk, yk in groups])
+            assert batched_scores(method, z, y).tobytes() == expected.tobytes()
+        kendall, chatterjee = batched_scores("kendall", z, y), batched_scores("chatterjee", z, y)
         for j in range(z.shape[1]):
             assert kendall[j] == kendall_tau(z[:, j], y[:, j // m])
             assert chatterjee[j] == _oracle(chatterjee_xi, z[:, j], y[:, j // m], -1.0)
         if all(np.unique(yk).size == yk.size for _, yk in groups):
-            expected = np.concatenate([t0_scores(zk, yk) for zk, yk in groups])
-            assert t0_scores(z, y).tobytes() == expected.tobytes()
+            expected = np.concatenate([batched_scores("t0", zk, yk) for zk, yk in groups])
+            assert batched_scores("t0", z, y).tobytes() == expected.tobytes()
         else:
             with pytest.raises(TiesInResponse):
-                t0_scores(z, y)
+                batched_scores("t0", z, y)
 
     @given(scoring_inputs())
     @settings(max_examples=150, deadline=None)
     def test_agree_with_per_column_oracles(self, inputs):
         z, y = inputs
-        t0 = t0_scores(z, y)
-        kendall = kendall_scores(z, y)
-        chatterjee = chatterjee_scores(z, y)
-        pearson_r = pearson_scores(z, y)
-        spearman_r = spearman_scores(z, y)
+        t0 = batched_scores("t0", z, y)
+        kendall = batched_scores("kendall", z, y)
+        chatterjee = batched_scores("chatterjee", z, y)
+        pearson_r = batched_scores("pearson", z, y)
+        spearman_r = batched_scores("spearman", z, y)
         for j in range(z.shape[1]):
             col = z[:, j]
             ref = t0_divergence(col, y)
@@ -511,7 +505,7 @@ class TestBatchedScorers:
     @settings(max_examples=200, deadline=None)
     def test_kendall_matches_oracle_with_ties_in_both(self, inputs):
         z, y = inputs
-        scores = kendall_scores(z, y)
+        scores = batched_scores("kendall", z, y)
         for j in range(z.shape[1]):
             assert scores[j] == kendall_tau(z[:, j], y)
         # columns 0, 1 and 2 are equal up to increasing maps, 3 is reversed
@@ -534,32 +528,30 @@ class TestBatchedScorers:
         # NaN equals nothing, so it would rank as a value of its own
         z = np.array([[1.0, 2.0], [bad, 1.0], [3.0, 0.5], [4.0, 3.0]])
         y = np.array([1.0, 2.0, 3.0, 4.0])
-        for scorer in (t0_scores, kendall_scores, chatterjee_scores, pearson_scores,
-                       spearman_scores):
+        for method in ("t0", "kendall", "chatterjee", "pearson", "spearman"):
             with pytest.raises(NonFiniteData):
-                scorer(z, y)
+                batched_scores(method, z, y)
             with pytest.raises(NonFiniteData):
-                scorer(z[:, 1:], np.where(y == 2.0, bad, y))
+                batched_scores(method, z[:, 1:], np.where(y == 2.0, bad, y))
         for fn in (t0_divergence, pearson, spearman, chatterjee_xi):
             with pytest.raises(NonFiniteData):
                 fn(z[:, 0], y)
 
     def test_t0_response_ties_rejected(self):
         with pytest.raises(TiesInResponse):
-            t0_scores(np.eye(3), [1.0, 1.0, 2.0])
+            batched_scores("t0", np.eye(3), [1.0, 1.0, 2.0])
 
     def test_no_columns(self):
-        for scorer in (t0_scores, kendall_scores, chatterjee_scores, pearson_scores,
-                       spearman_scores):
-            assert scorer(np.zeros((4, 0)), [1.0, 2.0, 3.0, 4.0]).shape == (0,)
+        for method in ("t0", "kendall", "chatterjee", "pearson", "spearman"):
+            assert batched_scores(method, np.zeros((4, 0)), [1.0, 2.0, 3.0, 4.0]).shape == (0,)
 
     def test_shape_mismatch(self):
         with pytest.raises(LengthMismatch):
-            t0_scores(np.zeros((3, 2)), [1.0, 2.0])
+            batched_scores("t0", np.zeros((3, 2)), [1.0, 2.0])
         with pytest.raises(LengthMismatch):
-            kendall_scores(np.zeros(3), [1.0, 2.0, 3.0])
+            batched_scores("kendall", np.zeros(3), [1.0, 2.0, 3.0])
         for groups in (0, 2):  # three columns split into no groups or uneven ones
             with pytest.raises(LengthMismatch):
-                pearson_scores(np.zeros((3, 3)), np.zeros((3, groups)))
+                batched_scores("pearson", np.zeros((3, 3)), np.zeros((3, groups)))
         with pytest.raises(LengthMismatch, match="no batched scorer"):
             batched_scores("tree-importance", np.zeros((3, 1)), [1.0, 2.0, 3.0])
