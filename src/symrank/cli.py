@@ -318,7 +318,8 @@ def cmd_experiment(args) -> int:
         source = [_config_value(key, raw.get(key)) for key in ("input", "response")]
         report = run_csv_experiment(load_csv(*source), cfg)
     else:
-        raise SymrankError(f"unknown experiment mode {mode!r}")
+        raise ConfigError("config key 'mode' takes one of 'signal', 'candidates', "
+                          f"'csv', got {mode!r}")
 
     out = Path(args.out_dir)
     _write_json(out / "report.json", report.primary_document())

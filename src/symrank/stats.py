@@ -2,9 +2,10 @@
 the pairwise ranking quality metric with its optimal permutation.
 
 :func:`batched_scores` scores each feature-response statistic over every
-column of an (n, q) feature matrix. All but Kendall's tau also have a
-per-column reference function. Kendall's reference, the O(n^2) pair
-enumeration ``kendall_tau``, is the test oracle in ``tests/test_stats.py``.
+column of an (n, q) feature matrix. Pearson, Spearman and Chatterjee also
+have a per-column reference function, and :func:`t0_divergence` is the
+one-column form of the t0 kernel. The O(n^2) pair enumerations of t0 and
+Kendall's tau are the test oracles in ``tests/test_stats.py``.
 
 The scorer takes one response of shape (n,) or one per column group, of
 shape (n, g) with q a multiple of g: column j pairs with response
@@ -134,21 +135,11 @@ def t0_divergence(u, y) -> float:
     a concordant pair contributes 0. Zero exactly when the feature ranks the
     responses concordantly with strict feature order; always >= 0.
 
-    This is the O(n^2) pair-enumeration reference path;
-    :func:`batched_scores` computes it from midranks.
+    The one-column case of the rank form :func:`_t0`, in O(n log n): bit for
+    bit ``batched_scores("t0", u[:, None], y)[0]``.
     """
     u, y = _paired(u, y)
-    n = u.shape[0]
-    if np.unique(y).size != n:
-        raise TiesInResponse("response vector contains exact ties")
-    du = u[:, None] - u[None, :]
-    dy = y[:, None] - y[None, :]
-    ady = np.abs(dy)
-    # ordered pairs (i, j): 1(u_i >= u_j) 1(y_i < y_j) + 1(u_i < u_j) 1(y_i >= y_j)
-    hits = ((du >= 0) & (dy < 0)) | ((du < 0) & (dy >= 0))
-    np.fill_diagonal(hits, False)
-    total = float(np.sum(ady, where=hits))
-    return 2.0 * total / (n * (n - 1))
+    return float(_t0(u[None], y[None], sorted_runs(u[None]))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -240,19 +241,84 @@ FUZZ_CSV = "data3.csv"
 FUZZ_VALUES = (None, True, False, 0, 1, 2, -1, 0.5, "", "x", "bu", "t0", "sin(4*x)",
                [], {}, ["ub"], ["x", "x**2"], ["t0", "kendall"], [0.0, 0.5], {"depth": 1})
 FUZZ_KEYS = sorted({"mode", *cli._CONFIG_VALUES})
+# out-of-range values for each numeric key, from ranges the config check
+# must reject, and cheap valid extremes; a valid but huge n, repeats,
+# n_trees or noise variance would only make a slow run
+_NOT_INTEGRAL = st.floats().filter(lambda v: not v.is_integer())
+_BAD_VARIANCE = st.floats(max_value=-1e-300) | st.sampled_from([math.nan, math.inf])
+FUZZ_RANGES = {
+    "n": st.integers(max_value=0) | _NOT_INTEGRAL,
+    "repeats": st.integers(max_value=0) | _NOT_INTEGRAL,
+    "n_selected": st.integers(max_value=10**30) | _NOT_INTEGRAL,
+    "seed": st.integers(max_value=10**40) | _NOT_INTEGRAL,
+    "noise_var": _BAD_VARIANCE,
+    "noise_vars": _BAD_VARIANCE.map(lambda v: [0.0, v]),
+    "tree.n_trees": st.integers(max_value=0) | _NOT_INTEGRAL,
+    "tree.depth": st.integers(max_value=10**6) | _NOT_INTEGRAL,
+}
+_FIELDS = {mode: {f.name for f in dataclasses.fields(cls)} for mode, cls in (
+    ("signal", SignalExperimentConfig), ("candidates", CandidatesExperimentConfig),
+    ("csv", CsvExperimentConfig))}
+# characters of CSV text: digits, number signs, separators, quotes, line
+# breaks and the letters of "nan", "x" and "y"
+_CSV_CHARS = '0123456789.,-+eE"\r\n\t xyn'
+
+
+@st.composite
+def fuzz_csv_bytes(draw):
+    """The bytes of a CSV input: random bytes, random text over _CSV_CHARS,
+    or a valid CSV of x1, x2, x3 and y with up to three bytes replaced,
+    inserted or deleted."""
+    kind = draw(st.sampled_from(["bytes", "text", "mutated"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=300))
+    if kind == "text":
+        return draw(st.text(_CSV_CHARS, max_size=300)).encode()
+    rows = draw(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4),
+                         min_size=2, max_size=12))
+    data = bytearray(("x1,x2,x3,y\n" + "".join(",".join(map(repr, row)) + "\n"
+                                                 for row in rows)).encode())
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data) - 1))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit == "delete":
+            del data[at]
+        elif edit == "replace":
+            data[at] = draw(st.integers(0, 255))
+        else:
+            data.insert(at, draw(st.integers(0, 255)))
+    return bytes(data)
 
 
 @st.composite
 def mutated_configs(draw):
     """A valid experiment config with one or two mutations: a key set to a
-    value from FUZZ_VALUES (which adds a known key, too), a key dropped, a
-    value nested in an array, an array emptied, or an array entry repeated."""
+    value from FUZZ_VALUES (which adds a known key, too), a numeric key set
+    from FUZZ_RANGES, a key dropped, a value nested in an array, an array
+    emptied, an array entry repeated, or, in csv mode, the input replaced by
+    the bytes of ``fuzz_csv_bytes``."""
     mode = draw(st.sampled_from(sorted(VALID_CONFIGS)))
     cfg = {**VALID_CONFIGS[mode], **({"input": FUZZ_CSV} if mode == "csv" else {})}
+    kinds = ["set", "range", "drop", "nest", "empty", "repeat"]
+    if mode == "csv":
+        kinds.append("bytes")
     for _ in range(draw(st.integers(1, 2))):
-        kind = draw(st.sampled_from(["set", "drop", "nest", "empty", "repeat"]))
+        kind = draw(st.sampled_from(kinds))
         if kind == "set":
             cfg[draw(st.sampled_from(FUZZ_KEYS))] = draw(st.sampled_from(FUZZ_VALUES))
+            continue
+        if kind == "range":
+            key = draw(st.sampled_from(sorted(k for k in FUZZ_RANGES
+                                              if k.split(".")[0] in _FIELDS[mode])))
+            value = draw(FUZZ_RANGES[key])
+            if key.startswith("tree."):
+                tree = cfg.get("tree")
+                cfg["tree"] = {**(tree if isinstance(tree, dict) else {}), key[5:]: value}
+            else:
+                cfg[key] = value
+            continue
+        if kind == "bytes":
+            cfg["input"] = draw(fuzz_csv_bytes())
             continue
         keys = sorted(k for k, v in cfg.items() if kind in ("drop", "nest") or type(v) is list)
         if not keys:
@@ -549,11 +615,19 @@ class TestExperiment:
     @example(cfg={**VALID_CONFIGS["csv"], "input": FUZZ_CSV, "active_variables": []})
     @example(cfg={**VALID_CONFIGS["candidates"], "candidates": []})
     @example(cfg={**VALID_CONFIGS["signal"], "architectures": [["b", "u"]]})
-    @settings(max_examples=300, deadline=None)
+    @example(cfg={**VALID_CONFIGS["signal"], "n": -10**30})
+    @example(cfg={**VALID_CONFIGS["signal"], "n_selected": 10**30, "seed": 10**40,
+                  "tree": {"depth": 10**6}})
+    @example(cfg={**VALID_CONFIGS["candidates"], "noise_var": math.nan})
+    @example(cfg={**VALID_CONFIGS["csv"], "input": b"\xe9,y\n1,2\n"})
+    @settings(max_examples=400, deadline=None)
     def test_mutated_config_runs_or_fails_cleanly(self, data3, cfg):
-        if cfg.get("input") == FUZZ_CSV:
-            cfg = {**cfg, "input": str(data3)}
         with tempfile.TemporaryDirectory() as tmp:
+            if cfg.get("input") == FUZZ_CSV:
+                cfg = {**cfg, "input": str(data3)}
+            elif isinstance(cfg.get("input"), bytes):
+                (Path(tmp) / "input.csv").write_bytes(cfg["input"])
+                cfg = {**cfg, "input": str(Path(tmp) / "input.csv")}
             cfg_path = Path(tmp) / "cfg.json"
             cfg_path.write_text(json.dumps(cfg))
             out = Path(tmp) / "out"
@@ -569,12 +643,17 @@ class TestExperiment:
                 assert line.startswith("error: ")
                 assert not out.exists()
 
-    def test_unknown_mode_exits_1(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["nope", ["signal"], None, 0],
+                             ids=["string", "array", "null", "integer"])
+    def test_unknown_mode_exits_2_naming_the_key(self, mode, tmp_path, capsys):
         cfg_path = tmp_path / "mode.json"
-        cfg_path.write_text(json.dumps({"mode": "nope"}))
-        rc = main(["experiment", "--config", str(cfg_path),
-                   "--out-dir", str(tmp_path / "x")])
-        assert rc != 0
+        cfg_path.write_text(json.dumps({**VALID_CONFIGS["signal"], "mode": mode}))
+        out = tmp_path / "x"
+        rc = main(["experiment", "--config", str(cfg_path), "--out-dir", str(out)])
+        assert rc == 2 and not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: config key 'mode' takes one of 'signal', 'candidates', "
+                       f"'csv', got {mode!r}"]
 
 
 class TestTree:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,9 +125,23 @@ class TestT0:
             u = rng.integers(0, 6, size=n).astype(float)
             y = np.arange(n, dtype=float) * rng.uniform(0.5, 2.0)
             rng.shuffle(y)
-            ref = t0_divergence(u, y)
+            ref = t0_by_ordered_pairs(u, y)
             fast = batched_scores("t0", u[:, None], y)[0]
             assert fast == pytest.approx(ref, rel=1e-12, abs=1e-15)
+            assert t0_divergence(u, y) == fast
+
+    def test_memory_grows_linearly(self):
+        # no n x n array: an (n, n) float temporary alone would be 72 MB
+        rng = derive_rng(12)
+        n = 3000
+        u, y = rng.normal(size=n), rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            t0_divergence(u, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
     def test_ranks_features_by_midrank_response_covariance(self):
         # t0 = 2/(n(n-1)) [sum_k (2k-n-1) y_(k) - 2 sum_i (r_i - (n+1)/2) y_i]:
@@ -490,7 +505,7 @@ class TestBatchedScorers:
         spearman_r = batched_scores("spearman", z, y)
         for j in range(z.shape[1]):
             col = z[:, j]
-            ref = t0_divergence(col, y)
+            ref = t0_by_ordered_pairs(col, y)
             assert abs(t0[j] - ref) <= 1e-12 * max(1.0, ref)
             assert kendall[j] == kendall_tau(col, y)
             assert chatterjee[j] == _oracle(chatterjee_xi, col, y, -1.0)
