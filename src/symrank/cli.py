@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -117,8 +118,9 @@ def _is_variance(value) -> bool:
     return _is_number(value) and value >= 0
 
 
-def _integer(low: int):
-    return (f"an integer >= {low}", lambda v: type(v) is int and v >= low, int)
+def _integer(low: int, high: float = math.inf):
+    kind = f"an integer >= {low}" + ("" if high == math.inf else f" and <= {high}")
+    return (kind, lambda v: type(v) is int and low <= v <= high, int)
 
 
 def _array(entries: str, valid_entry, convert=tuple):
@@ -131,8 +133,12 @@ def _array(entries: str, valid_entry, convert=tuple):
 # field value
 _STRING = ("a string", lambda v: type(v) is str, str)
 _STRINGS = _array(" of strings", lambda e: type(e) is str)
+# A float64 column of 2**40 values is 8 TiB, so below this bound on n a
+# synthetic run fails, if at all, with a MemoryError (exit 1) and not with
+# numpy's checks on array dimensions and sizes.
+_MAX_N = 2**40
 _CONFIG_VALUES = {
-    "n": _integer(1), "repeats": _integer(1), "n_selected": _integer(1),
+    "n": _integer(1, _MAX_N), "repeats": _integer(1), "n_selected": _integer(1),
     "n_trees": _integer(1), "seed": _integer(0), "depth": _integer(0),
     "noise_var": ("a finite number >= 0", _is_variance, float),
     "value_dedup": ("true or false", lambda v: type(v) is bool, bool),
@@ -489,13 +495,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", parents=[csv_input, out_dir, scoring],
                        help="pick the top features per method")
     p.add_argument("--methods", default="t0")
-    p.add_argument("--n-selected", type=int, default=3)
+    p.add_argument("--n-selected", type=_option(_integer(1)), default=3)
     p.set_defaults(fn=cmd_select)
 
     p = sub.add_parser("experiment", parents=[out_dir],
                        help="run a JSON-configured experiment")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_SEED, default=None,
                    help="fallback seed when the config omits one")
     p.set_defaults(fn=cmd_experiment)
 
@@ -542,6 +548,9 @@ def main(argv=None) -> int:
     except SymrankError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,7 +1,6 @@
 """Shared domain types: datasets, expressions, rankings, partitions, intervals.
 
-All types are immutable after construction (arrays are marked read-only) and
-safe to share across concurrent workers.
+All types are immutable after construction (arrays are marked read-only).
 """
 
 from __future__ import annotations
@@ -54,6 +53,20 @@ def _is_number(value) -> bool:
     """Whether a JSON value is a finite number."""
     # exact for huge JSON integers too; false for bools, NaN and infinities
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+# n * max|y| below this keeps every sum over n entries of y, y**2 and
+# (y - mean(y))**2 finite: each squared sum stays below 2**1023
+_RESPONSE_BOUND = 2.0**511
+
+
+def _bounded_response(y: np.ndarray) -> None:
+    """NonFiniteData unless the rows of y (along its last axis) are small
+    enough for their squared sums to stay finite."""
+    largest = float(np.abs(y).max(initial=0.0))
+    if not largest * y.shape[-1] < _RESPONSE_BOUND:
+        raise NonFiniteData(f"response too large: n * max|y| = {y.shape[-1]} * {largest:g} "
+                            f"must stay below 2**511 for its squared sums to be finite")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -110,9 +123,6 @@ class Expression:
         lhs = self.children[0].evaluate(x, unary_ops, binary_ops)
         rhs = self.children[1].evaluate(x, unary_ops, binary_ops)
         return np.asarray(binary_ops[self.op](lhs, rhs))
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.canonical()
 
 
 def var(index: int) -> Expression:
@@ -195,10 +205,6 @@ class FeatureMatrix:
     exprs: tuple[Expression, ...]
 
     @property
-    def n(self) -> int:
-        return self.z.shape[0]
-
-    @property
     def q(self) -> int:
         return self.z.shape[1]
 
@@ -220,9 +226,6 @@ class RankPermutation:
         n = len(self.order)
         if sorted(self.order) != list(range(n)):
             raise DimensionMismatch("order is not a permutation of 0..N-1")
-
-    def __len__(self) -> int:
-        return len(self.order)
 
 
 def sort_by_response(ds: Dataset) -> RankPermutation:
@@ -261,28 +264,22 @@ def _group_stats(y: np.ndarray, idx) -> tuple[float, float]:
     return mean, float(np.sum((vals - mean) ** 2))
 
 
-def make_partition2(y, left, right=None) -> Partition2:
-    """Build a validated Partition2 of ``range(len(y))`` from one side.
+def make_partition2(y, left) -> Partition2:
+    """The validated Partition2 of ``range(len(y))`` with ``left`` on one
+    side and the rest on the other.
 
-    ``right`` defaults to the complement of ``left``.
+    Raises DimensionMismatch unless ``left`` holds distinct indices in
+    0..n-1, and EmptySide unless both sides are nonempty.
     """
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
     left = tuple(sorted(int(i) for i in left))
     left_set = set(left)
-    if right is None:
-        right = tuple(i for i in range(n) if i not in left_set)
-    else:
-        right = tuple(sorted(int(i) for i in right))
+    if len(left_set) < len(left) or not left_set <= set(range(n)):
+        raise DimensionMismatch(f"a partition side takes distinct indices in 0..{n - 1}")
+    right = tuple(i for i in range(n) if i not in left_set)
     if not left or not right:
         raise EmptySide("both partition sides must be nonempty")
-    right_set = set(right)
-    if len(left_set) < len(left) or len(right_set) < len(right):
-        raise DimensionMismatch("a partition side repeats an index")
-    if left_set & right_set:
-        raise DimensionMismatch("partition sides overlap")
-    if left_set | right_set != set(range(n)):
-        raise DimensionMismatch("partition sides must cover all indices")
     mean_l, sse_l = _group_stats(y, list(left))
     mean_r, sse_r = _group_stats(y, list(right))
     return Partition2(left, right, mean_l, mean_r, sse_l, sse_r)
@@ -316,17 +313,6 @@ class Interval:
             return False
         return True
 
-    def intersect(self, other: "Interval") -> "Interval | None":
-        """Intersection, or None when empty."""
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        if lo > hi:
-            return None
-        lo_closed = self.contains(lo) and other.contains(lo)
-        hi_closed = self.contains(hi) and other.contains(hi)
-        if lo == hi and not (lo_closed and hi_closed):
-            return None
-        return Interval(lo, hi, lo_closed, hi_closed)
-
     def __str__(self) -> str:
         lb = "[" if self.lo_closed else "("
         rb = "]" if self.hi_closed else ")"
@@ -340,8 +326,8 @@ class Interval:
 def derive_rng(seed: int, *stream: int) -> np.random.Generator:
     """Derive an independent generator for (seed, stream...).
 
-    Repeat streams keyed this way are reproducible and safe to draw from in
-    parallel: the stream key feeds SeedSequence's spawn key.
+    Repeat streams keyed this way are reproducible and independent of each
+    other: the stream key feeds SeedSequence's spawn key.
     """
     return np.random.default_rng(
         np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stream))

@@ -290,9 +290,11 @@ def _candidate_chunk(n: int, truth: UnaryOp, candidates, noise_var: float, seed:
 # experiment harness
 # ---------------------------------------------------------------------------
 
-def _run_repeats(job, chunks) -> list:
-    """Evaluate job(chunk) for each chunk of repeats, in order."""
-    return [job(chunk) for chunk in chunks]
+# a function of its own: perfbench/spans.py wraps it by name to time the runner
+def _run_repeats(job, chunks) -> None:
+    """Run job(chunk) for each chunk of repeats, in order."""
+    for chunk in chunks:
+        job(chunk)
 
 
 @dataclass(frozen=True)
@@ -416,15 +418,17 @@ def _run_cells(cells, methods, repeats, n_selected, seed, tree):
     forest on that repeat's columns of the chunk's matrix, uncopied.
     """
     runtimes = dict.fromkeys((f"{c.key}/{m}" for c in cells for m in methods), 0.0)
+    order = sorted(enumerate(methods), key=lambda m: m[1] == "tree-importance")
+    # per cell and method, the (selection, tie, pr) of each repeat in order
+    picks = [[[] for _ in methods] for _ in cells]
 
-    def job(chunk) -> list:
-        cell, reps = chunk
+    def job(chunk) -> None:
+        cell, reps, cell_picks = chunk
         z, ys = cell.data(reps)
         q = len(cell.exprs)
         chunk_fm = FeatureMatrix(z, cell.exprs * len(reps))
         runs = None
-        picks = [[None] * len(methods) for _ in reps]
-        for mi, method in sorted(enumerate(methods), key=lambda m: m[1] == "tree-importance"):
+        for mi, method in order:
             start = time.perf_counter()
             if method == "tree-importance":
                 runs = None
@@ -441,21 +445,15 @@ def _run_cells(cells, methods, repeats, n_selected, seed, tree):
             chosen = [(select_top(ms, n_selected), selection_boundary_tie(ms, n_selected))
                       for ms in scored]
             runtimes[f"{cell.key}/{method}"] += time.perf_counter() - start
-            for pick, (selection, tie), ms in zip(picks, chosen, scored):
+            for (selection, tie), ms in zip(chosen, scored):
                 pr = pr_auc(cell.labels, ms, n_selected) if cell.labels is not None else None
-                pick[mi] = (selection, tie, pr)
-        return picks
+                cell_picks[mi].append((selection, tie, pr))
 
-    chunks = [(cell, reps) for cell in cells
-              for reps in _chunks(cell.n * len(cell.exprs), repeats)]
-    per_repeat = [pick for part in _run_repeats(job, chunks) for pick in part]
-    results = []
-    for ci, cell in enumerate(cells):
-        picks = per_repeat[ci * repeats:(ci + 1) * repeats]
-        results.append([_method_entry(method, [pick[mi] for pick in picks], cell.labels,
-                                      n_selected)
-                        for mi, method in enumerate(methods)])
-    return results, runtimes
+    _run_repeats(job, [(cell, reps, cell_picks) for cell, cell_picks in zip(cells, picks)
+                       for reps in _chunks(cell.n * len(cell.exprs), repeats)])
+    return [[_method_entry(method, cell_picks[mi], cell.labels, n_selected)
+             for mi, method in enumerate(methods)]
+            for cell, cell_picks in zip(cells, picks)], runtimes
 
 
 def _side_by_side(matrices) -> np.ndarray:

@@ -96,22 +96,18 @@ def _segment_intervals(lo: float, hi: float, breakpoints) -> list[Interval]:
 def piecewise_monotone(domain, breakpoints, exprs, directions) -> PiecewiseMonotone:
     """Validate and build a piecewise-monotone transform.
 
-    ``domain`` is a (lo, hi) pair or Interval; ``breakpoints`` the interior
-    segment boundaries in ascending order; ``exprs`` one expression string
-    per segment; ``directions`` the declared direction per segment.
-    Strict monotonicity is spot-checked on a 101-point grid per segment.
+    ``domain`` is a (lo, hi) pair; ``breakpoints`` the interior segment
+    boundaries in ascending order; ``exprs`` one expression string per
+    segment; ``directions`` the declared direction per segment. Strict
+    monotonicity is spot-checked on a 101-point grid per segment.
     """
-    if isinstance(domain, Interval):
-        dom = domain
-    else:
-        lo, hi = (float(v) for v in domain)
-        dom = Interval(lo, hi)
-    if dom.lo >= dom.hi:
+    lo, hi = (float(v) for v in domain)
+    if lo >= hi:
         raise DimensionMismatch("domain must have positive length")
     breakpoints = tuple(float(b) for b in breakpoints)
     if any(b2 <= b1 for b1, b2 in zip(breakpoints, breakpoints[1:])):
         raise DimensionMismatch("breakpoints must be strictly ascending")
-    if breakpoints and (breakpoints[0] <= dom.lo or breakpoints[-1] >= dom.hi):
+    if breakpoints and (breakpoints[0] <= lo or breakpoints[-1] >= hi):
         raise DimensionMismatch("breakpoints must lie strictly inside the domain")
     exprs = list(exprs)
     directions = list(directions)
@@ -123,7 +119,7 @@ def piecewise_monotone(domain, breakpoints, exprs, directions) -> PiecewiseMonot
 
     segments = []
     for interval, expr, direction in zip(
-            _segment_intervals(dom.lo, dom.hi, breakpoints), exprs, directions):
+            _segment_intervals(lo, hi, breakpoints), exprs, directions):
         if direction not in ("increasing", "decreasing"):
             raise DimensionMismatch(f"direction must be increasing/decreasing, got {direction!r}")
         fn = parse_univariate(expr) if isinstance(expr, str) else expr
@@ -150,7 +146,7 @@ def piecewise_monotone(domain, breakpoints, exprs, directions) -> PiecewiseMonot
             raise MergeableSegments(
                 f"segments around x={a.interval.hi} merge into one {a.direction} piece")
 
-    return PiecewiseMonotone(dom, breakpoints, tuple(segments))
+    return PiecewiseMonotone(Interval(lo, hi), breakpoints, tuple(segments))
 
 
 def load_piecewise(doc: dict) -> PiecewiseMonotone:

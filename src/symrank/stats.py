@@ -23,15 +23,14 @@ sorted runs of a matrix's columns, so the methods that score one matrix can
 share one sort of it.
 
 Every statistic of a feature and a response raises NonFiniteData on NaN
-or infinite entries. All functions are pure and safe for concurrent
-invocation on shared inputs.
+or infinite entries. All functions are pure.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import RankPermutation
+from .core import RankPermutation, _bounded_response
 from .errors import (
     LengthMismatch,
     NonFiniteData,
@@ -147,8 +146,11 @@ def t0_divergence(u, y) -> float:
 # ---------------------------------------------------------------------------
 
 def pearson(u, y) -> float:
-    """Standard sample Pearson correlation; raises ZeroVariance on constants."""
+    """Standard sample Pearson correlation; raises ZeroVariance on constants
+    and NonFiniteData on a response too large for its squared sums (see
+    :data:`.core._RESPONSE_BOUND`)."""
     u, y = _paired(u, y)
+    _bounded_response(y)
     du = u - u.mean()
     dy = y - y.mean()
     spread = float(np.sqrt(np.sum(du**2))) * float(np.sqrt(np.sum(dy**2)))
@@ -234,6 +236,7 @@ def _t0(rows, ys, runs) -> np.ndarray:
 
 
 def _pearson(rows, ys, runs=None) -> np.ndarray:
+    _bounded_response(ys)
     q, g = rows.shape[0], ys.shape[0]
     dz = rows - rows.mean(axis=1, keepdims=True)
     dy = ys - ys.mean(axis=1, keepdims=True)

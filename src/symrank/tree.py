@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RankPermutation, _group_stats, _is_number, derive_rng
+from .core import RankPermutation, _bounded_response, _group_stats, _is_number, derive_rng
 from .errors import (
     ColumnMismatch,
     DimensionMismatch,
@@ -116,8 +116,11 @@ def _response_pairs(y: np.ndarray) -> np.ndarray:
 
     Complex addition adds the real and the imaginary parts separately, so one
     cumulative sum of these gives the running sums of y and of y**2, each bit
-    for bit as a float cumulative sum would.
+    for bit as a float cumulative sum would. Raises NonFiniteData when y is
+    too large for the split losses to stay finite (see
+    :data:`.core._RESPONSE_BOUND`).
     """
+    _bounded_response(y)
     pairs = np.empty(y.shape, dtype=complex)
     pairs.real = y
     pairs.imag = np.square(y)

@@ -116,6 +116,18 @@ class TestScore:
             0.338 / np.sqrt(0.368 * 10.648))
         assert doc["methods"]["tree-importance"] == [1.0]
 
+    def test_one_row_scores_null_with_warnings(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("a,b,y\n1,2,3\n")
+        out = tmp_path / "scores"
+        rc = main(["score", "--input", str(path), "--response", "y", "--out-dir", str(out)])
+        assert rc == 1
+        doc = json.loads((out / "scores.json").read_text())
+        for method in ("t0", "pearson", "spearman", "kendall", "chatterjee"):
+            assert doc["methods"][method] is None
+            assert f"{method}: need at least two observations" in doc["warnings"]
+        assert doc["methods"]["tree-importance"] == [0.0, 0.0]
+
     def test_zero_variance_column_warned(self, tmp_path):
         path = tmp_path / "const.csv"
         path.write_text("u,y\n5,1\n5,2\n5,3\n")
@@ -140,12 +152,15 @@ class TestSelect:
         assert doc["methods"][0]["selected_names"] == ["a"]
 
     @pytest.mark.parametrize("k", ["-1", "0"])
-    def test_size_below_one_exits_2(self, k, fig2a, tmp_path, capsys):
+    def test_size_below_one_exits_2(self, k, fig2a, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_csv", None)  # rejected before the CSV is read
         out = tmp_path / "sel"
         rc = main(["select", "--input", str(fig2a), "--response", "y",
                    "--n-selected", k, "--out-dir", str(out)])
         assert rc == 2
-        assert len(capsys.readouterr().err.splitlines()) == 1
+        # argparse prints its usage lines, then the one error line
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"symrank select: error: argument --n-selected: takes an integer >= 1, got {k!r}")
         assert not out.exists()
 
 
@@ -247,7 +262,7 @@ FUZZ_KEYS = sorted({"mode", *cli._CONFIG_VALUES})
 _NOT_INTEGRAL = st.floats().filter(lambda v: not v.is_integer())
 _BAD_VARIANCE = st.floats(max_value=-1e-300) | st.sampled_from([math.nan, math.inf])
 FUZZ_RANGES = {
-    "n": st.integers(max_value=0) | _NOT_INTEGRAL,
+    "n": st.integers(max_value=0) | st.integers(min_value=2**40 + 1) | _NOT_INTEGRAL,
     "repeats": st.integers(max_value=0) | _NOT_INTEGRAL,
     "n_selected": st.integers(max_value=10**30) | _NOT_INTEGRAL,
     "seed": st.integers(max_value=10**40) | _NOT_INTEGRAL,
@@ -320,7 +335,9 @@ def mutated_configs(draw):
         if kind == "bytes":
             cfg["input"] = draw(fuzz_csv_bytes())
             continue
-        keys = sorted(k for k, v in cfg.items() if kind in ("drop", "nest") or type(v) is list)
+        # csv bytes stay unnested: the test writes them to the input file
+        keys = sorted(k for k, v in cfg.items() if kind == "drop" or type(v) is list
+                      or kind == "nest" and type(v) is not bytes)
         if not keys:
             continue
         key = draw(st.sampled_from(keys))
@@ -368,6 +385,16 @@ class TestExperiment:
         assert any("sin(4x+0.2)" in name
                    for name in doc["runs"][0]["feature_names"])
 
+    def test_expression_unary_op_in_config(self, tmp_path):
+        cfg = {**VALID_CONFIGS["signal"], "unary_ops": ["id", {"expr": "x**2"}]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "expr"
+        assert main(["experiment", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["config"]["unary_ops"] == ["id", "x**2"]
+        assert "x**2(x1+x2)" in doc["runs"][0]["feature_names"]
+
     def test_pr_csv_columns(self, tmp_path):
         cfg = {"mode": "signal", "n": 25, "noise_vars": [0.0],
                "architectures": ["bu"], "methods": ["t0"], "repeats": 2,
@@ -407,6 +434,18 @@ class TestExperiment:
         assert run["q"] == 24 and len(run["correct_columns"]) == 12
         assert "aip" in run["methods"][0]
         assert run["methods"][0]["pr_auc"] and (out / "pr_bu_0_t0.csv").exists()
+
+    def test_csv_active_variables_by_index_or_name(self, data3, tmp_path):
+        reports = []
+        for active in (["x1", "x3"], [0, 2]):
+            cfg_path = tmp_path / "csv.json"
+            cfg_path.write_text(json.dumps({**VALID_CONFIGS["csv"], "input": str(data3),
+                                            "active_variables": active}))
+            out = tmp_path / f"out{len(reports)}"
+            assert main(["experiment", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["config"]["active_variables"] == [0, 2]
 
     def test_csv_null_active_variables_is_the_default(self, data3, tmp_path):
         reports = []
@@ -470,6 +509,10 @@ class TestExperiment:
         ("csv", {"active_variables": []}),
         ("candidates", {"candidates": []}),
         ("candidates", {"truth": "cos(x)"}),  # not among the candidates
+        ("signal", {"unary_ops": [{"op": "cos"}]}),  # only "sin" is parameterized
+        # past the bound on n, where numpy's dimension checks would fail
+        ("signal", {"n": 2**40 + 1}),
+        ("candidates", {"n": 2**40 + 1}),
     ])
     def test_invalid_config_exits_2_before_any_work(self, mode, change, data3, tmp_path,
                                                     capsys, monkeypatch):
@@ -643,6 +686,33 @@ class TestExperiment:
                 assert line.startswith("error: ")
                 assert not out.exists()
 
+    def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch):
+        # raised, not provoked: a real allocation this large could be granted
+        def draw(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 TiB for an array")
+        monkeypatch.setattr("symrank.evalsel.synth_3var", draw)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(VALID_CONFIGS["signal"]))
+        out = tmp_path / "out"
+        rc = main(["experiment", "--config", str(cfg_path), "--out-dir", str(out)])
+        assert rc == 1 and not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "error: out of memory: Unable to allocate 8.00 TiB for an array"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_too_large_response_exits_2(self, tmp_path, capsys):
+        # a finite variance whose responses overflow the squared sums of
+        # pearson and the tree: the run used to exit 0 with arbitrary picks
+        cfg = {**VALID_CONFIGS["signal"], "n": 100, "noise_vars": [1e308],
+               "methods": ["t0", "pearson", "kendall", "tree-importance"]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        rc = main(["experiment", "--config", str(cfg_path), "--out-dir", str(out)])
+        assert rc == 2 and not out.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: response too large: ")
+
     @pytest.mark.parametrize("mode", ["nope", ["signal"], None, 0],
                              ids=["string", "array", "null", "integer"])
     def test_unknown_mode_exits_2_naming_the_key(self, mode, tmp_path, capsys):
@@ -716,11 +786,19 @@ class TestUsage:
         ["score", "--methods", "tree-importance", "--seed", "-1"],
         ["select", "--methods", "tree-importance", "--seed", "-1"],
         ["score", "--seed", "x"],
+        ["select", "--n-selected", "0"],
+        ["select", "--n-selected", "2.5"],
+        ["experiment", "--seed", "-1"],
     ], ids=lambda argv: " ".join(argv))
-    def test_out_of_range_option_exits_2(self, argv, fig2a, tmp_path, capsys):
+    def test_out_of_range_option_exits_2(self, argv, fig2a, tmp_path, capsys, monkeypatch):
+        # rejected while the arguments are parsed, before any file is read
+        monkeypatch.setattr(cli, "load_csv", None)
+        monkeypatch.setattr(cli, "_load_config", None)
         out = tmp_path / "o"
         where = ["--out", str(out)] if argv[0] == "tree" else ["--out-dir", str(out)]
-        rc = main([*argv, "--input", str(fig2a), "--response", "y", *where])
+        source = (["--config", str(fig2a)] if argv[0] == "experiment"
+                  else ["--input", str(fig2a), "--response", "y"])
+        rc = main([*argv, *source, *where])
         assert rc == 2 and not out.exists()
         assert "takes an integer >= " in capsys.readouterr().err
 

@@ -134,23 +134,18 @@ class TestPartition2:
         p = make_partition2([1, 2, 3], (2, 0))
         assert p.left == (0, 2)
 
-    @pytest.mark.parametrize("left, right", [((0, 0, 1), None), ((0,), (1, 1, 2, 3))])
-    def test_repeated_index_rejected(self, left, right):
+    @pytest.mark.parametrize("left", [(0, 0, 1), (0, 4), (-1, 2), (4,)],
+                             ids=["repeated", "past-the-end", "negative", "only-past-the-end"])
+    def test_repeated_index_rejected(self, left):
+        # a repeated index, or one outside 0..n-1
         with pytest.raises(DimensionMismatch):
-            make_partition2([1, 2, 3, 10], left, right)
+            make_partition2([1, 2, 3, 10], left)
 
 
 class TestInterval:
     def test_contains_respects_closedness(self):
         iv = Interval(0.0, 1.0, lo_closed=True, hi_closed=False)
         assert iv.contains(0.0) and not iv.contains(1.0) and iv.contains(0.5)
-
-    def test_intersection(self):
-        a = Interval(0.0, 0.6)
-        b = Interval(0.5, 1.0)
-        c = a.intersect(b)
-        assert (c.lo, c.hi) == (0.5, 0.6)
-        assert a.intersect(Interval(0.7, 1.0, lo_closed=False)) is None
 
     def test_degenerate_requires_closed(self):
         with pytest.raises(DimensionMismatch):

@@ -552,6 +552,21 @@ class TestBatchedScorers:
             with pytest.raises(NonFiniteData):
                 fn(z[:, 0], y)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_too_large_response_rejected(self):
+        # at 1e160 the squared deviations of n = 100 responses overflow, and
+        # a correlation of 0.995 scored 0.0
+        rng = np.random.default_rng(4)
+        u = rng.uniform(size=100)
+        y = 5 * u + 0.1 * rng.standard_normal(100)
+        assert pearson(u, 1e150 * y) == pytest.approx(pearson(u, y), rel=1e-12)
+        assert batched_scores("pearson", u[:, None], 1e150 * y)[0] == pytest.approx(
+            pearson(u, y), rel=1e-12)
+        with pytest.raises(NonFiniteData, match="response too large"):
+            pearson(u, 1e160 * y)
+        with pytest.raises(NonFiniteData, match="response too large"):
+            batched_scores("pearson", u[:, None], 1e160 * y)
+
     def test_t0_response_ties_rejected(self):
         with pytest.raises(TiesInResponse):
             batched_scores("t0", np.eye(3), [1.0, 1.0, 2.0])

@@ -348,6 +348,23 @@ class TestGrowPredict:
         with pytest.raises(NonFiniteData):
             grow(np.array(z), np.array(y))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("grow", [
+        lambda z, y: grow_tree(z, y, 3),
+        best_split,
+        lambda z, y: ensemble_importance(z, y, 5, 3, seed=0),
+        lambda z, y: oracle_varying_size(y),
+    ], ids=["grow_tree", "best_split", "ensemble_importance", "oracle_varying_size"])
+    def test_too_large_response_rejected(self, grow):
+        # at 1e160 the squared sums of n = 100 responses overflow: the forest
+        # scored all zeros and the tree grew one leaf
+        rng = np.random.default_rng(4)
+        z = rng.uniform(size=(100, 3))
+        y = 2 * z[:, 0] ** 3 + 5 * z[:, 2] + 10 + 0.01 * rng.standard_normal(100)
+        grow(z, 1e150 * y)
+        with pytest.raises(NonFiniteData, match="response too large"):
+            grow(z, 1e160 * y)
+
     @pytest.mark.parametrize("depth", [0, 2])
     def test_no_columns_rejected(self, depth):
         with pytest.raises(DimensionMismatch):
