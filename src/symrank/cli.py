@@ -32,7 +32,6 @@ from .evalsel import (
     run_signal_experiment,
     score_features,
     select_top,
-    selection_boundary_tie,
 )
 from .monotonic import TabulatedCDF, load_piecewise, preference_probability
 from .partition import brute_force_best_2partition, oracle_fixed_size
@@ -295,12 +294,13 @@ def cmd_select(args) -> int:
     for method in methods:
         ms = score_features(fm, ds.y, method, seed=args.seed,
                             tree_params=TreeParams(depth=args.depth))
-        sel = select_top(ms, args.n_selected)
+        sel, tie = select_top(ms, args.n_selected)
+        sel = sel.tolist()
         doc["methods"].append({
             "method": method,
             "selected_columns": sel,
             "selected_names": [ds.column_names[j] for j in sel],
-            "boundary_tie": selection_boundary_tie(ms, args.n_selected),
+            "boundary_tie": bool(tie),
         })
     _write_json(Path(args.out_dir) / "selection.json", doc)
     print(f"wrote {Path(args.out_dir) / 'selection.json'}")

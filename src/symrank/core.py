@@ -44,9 +44,9 @@ COMMUTATIVE_BINARY_OPS = frozenset({"+", "*"})
 TIE_RTOL = 1e-12
 
 
-def _tied(a: float, b: float) -> bool:
-    """Whether a and b differ by at most TIE_RTOL * max(|a|, |b|, 1)."""
-    return bool(abs(a - b) <= TIE_RTOL * max(abs(a), abs(b), 1.0))
+def _tied(a, b):
+    """Whether a and b differ by at most TIE_RTOL * max(|a|, |b|, 1), elementwise."""
+    return np.abs(a - b) <= TIE_RTOL * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
 
 
 def _is_number(value) -> bool:

@@ -64,7 +64,6 @@ __all__ = [
     "run_signal_experiment",
     "score_features",
     "select_top",
-    "selection_boundary_tie",
     "synth_3var",
     "synth_candidates",
 ]
@@ -74,7 +73,8 @@ SCORE_METHODS = ("t0", "pearson", "spearman", "kendall", "chatterjee", "tree-imp
 
 @dataclass(frozen=True)
 class MethodScore:
-    """Per-feature scores for one method, with the comparison direction."""
+    """Per-feature scores for one method, with the comparison direction: one
+    (q,) row, or an (R, q) block of one row per repeat."""
 
     method: str
     scores: np.ndarray
@@ -126,51 +126,43 @@ def score_features(fm: FeatureMatrix, y, method: str, *, seed: int = 0,
     return MethodScore(method, scores, "lower" if method == "t0" else "higher")
 
 
-def select_top(scores: MethodScore, k: int) -> list[int]:
-    """The k best columns per the method's direction, best first.
+def select_top(scores: MethodScore, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k best columns of each score row per the method's direction, best
+    first, and whether each row's k-th and (k+1)-th best scores tie, which
+    makes its top k ambiguous.
 
+    Takes one (q,) row or an (R, q) block of rows and sorts each row once.
     Exact score ties resolve to the lowest column index. Raises
     SizeOutOfRange for k < 1 and KTooLarge for k beyond the column count.
     """
-    q = scores.scores.shape[0]
+    ranked = scores.ascending
+    q = ranked.shape[-1]
     if k < 1:
         raise SizeOutOfRange(f"k={k} selects no feature; need k >= 1")
     if k > q:
         raise KTooLarge(f"k={k} exceeds {q} features")
-    order = np.argsort(scores.ascending, kind="stable")
-    return [int(j) for j in order[:k]]
+    order = np.argsort(ranked, axis=-1, kind="stable")
+    # the k-th and (k+1)-th best scores; the k-th alone when k == q
+    edge = np.take_along_axis(ranked, order[..., k - 1:k + 1], axis=-1)
+    return order[..., :k], _tied(edge[..., 0], edge[..., -1]) & (k < q)
 
 
-def selection_boundary_tie(scores: MethodScore, k: int) -> bool:
-    """Whether equivalence at the selection boundary makes top-k ambiguous.
-
-    Raises SizeOutOfRange for k < 1.
-    """
-    q = scores.scores.shape[0]
-    if k < 1:
-        raise SizeOutOfRange(f"k={k} selects no feature; need k >= 1")
-    if k >= q:
-        return False
-    ranked = np.sort(scores.ascending, kind="stable")
-    return _tied(ranked[k - 1], ranked[k])
-
-
-def pr_auc(ground_truth, scores: MethodScore, n_selected: int
-           ) -> tuple[list[tuple[float, float]], float]:
+def pr_auc(ground_truth, selected) -> tuple[list[tuple[float, float]], float]:
     """Precision-recall curve and trapezoidal AUC of a top-k selection.
 
-    The per-feature scores are binarized (1 for the n_selected best, else 0)
-    and thresholded against the boolean ground truth; curve points are
-    returned with recall ascending.
+    The selected column indices score 1, the rest 0, thresholded against the
+    boolean ground truth; curve points are returned with recall ascending.
     """
     truth = np.asarray(ground_truth, dtype=bool)
     q = truth.shape[0]
-    if scores.scores.shape[0] != q:
-        raise LengthMismatch(f"{scores.scores.shape[0]} scores for {q} labels")
+    selected = np.asarray(selected, dtype=int)
+    if selected.size == 0 or not ((selected >= 0) & (selected < q)).all():
+        raise LengthMismatch(f"selection {selected.tolist()} is not a nonempty "
+                             f"set of indices into {q} labels")
     positives = int(truth.sum())
     if positives == 0:
         raise NoPositives("ground truth has no positive labels")
-    selected = select_top(scores, n_selected)
+    n_selected = selected.size
     tp = int(truth[selected].sum())
     points = [
         (0.0, 1.0),  # conventional anchor: zero recall at full precision
@@ -415,7 +407,9 @@ def _run_cells(cells, methods, repeats, n_selected, seed, tree):
     matrix, with one response per repeat. The methods that rank the features
     share one sort of the chunk's columns, taken by the first of them and
     released before any forest grows. Tree importance grows each repeat's
-    forest on that repeat's columns of the chunk's matrix, uncopied.
+    forest on that repeat's columns of the chunk's matrix, uncopied. Each
+    method then selects all of the chunk's repeats in one :func:`select_top`
+    call, on its (len(reps), q) scores.
     """
     runtimes = dict.fromkeys((f"{c.key}/{m}" for c in cells for m in methods), 0.0)
     order = sorted(enumerate(methods), key=lambda m: m[1] == "tree-importance")
@@ -432,21 +426,20 @@ def _run_cells(cells, methods, repeats, n_selected, seed, tree):
             start = time.perf_counter()
             if method == "tree-importance":
                 runs = None
-                scored = [score_features(FeatureMatrix(z[:, i * q:(i + 1) * q], cell.exprs),
-                                         y, method, tree_params=tree,
-                                         seed=_method_seed(seed, *cell.seed_key, r, mi))
-                          for i, (r, y) in enumerate(zip(reps, ys))]
+                ms = MethodScore(method, np.stack([
+                    score_features(FeatureMatrix(z[:, i * q:(i + 1) * q], cell.exprs), y,
+                                   method, tree_params=tree,
+                                   seed=_method_seed(seed, *cell.seed_key, r, mi)).scores
+                    for i, (r, y) in enumerate(zip(reps, ys))]), "higher")
             else:
                 if runs is None and method in _RUNS_METHODS:
                     runs = sorted_runs(z.T)
                 ms = score_features(chunk_fm, ys.T, method, runs=runs)
-                scored = [MethodScore(method, part, ms.direction)
-                          for part in np.split(ms.scores, len(reps))]
-            chosen = [(select_top(ms, n_selected), selection_boundary_tie(ms, n_selected))
-                      for ms in scored]
+                ms = MethodScore(method, ms.scores.reshape(len(reps), q), ms.direction)
+            selections, ties = select_top(ms, n_selected)
             runtimes[f"{cell.key}/{method}"] += time.perf_counter() - start
-            for (selection, tie), ms in zip(chosen, scored):
-                pr = pr_auc(cell.labels, ms, n_selected) if cell.labels is not None else None
+            for selection, tie in zip(selections.tolist(), ties.tolist()):
+                pr = pr_auc(cell.labels, selection) if cell.labels is not None else None
                 cell_picks[mi].append((selection, tie, pr))
 
     _run_repeats(job, [(cell, reps, cell_picks) for cell, cell_picks in zip(cells, picks)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from symrank import evalsel
-from symrank.core import FeatureMatrix, derive_rng, var
+from symrank.core import TIE_RTOL, FeatureMatrix, derive_rng, var
 from symrank.errors import (
     ConfigError,
     DimensionMismatch,
@@ -30,7 +30,6 @@ from symrank.evalsel import (
     run_signal_experiment,
     score_features,
     select_top,
-    selection_boundary_tie,
     synth_3var,
     synth_candidates,
 )
@@ -132,18 +131,34 @@ class TestScoreFeatures:
             score_features(feature_matrix(z), np.column_stack([y, y]), "tree-importance")
 
 
+def top(ms, k):
+    return select_top(ms, k)[0]
+
+
+def row_pick(scores, direction, k):
+    """One row's top k and boundary tie by a full sort and the scalar tie
+    rule: the oracle for :func:`select_top`."""
+    ascending = scores if direction == "lower" else -scores
+    ranked = np.sort(ascending)
+    tie = k < len(ranked) and abs(ranked[k - 1] - ranked[k]) <= TIE_RTOL * max(
+        abs(ranked[k - 1]), abs(ranked[k]), 1.0)
+    return [int(j) for j in np.argsort(ascending, kind="stable")[:k]], bool(tie)
+
+
 class TestSelectTop:
     def test_lower_better(self):
         ms = MethodScore("t0", np.array([0.1, 0.0, 5.0]), "lower")
-        assert select_top(ms, 2) == [1, 0]
+        assert top(ms, 2).tolist() == [1, 0]
 
     def test_k_equals_q(self):
-        ms = MethodScore("t0", np.array([0.3, 0.1, 0.2]), "lower")
-        assert sorted(select_top(ms, 3)) == [0, 1, 2]
+        ms = MethodScore("t0", np.array([0.3, 0.1, 0.1]), "lower")
+        selection, tie = select_top(ms, 3)
+        assert sorted(selection.tolist()) == [0, 1, 2]
+        assert not tie  # no (k+1)-th score to tie with
 
     def test_ties_take_lowest_indices(self):
         ms = MethodScore("pearson", np.array([0.5, 0.5, 0.5, 0.9]), "higher")
-        assert select_top(ms, 2) == [3, 0]
+        assert top(ms, 2).tolist() == [3, 0]
 
     def test_k_too_large(self):
         ms = MethodScore("t0", np.array([0.1]), "lower")
@@ -154,23 +169,39 @@ class TestSelectTop:
     def test_k_below_one(self, k):
         # order[:k] would select nothing for 0 and all but the worst for -1
         ms = MethodScore("t0", np.array([0.1, 0.0, 5.0]), "lower")
-        for select in (select_top, selection_boundary_tie,
-                       lambda ms, k: pr_auc([True, False, False], ms, k)):
-            with pytest.raises(SizeOutOfRange):
-                select(ms, k)
+        with pytest.raises(SizeOutOfRange):
+            select_top(ms, k)
 
     def test_boundary_tie_flag(self):
         tied = MethodScore("t0", np.array([0.0, 1.0, 1.0, 2.0]), "lower")
-        assert selection_boundary_tie(tied, 2)
+        assert select_top(tied, 2)[1]
         clear = MethodScore("t0", np.array([0.0, 1.0, 1.5, 2.0]), "lower")
-        assert not selection_boundary_tie(clear, 2)
+        assert not select_top(clear, 2)[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 5), q=st.integers(1, 8), k=st.integers(1, 8),
+           levels=st.integers(1, 4), direction=st.sampled_from(["lower", "higher"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_block_matches_each_row(self, rows, q, k, levels, direction, seed):
+        # few distinct levels make ties at the boundary common; the 1e-13
+        # nudges tie within TIE_RTOL without being equal
+        k = min(k, q)
+        rng = np.random.default_rng(seed)
+        nudges = 1.0 + 1e-13 * rng.integers(0, 2, size=(rows, q))
+        scores = rng.integers(0, levels, size=(rows, q)) * nudges
+        selection, tie = select_top(MethodScore("m", scores, direction), k)
+        assert selection.shape == (rows, k) and tie.shape == (rows,)
+        for r in range(rows):
+            assert (selection[r].tolist(), bool(tie[r])) == row_pick(scores[r], direction, k)
+            one, one_tie = select_top(MethodScore("m", scores[r], direction), k)
+            assert one.tolist() == selection[r].tolist() and one_tie == tie[r]
 
 
 class TestPrAuc:
     def test_perfect_separation(self):
         truth = np.array([True, True, False, False, False, False])
         ms = MethodScore("t0", np.array([0.0, 0.1, 5.0, 6.0, 7.0, 8.0]), "lower")
-        points, auc = pr_auc(truth, ms, 2)
+        points, auc = pr_auc(truth, top(ms, 2))
         assert auc == pytest.approx(1.0)
         assert points[0] == (0.0, 1.0) and points[-1][0] == 1.0
 
@@ -182,12 +213,12 @@ class TestPrAuc:
         # positive ranked first
         s = scores.copy()
         s[5] = 100.0
-        assert pr_auc(truth, MethodScore("x", s, "higher"), k)[1] == pytest.approx(
+        assert pr_auc(truth, top(MethodScore("x", s, "higher"), k))[1] == pytest.approx(
             single_positive_auc(q, True, k))
         # positive ranked last
         s = scores.copy()
         s[5] = -100.0
-        assert pr_auc(truth, MethodScore("x", s, "higher"), k)[1] == pytest.approx(
+        assert pr_auc(truth, top(MethodScore("x", s, "higher"), k))[1] == pytest.approx(
             single_positive_auc(q, False, k))
 
     def test_random_scores_match_mixture_mean(self):
@@ -195,10 +226,8 @@ class TestPrAuc:
         q, k, trials = 24, 3, 4000
         truth = np.zeros(q, dtype=bool)
         truth[0] = True
-        aucs = np.empty(trials)
-        for t in range(trials):
-            ms = MethodScore("r", rng.uniform(size=q), "higher")
-            aucs[t] = pr_auc(truth, ms, k)[1]
+        selections = top(MethodScore("r", rng.uniform(size=(trials, q)), "higher"), k)
+        aucs = np.array([pr_auc(truth, sel)[1] for sel in selections])
         expected = (k / q) * single_positive_auc(q, True, k) \
             + (1 - k / q) * single_positive_auc(q, False, k)
         se = aucs.std(ddof=1) / np.sqrt(trials)
@@ -210,15 +239,14 @@ class TestPrAuc:
         if not truth.any():
             truth[0] = True
         raw = rng.normal(size=10)
-        base = pr_auc(truth, MethodScore("m", raw, "higher"), 3)[1]
+        base = pr_auc(truth, top(MethodScore("m", raw, "higher"), 3))[1]
         for g in (np.exp, lambda v: v**3, lambda v: 10 * v - 4):
-            transformed = pr_auc(truth, MethodScore("m", g(raw), "higher"), 3)[1]
+            transformed = pr_auc(truth, top(MethodScore("m", g(raw), "higher"), 3))[1]
             assert transformed == pytest.approx(base)
 
     def test_no_positives(self):
-        ms = MethodScore("m", np.arange(4.0), "higher")
         with pytest.raises(NoPositives):
-            pr_auc(np.zeros(4, dtype=bool), ms, 2)
+            pr_auc(np.zeros(4, dtype=bool), [0, 1])
 
 
 class TestAIP:
@@ -395,9 +423,9 @@ def per_repeat_cells(cells, methods, repeats, n_selected, seed, tree):
             for mi, method in enumerate(methods):
                 ms = score_features(fm, ys[0], method, tree_params=tree,
                                     seed=evalsel._method_seed(seed, *cell.seed_key, r, mi))
-                pr = pr_auc(cell.labels, ms, n_selected) if cell.labels is not None else None
-                picks[mi].append((select_top(ms, n_selected),
-                                  selection_boundary_tie(ms, n_selected), pr))
+                selection, tie = row_pick(ms.scores, ms.direction, n_selected)
+                pr = pr_auc(cell.labels, selection) if cell.labels is not None else None
+                picks[mi].append((selection, tie, pr))
         results.append([evalsel._method_entry(method, picks[mi], cell.labels, n_selected)
                         for mi, method in enumerate(methods)])
     return results, {f"{c.key}/{m}": 0.0 for c in cells for m in methods}

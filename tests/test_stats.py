@@ -14,6 +14,7 @@ from symrank.errors import (
     TiesPresent,
     ZeroVariance,
 )
+from symrank.evalsel import synth_3var
 from symrank.stats import (
     _inversions,
     batched_scores,
@@ -566,6 +567,28 @@ class TestBatchedScorers:
             pearson(u, 1e160 * y)
         with pytest.raises(NonFiniteData, match="response too large"):
             batched_scores("pearson", u[:, None], 1e160 * y)
+
+    # known defect: the squared deviations of a huge feature column overflow
+    # to inf, and a correlation of 0.994 scores 0.0
+    @pytest.mark.xfail(strict=True, raises=AssertionError)
+    def test_too_large_feature_scored_by_its_correlation(self):
+        y = synth_3var(100, 0.1, seed=0).y
+        u = y + 0.2 * derive_rng(6).standard_normal(100)
+        with np.errstate(all="ignore"):
+            direct = pearson(1e160 * u, y)
+            batched = batched_scores("pearson", 1e160 * u[:, None], y)[0]
+        assert direct == pytest.approx(pearson(u, y), rel=1e-12)
+        assert batched == pytest.approx(pearson(u, y), rel=1e-12)
+
+    # known defect: t0 is linear in the response, but its mean overflows once
+    # n * max|y| passes the float range, and the score is NaN
+    @pytest.mark.xfail(strict=True, raises=AssertionError)
+    def test_t0_scales_with_a_huge_response(self):
+        y = synth_3var(100, 0.1, seed=0).y
+        u = derive_rng(5).uniform(size=(100, 1))
+        with np.errstate(all="ignore"):
+            huge = batched_scores("t0", u, 1e306 * y)[0]
+        assert huge == pytest.approx(1e306 * batched_scores("t0", u, y)[0], rel=1e-9)
 
     def test_t0_response_ties_rejected(self):
         with pytest.raises(TiesInResponse):
