@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import FeatureMatrix, _is_number, load_csv, read_text, var
-from .errors import ConfigError, SymrankError, UsageError
+from .errors import ConfigError, DimensionMismatch, SymrankError, UsageError
 from .evalsel import (
     CandidatesExperimentConfig,
     CsvExperimentConfig,
@@ -189,8 +189,6 @@ def _config(cls, raw, extra=()):
     out; any other unknown key, a missing required field, or a value of the
     wrong JSON type or out of range (see ``_CONFIG_VALUES``) is a ConfigError.
     """
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{cls.__name__} config must be a JSON object, got {raw!r}")
     fields = {f.name: f for f in dataclasses.fields(cls)}
     unknown = sorted(set(raw) - set(fields) - set(extra))
     missing = [name for name, f in fields.items() if name not in raw
@@ -212,7 +210,9 @@ _LABELS = {
 
 
 def _experiment_config(cls, raw, extra=()):
-    """The validated experiment config of one mode, before any work is done."""
+    """The validated experiment config of one mode, before any work is done.
+    Its operators and architectures are built here once, so a bad one is a
+    ConfigError that names its key."""
     cfg = _config(cls, raw, ("mode", *extra))
     _known_methods(cfg.methods)
     for key, (kind, label) in _LABELS.items():
@@ -222,6 +222,15 @@ def _experiment_config(cls, raw, extra=()):
             if name in labels[:i]:
                 raise ConfigError(f"config key {key!r}: entries {entries[labels.index(name)]!r} "
                                   f"and {entries[i]!r} share the {kind} {name!r}")
+    if hasattr(cfg, "architectures"):  # a mode that expands features
+        builds = {"unary_ops": lambda: build_operator_set(cfg.unary_ops, ()),
+                  "binary_ops": lambda: build_operator_set(cfg.unary_ops, cfg.binary_ops),
+                  "architectures": lambda: [Architecture(a) for a in cfg.architectures]}
+        for key, build in builds.items():
+            try:
+                build()
+            except DimensionMismatch as exc:
+                raise ConfigError(f"config key {key!r}: {exc}") from None
     return cfg
 
 

@@ -84,11 +84,6 @@ class MethodScore:
         if np.isnan(self.scores).any():
             raise LengthMismatch(f"{self.method} scores contain NaN")
 
-    @property
-    def ascending(self) -> np.ndarray:
-        """Scores oriented so that smaller is better."""
-        return self.scores if self.direction == "lower" else -self.scores
-
 
 @dataclass(frozen=True)
 class TreeParams:
@@ -100,6 +95,10 @@ class TreeParams:
 _SIGNED_METHODS = ("pearson", "spearman", "kendall")
 
 
+def _direction(method: str) -> str:  # see the module docstring
+    return "lower" if method == "t0" else "higher"
+
+
 def score_features(fm: FeatureMatrix, y, method: str, *, seed: int = 0,
                    tree_params: TreeParams = TreeParams(), runs=None) -> MethodScore:
     """Score every feature column against the response with one method.
@@ -108,9 +107,9 @@ def score_features(fm: FeatureMatrix, y, method: str, *, seed: int = 0,
     absolute correlations, -1 for the rank coefficient that rejects ties;
     the concordant divergence and the split importance handle them natively.
     The rank methods ignore ``seed`` and also take y of shape (n, g), one
-    response per group of q // g consecutive columns, and ``runs``, the
-    sorted runs of fm's columns that they may share (see
-    :func:`.stats.batched_scores`).
+    response per group of q // g consecutive columns scored as one row of a
+    (g, q // g) block, and ``runs``, the sorted runs of fm's columns that
+    they may share (see :func:`.stats.batched_scores`).
     """
     y = np.asarray(y, dtype=float)
     if method not in SCORE_METHODS:
@@ -119,11 +118,11 @@ def score_features(fm: FeatureMatrix, y, method: str, *, seed: int = 0,
         if y.ndim != 1:
             raise LengthMismatch(f"tree importance takes one response, got shape {y.shape}")
         scores = ensemble_importance(fm.z, y, tree_params.n_trees, tree_params.depth, seed)
-        return MethodScore(method, scores, "higher")
-    scores = batched_scores(method, fm.z, y, runs)
-    if method in _SIGNED_METHODS:
-        scores = np.abs(scores)
-    return MethodScore(method, scores, "lower" if method == "t0" else "higher")
+    else:
+        scores = batched_scores(method, fm.z, y, runs).reshape(*y.shape[1:], -1)
+        if method in _SIGNED_METHODS:
+            scores = np.abs(scores)
+    return MethodScore(method, scores, _direction(method))
 
 
 def select_top(scores: MethodScore, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -135,7 +134,7 @@ def select_top(scores: MethodScore, k: int) -> tuple[np.ndarray, np.ndarray]:
     Exact score ties resolve to the lowest column index. Raises
     SizeOutOfRange for k < 1 and KTooLarge for k beyond the column count.
     """
-    ranked = scores.ascending
+    ranked = scores.scores if scores.direction == "lower" else -scores.scores
     q = ranked.shape[-1]
     if k < 1:
         raise SizeOutOfRange(f"k={k} selects no feature; need k >= 1")
@@ -147,47 +146,52 @@ def select_top(scores: MethodScore, k: int) -> tuple[np.ndarray, np.ndarray]:
     return order[..., :k], _tied(edge[..., 0], edge[..., -1]) & (k < q)
 
 
-def pr_auc(ground_truth, selected) -> tuple[list[tuple[float, float]], float]:
-    """Precision-recall curve and trapezoidal AUC of a top-k selection.
-
-    The selected column indices score 1, the rest 0, thresholded against the
-    boolean ground truth; curve points are returned with recall ascending.
-    """
-    truth = np.asarray(ground_truth, dtype=bool)
-    q = truth.shape[0]
-    selected = np.asarray(selected, dtype=int)
+def _picked(selected: np.ndarray, q: int) -> np.ndarray:
+    """Each selection row's indicator over the q columns; LengthMismatch for
+    an empty selection or an index outside them."""
     if selected.size == 0 or not ((selected >= 0) & (selected < q)).all():
         raise LengthMismatch(f"selection {selected.tolist()} is not a nonempty "
                              f"set of indices into {q} labels")
-    positives = int(truth.sum())
+    picked = np.zeros((*selected.shape[:-1], q), dtype=bool)
+    np.put_along_axis(picked, selected, True, axis=-1)
+    return picked
+
+
+def pr_auc(ground_truth, selected) -> tuple[np.ndarray, np.ndarray]:
+    """Precision-recall curve and trapezoidal AUC of a top-k selection of
+    distinct columns, or of each row of an (R, k) block of them.
+
+    The selected columns score 1, the rest 0, thresholded against the
+    boolean ground truth. A curve is its (recall, precision) points, recall
+    ascending: (0, 1) by convention, the selection, and (1, prevalence).
+    """
+    truth = np.asarray(ground_truth, dtype=bool)
+    selected = np.asarray(selected, dtype=int)
+    positives, q = int(truth.sum()), truth.shape[0]
     if positives == 0:
         raise NoPositives("ground truth has no positive labels")
-    n_selected = selected.size
-    tp = int(truth[selected].sum())
-    points = [
-        (0.0, 1.0),  # conventional anchor: zero recall at full precision
-        (tp / positives, tp / n_selected),
-        (1.0, positives / q),  # predict everything
-    ]
-    points.sort(key=lambda rp: (rp[0], -rp[1]))
-    auc = sum((r2 - r1) * (p1 + p2) / 2.0
-              for (r1, p1), (r2, p2) in zip(points, points[1:]))
-    return points, float(min(max(auc, 0.0), 1.0))
+    tp = (_picked(selected, q) & truth).sum(axis=-1)
+    recall, precision = tp / positives, tp / selected.shape[-1]
+    points = np.broadcast_arrays(0.0, 1.0, recall, precision, 1.0, positives / q)
+    curves = np.stack(points, axis=-1).reshape(*tp.shape, 3, 2)
+    auc = (recall * (1.0 + precision) / 2.0
+           + (1.0 - recall) * (precision + positives / q) / 2.0)
+    return curves, np.clip(auc, 0.0, 1.0)
 
 
-def average_inclusion_probability(repeat_selections, correct_labels,
+def average_inclusion_probability(selections, correct_labels,
                                   n_selected: int) -> float:
-    """Mean over repeats of (#selected-and-correct) / n_selected."""
-    correct = set(int(j) for j in np.flatnonzero(np.asarray(correct_labels, dtype=bool)))
-    fractions = []
-    for r, sel in enumerate(repeat_selections):
-        if len(sel) != n_selected:
-            raise SizeMismatch(
-                f"repeat {r} selected {len(sel)} features, expected {n_selected}")
-        fractions.append(len(set(sel) & correct) / n_selected)
-    if not fractions:
-        raise SizeMismatch("need at least one repeat")
-    return float(np.mean(fractions))
+    """Mean over the rows of an (R, n_selected) selection block of
+    (#selected-and-correct) / n_selected."""
+    try:
+        shape = np.shape(selections)
+    except ValueError:  # ragged rows
+        shape = ()
+    if shape[1:] != (n_selected,) or shape[0] == 0:
+        raise SizeMismatch(f"need at least one repeat of {n_selected} selected features")
+    selections, correct = np.asarray(selections, dtype=int), np.asarray(correct_labels, bool)
+    hits = (_picked(selections, correct.shape[0]) & correct).sum(axis=1)
+    return float((hits / n_selected).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +402,8 @@ def _chunks(values: int, repeats: int) -> list[range]:
 def _run_cells(cells, methods, repeats, n_selected, seed, tree):
     """Score and select with every method on every cell, over the repeats.
 
-    Returns, per cell, one report entry per method, and the scoring and
-    selection time of each cell and method.
+    Returns, per cell, one (report entry, (R, k) selections) pair per
+    method, and the scoring and selection time of each cell and method.
 
     Each cell builds its repeats a chunk at a time (see :func:`_chunks`).
     A chunk is scored in one fixed order: the rank methods first, then tree
@@ -409,11 +413,12 @@ def _run_cells(cells, methods, repeats, n_selected, seed, tree):
     released before any forest grows. Tree importance grows each repeat's
     forest on that repeat's columns of the chunk's matrix, uncopied. Each
     method then selects all of the chunk's repeats in one :func:`select_top`
-    call, on its (len(reps), q) scores.
+    call, on its (len(reps), q) scores. A method's chunks of selections join
+    into one (R, k) block, from which its report entry's metrics come.
     """
     runtimes = dict.fromkeys((f"{c.key}/{m}" for c in cells for m in methods), 0.0)
     order = sorted(enumerate(methods), key=lambda m: m[1] == "tree-importance")
-    # per cell and method, the (selection, tie, pr) of each repeat in order
+    # per cell and method, the (selections, ties) of each chunk in order
     picks = [[[] for _ in methods] for _ in cells]
 
     def job(chunk) -> None:
@@ -430,21 +435,17 @@ def _run_cells(cells, methods, repeats, n_selected, seed, tree):
                     score_features(FeatureMatrix(z[:, i * q:(i + 1) * q], cell.exprs), y,
                                    method, tree_params=tree,
                                    seed=_method_seed(seed, *cell.seed_key, r, mi)).scores
-                    for i, (r, y) in enumerate(zip(reps, ys))]), "higher")
+                    for i, (r, y) in enumerate(zip(reps, ys))]), _direction(method))
             else:
                 if runs is None and method in _RUNS_METHODS:
                     runs = sorted_runs(z.T)
                 ms = score_features(chunk_fm, ys.T, method, runs=runs)
-                ms = MethodScore(method, ms.scores.reshape(len(reps), q), ms.direction)
-            selections, ties = select_top(ms, n_selected)
+            cell_picks[mi].append(select_top(ms, n_selected))
             runtimes[f"{cell.key}/{method}"] += time.perf_counter() - start
-            for selection, tie in zip(selections.tolist(), ties.tolist()):
-                pr = pr_auc(cell.labels, selection) if cell.labels is not None else None
-                cell_picks[mi].append((selection, tie, pr))
 
     _run_repeats(job, [(cell, reps, cell_picks) for cell, cell_picks in zip(cells, picks)
                        for reps in _chunks(cell.n * len(cell.exprs), repeats)])
-    return [[_method_entry(method, cell_picks[mi], cell.labels, n_selected)
+    return [[_method_entry(method, *map(np.concatenate, zip(*cell_picks[mi])), cell.labels)
              for mi, method in enumerate(methods)]
             for cell, cell_picks in zip(cells, picks)], runtimes
 
@@ -455,22 +456,24 @@ def _side_by_side(matrices) -> np.ndarray:
     return np.concatenate([z.T for z in matrices]).T
 
 
-def _method_entry(method: str, picks: list[tuple], labels, n_selected: int) -> dict:
-    """One method's report entry from its (selection, tie, (curve, auc) or
-    None) per repeat; the cell's labels add the AIP and PR columns."""
-    selections = [sel for sel, _, _ in picks]
+def _method_entry(method: str, selections: np.ndarray, ties: np.ndarray,
+                  labels) -> tuple[dict, np.ndarray]:
+    """One method's report entry from its (R, k) selections and (R,) boundary
+    ties, with the AIP and PR columns when the cell has labels; returned
+    with the selections, which the runners read for their own columns."""
     entry = {
         "method": method,
-        "direction": "lower" if method == "t0" else "higher",
-        "selections": selections,
-        "boundary_tie_repeats": int(sum(tie for _, tie, _ in picks)),
+        "direction": _direction(method),
+        "selections": selections.tolist(),
+        "boundary_tie_repeats": int(ties.sum()),
     }
     if labels is not None:
-        entry["aip"] = average_inclusion_probability(selections, labels, n_selected)
-        entry["pr_auc"] = [auc for *_, (_, auc) in picks]
-        entry["pr_auc_median"] = float(np.median(entry["pr_auc"]))
-        entry["pr_curves"] = [[list(pt) for pt in curve] for *_, (curve, _) in picks]
-    return entry
+        entry["aip"] = average_inclusion_probability(selections, labels, selections.shape[1])
+        curves, aucs = pr_auc(labels, selections)
+        entry["pr_auc"] = aucs.tolist()
+        entry["pr_auc_median"] = float(np.median(aucs))
+        entry["pr_curves"] = curves.tolist()
+    return entry, selections
 
 
 def run_signal_experiment(cfg: SignalExperimentConfig) -> ExperimentReport:
@@ -511,16 +514,16 @@ def run_signal_experiment(cfg: SignalExperimentConfig) -> ExperimentReport:
                                    cfg.seed, cfg.tree)
     runs = []
     for (_, arch, _, nv), c, entries in zip(grid, cells, results):
-        for entry in entries:
-            entry["correct_counts"] = [int(c.labels[sel].sum())
-                                       for sel in entry["selections"]]
+        for entry, selections in entries:
+            correct = _picked(selections, len(c.exprs)) & c.labels
+            entry["correct_counts"] = correct.sum(axis=1).tolist()
         runs.append({
             "architecture": arch.order,
             "noise_var": nv,
             "q": len(c.exprs),
             "feature_names": [e.canonical() for e in c.exprs],
             "correct_columns": [int(j) for j in np.flatnonzero(c.labels)],
-            "methods": entries,
+            "methods": [entry for entry, _ in entries],
         })
     config = {**_config_dict(cfg), "active_variables": list(EQ15_ACTIVE_VARIABLES)}
     return ExperimentReport(config, runs, runtimes)
@@ -547,12 +550,9 @@ def run_candidates_experiment(cfg: CandidatesExperimentConfig) -> ExperimentRepo
     (entries,), runtimes = _run_cells(
         [_Cell("candidates", (0, 0), cfg.n, _candidate_exprs(cand_ops), None, data)],
         cfg.methods, cfg.repeats, cfg.n_selected, cfg.seed, cfg.tree)
-    for entry in entries:
-        selections = entry["selections"]
-        inclusion = {
-            name: float(np.mean([cand in sel for sel in selections]))
-            for cand, name in enumerate(cfg.candidates)
-        }
+    for entry, selections in entries:
+        picked = _picked(selections, len(cfg.candidates))
+        inclusion = dict(zip(cfg.candidates, picked.mean(axis=0).tolist()))
         entry["inclusion"] = inclusion
         entry["truth_inclusion"] = inclusion[cfg.candidates[truth_col]]
         entry["aip"] = average_inclusion_probability(selections, labels, cfg.n_selected)
@@ -561,7 +561,7 @@ def run_candidates_experiment(cfg: CandidatesExperimentConfig) -> ExperimentRepo
         "noise_var": cfg.noise_var,
         "candidates": list(cfg.candidates),
         "truth_column": truth_col,
-        "methods": entries,
+        "methods": [entry for entry, _ in entries],
     }]
     return ExperimentReport(_config_dict(cfg), runs, runtimes)
 
@@ -583,11 +583,10 @@ def run_csv_experiment(ds: Dataset, cfg: CsvExperimentConfig) -> ExperimentRepor
     runs = []
     for arch, c, entries in zip(cfg.architectures, cells, results):
         names = [e.canonical() for e in c.exprs]
-        for entry in entries:
-            entry["selected_names"] = [[names[j] for j in sel]
-                                       for sel in entry["selections"]]
+        for entry, selections in entries:
+            entry["selected_names"] = np.asarray(names)[selections].tolist()
         run = {"architecture": arch, "q": len(names), "feature_names": names,
-               "methods": entries}
+               "methods": [entry for entry, _ in entries]}
         if active is not None:
             run["correct_columns"] = [int(j) for j in np.flatnonzero(c.labels)]
         runs.append(run)

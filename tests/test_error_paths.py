@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from symrank import errors
+from symrank import cli, errors
 from symrank.cli import main
 from symrank.core import (
     Partition2,
@@ -90,8 +90,14 @@ CASES = {
         lambda _: pr_auc([True, False], [-1]), errors.LengthMismatch, "into 2 labels"),
     "empty-selection": (
         lambda _: pr_auc([True, False], []), errors.LengthMismatch, "into 2 labels"),
+    "block-past-labels": (
+        lambda _: pr_auc([True, False], np.array([[0], [2]])),
+        errors.LengthMismatch, "into 2 labels"),
+    "aip-past-labels": (
+        lambda _: average_inclusion_probability(np.array([[0], [2]]), [True, False], 1),
+        errors.LengthMismatch, "into 2 labels"),
     "no-repeats": (
-        lambda _: average_inclusion_probability([], [True], 1),
+        lambda _: average_inclusion_probability(np.zeros((0, 1), dtype=int), [True], 1),
         errors.SizeMismatch, "at least one repeat"),
     # symgen
     "repeated-operator": (
@@ -224,12 +230,18 @@ def test_p12_maps_check_exits_2(transform, cdf, message, tmp_path, capsys):
 
 SIGNAL = {"mode": "signal", "n": 20, "noise_vars": [0.0], "architectures": ["bu"],
           "methods": ["t0"], "repeats": 2}
+# a config change that fails a check of its operators or architectures, and
+# a part of the error line, which names the config key
+OPERATORS = {
+    "repeated-operator": ({"unary_ops": ["id", "id"]}, "'unary_ops': operator names must be"),
+    "unknown-unary": ({"unary_ops": ["tan"]}, "'unary_ops': unknown unary operator 'tan'"),
+    "unknown-binary": ({"binary_ops": ["%"]}, "'binary_ops': unknown binary operator '%'"),
+    "repeated-binary": ({"binary_ops": ["+", "+"]}, "'binary_ops': operator names must be"),
+    "bad-architecture": ({"architectures": ["bx"]}, "'architectures': architecture must be"),
+}
 # an experiment config that fails a check of its operators or expressions
 EXPERIMENTS = {
-    "repeated-operator": ({**SIGNAL, "unary_ops": ["id", "id"]}, "must be unique"),
-    "unknown-unary": ({**SIGNAL, "unary_ops": ["tan"]}, "unknown unary operator 'tan'"),
-    "unknown-binary": ({**SIGNAL, "binary_ops": ["%"]}, "unknown binary operator '%'"),
-    "bad-architecture": ({**SIGNAL, "architectures": ["bx"]}, "nonempty string over"),
+    **{name: ({**SIGNAL, **change}, message) for name, (change, message) in OPERATORS.items()},
     "unparsable-expression": (
         {"mode": "candidates", "truth": "x +", "candidates": ["x +", "x"], "n": 20,
          "repeats": 2, "methods": ["t0"]}, "cannot parse"),
@@ -243,6 +255,22 @@ def test_experiment_check_exits_2(cfg, message, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["experiment", "--config", str(path), "--out-dir", str(out)]) == 2
     one_error_line(capsys, message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("change, message", OPERATORS.values(), ids=OPERATORS.keys())
+def test_csv_experiment_checks_operators_before_reading(change, message, tmp_path,
+                                                         capsys, monkeypatch):
+    def unread(*args):
+        raise AssertionError("load_csv called")
+
+    monkeypatch.setattr(cli, "load_csv", unread)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mode": "csv", "input": str(tmp_path / "missing.csv"),
+                                "response": "y", "methods": ["t0"], **change}))
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(path), "--out-dir", str(out)]) == 2
+    one_error_line(capsys, f"config key {message}")
     assert not out.exists()
 
 

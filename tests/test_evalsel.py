@@ -197,13 +197,50 @@ class TestSelectTop:
             assert one.tolist() == selection[r].tolist() and one_tie == tie[r]
 
 
+def row_pr_auc(ground_truth, selected):
+    """One selection's PR curve and AUC from its sorted points and the
+    generic trapezoid sum: the oracle for :func:`pr_auc`."""
+    truth = np.asarray(ground_truth, dtype=bool)
+    positives, q = int(truth.sum()), truth.shape[0]
+    tp = int(truth[np.asarray(selected, dtype=int)].sum())
+    points = [(0.0, 1.0), (tp / positives, tp / len(selected)), (1.0, positives / q)]
+    points.sort(key=lambda rp: (rp[0], -rp[1]))
+    auc = sum((r2 - r1) * (p1 + p2) / 2.0
+              for (r1, p1), (r2, p2) in zip(points, points[1:]))
+    return points, float(min(max(auc, 0.0), 1.0))
+
+
+def set_aip(selections, correct_labels, n_selected):
+    """The mean over repeats of each selection's share of correct columns,
+    by Python sets: the oracle for :func:`average_inclusion_probability`."""
+    correct = set(int(j) for j in np.flatnonzero(np.asarray(correct_labels, dtype=bool)))
+    return float(np.mean([len(set(sel) & correct) / n_selected for sel in selections]))
+
+
+@st.composite
+def labelled_blocks(draw):
+    """Labels over q columns with at least one positive, and an (R, k) block
+    of distinct selections. Each row ranks the columns by a random key
+    shifted by -1, 0 or 1 on the positives: -1 picks them first, so recall
+    1 comes up often, and 1 picks them last, so recall 0 does."""
+    q = draw(st.integers(1, 9))
+    k = draw(st.integers(1, q))
+    shift = np.array(draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=1, max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    truth = np.zeros(q, dtype=bool)
+    truth[rng.choice(q, size=draw(st.integers(1, q)), replace=False)] = True
+    key = rng.random((len(shift), q)) + shift[:, None] * truth
+    return truth, np.argsort(key, axis=1)[:, :k]
+
+
 class TestPrAuc:
     def test_perfect_separation(self):
         truth = np.array([True, True, False, False, False, False])
         ms = MethodScore("t0", np.array([0.0, 0.1, 5.0, 6.0, 7.0, 8.0]), "lower")
         points, auc = pr_auc(truth, top(ms, 2))
         assert auc == pytest.approx(1.0)
-        assert points[0] == (0.0, 1.0) and points[-1][0] == 1.0
+        assert points.shape == (3, 2)
+        assert points[0].tolist() == [0.0, 1.0] and points[-1][0] == 1.0
 
     def test_single_positive_closed_forms(self):
         q, k = 24, 3
@@ -227,7 +264,8 @@ class TestPrAuc:
         truth = np.zeros(q, dtype=bool)
         truth[0] = True
         selections = top(MethodScore("r", rng.uniform(size=(trials, q)), "higher"), k)
-        aucs = np.array([pr_auc(truth, sel)[1] for sel in selections])
+        curves, aucs = pr_auc(truth, selections)
+        assert curves.shape == (trials, 3, 2) and aucs.shape == (trials,)
         expected = (k / q) * single_positive_auc(q, True, k) \
             + (1 - k / q) * single_positive_auc(q, False, k)
         se = aucs.std(ddof=1) / np.sqrt(trials)
@@ -247,34 +285,58 @@ class TestPrAuc:
     def test_no_positives(self):
         with pytest.raises(NoPositives):
             pr_auc(np.zeros(4, dtype=bool), [0, 1])
+        with pytest.raises(NoPositives):
+            pr_auc(np.zeros(4, dtype=bool), [[0, 1], [2, 3]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(block=labelled_blocks())
+    # recall 0, recall 1 below k = q, and k = q
+    @example(block=(np.array([True, False, False]), np.array([[1, 2], [0, 1]])))
+    @example(block=(np.array([True, False, True]), np.array([[2, 0, 1], [1, 0, 2]])))
+    def test_block_matches_the_row_oracles(self, block):
+        truth, selections = block
+        k = selections.shape[1]
+        curves, aucs = pr_auc(truth, selections)
+        rows = [row_pr_auc(truth, sel) for sel in selections.tolist()]
+        assert curves.tolist() == [[list(pt) for pt in curve] for curve, _ in rows]
+        assert aucs.tolist() == [auc for _, auc in rows]
+        for sel, (curve, auc) in zip(selections, rows):
+            one_curve, one_auc = pr_auc(truth, sel)
+            assert one_curve.tolist() == [list(pt) for pt in curve] and one_auc == auc
+        assert (average_inclusion_probability(selections, truth, k)
+                == set_aip(selections.tolist(), truth, k))
 
 
 class TestAIP:
     def test_all_correct(self):
         labels = [True, True, True, False]
-        sels = [[0, 1, 2]] * 50
+        sels = np.array([[0, 1, 2]] * 50)
         assert average_inclusion_probability(sels, labels, 3) == 1.0
 
     def test_none_correct(self):
         labels = [True, True, True, False]
-        sels = [[3, 3, 3]] * 10  # degenerate but sized correctly
+        sels = np.array([[3, 3, 3]] * 10)  # degenerate but sized correctly
         assert average_inclusion_probability(sels, labels, 3) == pytest.approx(0.0)
 
     def test_half_and_half(self):
         labels = [True, True, True, False, False, False]
-        sels = [[0, 1, 2]] * 25 + [[3, 4, 5]] * 25
+        sels = np.array([[0, 1, 2]] * 25 + [[3, 4, 5]] * 25)
         assert average_inclusion_probability(sels, labels, 3) == pytest.approx(0.5)
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
-            average_inclusion_probability([[0, 1]], [True, True], 3)
+            average_inclusion_probability(np.array([[0, 1]]), [True, True], 3)
+        with pytest.raises(SizeMismatch):  # ragged rows
+            average_inclusion_probability([[0, 1], [1]], [True, True], 2)
+        with pytest.raises(SizeMismatch):  # one selection, not a block of them
+            average_inclusion_probability(np.array([0, 1]), [True, True], 2)
 
     def test_uniform_random_selector_matches_prevalence(self):
         rng = derive_rng(78)
         q, k, c, repeats = 20, 4, 7, 4000
         labels = np.zeros(q, dtype=bool)
         labels[:c] = True
-        sels = [list(rng.choice(q, size=k, replace=False)) for _ in range(repeats)]
+        sels = np.array([rng.choice(q, size=k, replace=False) for _ in range(repeats)])
         aip = average_inclusion_probability(sels, labels, k)
         per_repeat = [len(set(s) & set(range(c))) / k for s in sels]
         se = np.std(per_repeat, ddof=1) / np.sqrt(repeats)
@@ -411,22 +473,39 @@ class TestExperimentHarness:
             run_candidates_experiment(cfg)
 
 
+def per_repeat_entry(method, direction, picks, labels, n_selected):
+    """One method's report entry, and its selections as an (R, k) block,
+    from its (selection, tie) per repeat, scored one repeat at a time by the
+    row oracles."""
+    selections = [sel for sel, _ in picks]
+    entry = {"method": method, "direction": direction, "selections": selections,
+             "boundary_tie_repeats": int(sum(tie for _, tie in picks))}
+    if labels is not None:
+        prs = [row_pr_auc(labels, sel) for sel in selections]
+        entry["aip"] = set_aip(selections, labels, n_selected)
+        entry["pr_auc"] = [auc for _, auc in prs]
+        entry["pr_auc_median"] = float(np.median(entry["pr_auc"]))
+        entry["pr_curves"] = [[list(pt) for pt in curve] for curve, _ in prs]
+    return entry, np.array(selections)
+
+
 def per_repeat_cells(cells, methods, repeats, n_selected, seed, tree):
-    """The experiment loop building and scoring one repeat per call: the
-    oracle for the chunked ``evalsel._run_cells``."""
+    """The experiment loop building, scoring and selecting one repeat per
+    call: the oracle for the chunked ``evalsel._run_cells``."""
     results = []
     for cell in cells:
         picks = [[] for _ in methods]
+        directions = {}
         for r in range(repeats):
             z, ys = cell.data(range(r, r + 1))
             fm = FeatureMatrix(np.array(z), cell.exprs)
             for mi, method in enumerate(methods):
                 ms = score_features(fm, ys[0], method, tree_params=tree,
                                     seed=evalsel._method_seed(seed, *cell.seed_key, r, mi))
-                selection, tie = row_pick(ms.scores, ms.direction, n_selected)
-                pr = pr_auc(cell.labels, selection) if cell.labels is not None else None
-                picks[mi].append((selection, tie, pr))
-        results.append([evalsel._method_entry(method, picks[mi], cell.labels, n_selected)
+                directions[method] = ms.direction
+                picks[mi].append(row_pick(ms.scores, ms.direction, n_selected))
+        results.append([per_repeat_entry(method, directions[method], picks[mi], cell.labels,
+                                         n_selected)
                         for mi, method in enumerate(methods)])
     return results, {f"{c.key}/{m}": 0.0 for c in cells for m in methods}
 
