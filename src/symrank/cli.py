@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import FeatureMatrix, _is_number, load_csv, read_text, var
-from .errors import ConfigError, DimensionMismatch, SymrankError, UsageError
+from .errors import ColumnMismatch, ConfigError, DimensionMismatch, SymrankError, UsageError
 from .evalsel import (
     CandidatesExperimentConfig,
     CsvExperimentConfig,
@@ -205,16 +205,28 @@ def _config(cls, raw, extra=()):
 _LABELS = {
     "architectures": ("run label", str),
     "noise_vars": ("run label", "{:g}".format),
-    "candidates": ("expression", lambda c: c.replace(" ", "")),
+    "candidates": ("expression", lambda c: unary_from_expr(c).name),
 }
 
 
 def _experiment_config(cls, raw, extra=()):
     """The validated experiment config of one mode, before any work is done.
-    Its operators and architectures are built here once, so a bad one is a
-    ConfigError that names its key."""
+    Its operators, architectures and expressions are built here once, so a
+    bad one is a ConfigError that names its key."""
     cfg = _config(cls, raw, ("mode", *extra))
     _known_methods(cfg.methods)
+    if hasattr(cfg, "architectures"):  # a mode that expands features
+        builds = {"unary_ops": lambda: build_operator_set(cfg.unary_ops, ()),
+                  "binary_ops": lambda: build_operator_set(cfg.unary_ops, cfg.binary_ops),
+                  "architectures": lambda: [Architecture(a) for a in cfg.architectures]}
+    else:
+        builds = {"truth": lambda: unary_from_expr(cfg.truth),
+                  "candidates": lambda: [unary_from_expr(c) for c in cfg.candidates]}
+    for key, build in builds.items():
+        try:
+            build()
+        except DimensionMismatch as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from None
     for key, (kind, label) in _LABELS.items():
         entries = getattr(cfg, key, ())
         labels = [label(entry) for entry in entries]
@@ -222,15 +234,6 @@ def _experiment_config(cls, raw, extra=()):
             if name in labels[:i]:
                 raise ConfigError(f"config key {key!r}: entries {entries[labels.index(name)]!r} "
                                   f"and {entries[i]!r} share the {kind} {name!r}")
-    if hasattr(cfg, "architectures"):  # a mode that expands features
-        builds = {"unary_ops": lambda: build_operator_set(cfg.unary_ops, ()),
-                  "binary_ops": lambda: build_operator_set(cfg.unary_ops, cfg.binary_ops),
-                  "architectures": lambda: [Architecture(a) for a in cfg.architectures]}
-        for key, build in builds.items():
-            try:
-                build()
-            except DimensionMismatch as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from None
     return cfg
 
 
@@ -463,6 +466,9 @@ def cmd_tree_predict(args) -> int:
     doc = _load_config(args.tree)
     tree = tree_from_json(doc)
     ds = load_csv(args.input, args.response)
+    if "columns" in doc and doc["columns"] != list(ds.column_names):
+        raise ColumnMismatch(f"tree was grown on columns {doc['columns']}, "
+                             f"{args.input} has input columns {list(ds.column_names)}")
     preds = predict_rows(tree, ds.x)
     _write_csv(Path(args.out), ["prediction"], [(float(p),) for p in preds])
     print(f"wrote {len(preds)} predictions -> {args.out}")

@@ -109,21 +109,6 @@ class Expression:
             return frozenset({self.index})
         return frozenset().union(*(c.variables() for c in self.children))
 
-    def evaluate(self, x: np.ndarray, unary_ops, binary_ops) -> np.ndarray:
-        """Evaluate row-wise on an (n, d) input matrix.
-
-        ``unary_ops`` / ``binary_ops`` map operator names to vectorized
-        callables; see :mod:`symrank.symgen` for the built-in table.
-        """
-        if self.kind == "var":
-            return np.asarray(x)[:, self.index]
-        if self.kind == "unary":
-            return np.asarray(unary_ops[self.op](
-                self.children[0].evaluate(x, unary_ops, binary_ops)))
-        lhs = self.children[0].evaluate(x, unary_ops, binary_ops)
-        rhs = self.children[1].evaluate(x, unary_ops, binary_ops)
-        return np.asarray(binary_ops[self.op](lhs, rhs))
-
 
 def var(index: int) -> Expression:
     if index < 0:
@@ -388,8 +373,9 @@ def _bad_row(path, lines, rows, width) -> DimensionMismatch:
 def load_csv(path, response: str) -> Dataset:
     """Read a headed CSV into a Dataset.
 
-    The header row names the columns; ``response`` becomes y and every other
-    column becomes an input column, in header order. The data rows are
+    The header row names the columns, each name once (names are stripped of
+    surrounding whitespace); ``response`` becomes y and every other column
+    becomes an input column, in header order. The data rows are
     comma-separated numbers, optionally quoted with ``"`` and padded with
     whitespace, parsed by one ``np.loadtxt`` call; ``#`` is not a comment, and
     a quoted field that spans lines is joined without its line breaks. Lines
@@ -408,6 +394,9 @@ def load_csv(path, response: str) -> Dataset:
     del text  # the lines hold it; one copy is enough for a large file
     reader = csv.reader(line + "\n" for line in lines)
     header = [h.strip() for h in next(reader)]
+    if len(set(header)) < len(header):
+        name = next(h for i, h in enumerate(header) if h in header[:i])
+        raise DimensionMismatch(f"{path}: column name {name!r} appears more than once")
     if response not in header:
         raise DimensionMismatch(f"{path}: no column named {response!r}")
     y_col = header.index(response)

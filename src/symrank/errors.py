@@ -75,7 +75,8 @@ class InadmissibleRule(SymrankError):
 
 
 class ColumnMismatch(SymrankError):
-    """Prediction input width differs from the tree's training width."""
+    """Prediction input width or column names differ from the tree's training
+    columns, or a tree document is malformed."""
 
 
 # -- piecewise monotone transforms ----------------------------------------

@@ -532,19 +532,17 @@ def run_signal_experiment(cfg: SignalExperimentConfig) -> ExperimentReport:
 def run_candidates_experiment(cfg: CandidatesExperimentConfig) -> ExperimentReport:
     """Inclusion frequency of each candidate transform over repeats.
 
-    The truth must be one of the candidates (matched by its expression
-    string) so inclusion of the true transform can be reported.
+    The truth must be one of the candidates (matched by its parsed name) so
+    inclusion of the true transform can be reported.
     """
-    truth_key = cfg.truth.replace(" ", "")
-    cand_keys = [c.replace(" ", "") for c in cfg.candidates]
-    if truth_key not in cand_keys:
-        raise ConfigError(f"config key 'truth': {cfg.truth!r} is not among the candidates")
-    truth_col = cand_keys.index(truth_key)
-    labels = np.zeros(len(cfg.candidates), dtype=bool)
-    labels[truth_col] = True
-
     truth_op = _as_unary(cfg.truth)
     cand_ops = [_as_unary(c) for c in cfg.candidates]
+    names = [op.name for op in cand_ops]
+    if truth_op.name not in names:
+        raise ConfigError(f"config key 'truth': {cfg.truth!r} is not among the candidates")
+    truth_col = names.index(truth_op.name)
+    labels = np.zeros(len(cfg.candidates), dtype=bool)
+    labels[truth_col] = True
 
     data = partial(_candidate_chunk, cfg.n, truth_op, cand_ops, cfg.noise_var, cfg.seed)
     (entries,), runtimes = _run_cells(

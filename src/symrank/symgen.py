@@ -6,7 +6,8 @@ repetition (i <= j) for commutative operators and ordered pairs otherwise;
 a unary layer applies every unary operator to every expression, with "id"
 leaving the expression unchanged. Commutative canonical ordering makes
 x1+x2 and x2+x1 one feature. No algebraic simplification beyond that is
-performed: x1+x1 stays x1+x1.
+performed: x1+x1 stays x1+x1. Each layer's columns are computed from the
+layer below, each new expression by one operator call.
 """
 
 from __future__ import annotations
@@ -109,12 +110,6 @@ class OperatorSet:
         names = [op.name for op in self.unary] + [op.name for op in self.binary]
         if len(set(names)) != len(names):
             raise DimensionMismatch("operator names must be unique")
-
-    def unary_table(self) -> dict:
-        return {op.name: op.fn for op in self.unary}
-
-    def binary_table(self) -> dict:
-        return {op.name: op.fn for op in self.binary}
 
 
 def build_operator_set(unary_names, binary_names) -> OperatorSet:
@@ -221,13 +216,18 @@ def generate_report(ds: Dataset, arch: Architecture, ops: OperatorSet,
                     value_dedup: bool = False) -> GenerationReport:
     """Apply the architecture's layers to the base variables and evaluate.
 
+    Each layer is computed from the layer below: a new expression is its
+    operator applied once to its children's values, and an "id" pass-through
+    keeps its child's.
     Expressions whose evaluation leaves the data's domain (division by zero,
     overflow) are dropped and recorded. With ``value_dedup`` set, a later
     column whose evaluated vector matches an earlier one within 1e-12
     componentwise is dropped as well. Constant columns are kept but flagged;
     scoring treats them as worst-ranked.
     """
+    fns = {op.name: op.fn for op in ops.unary + ops.binary}  # names are unique
     exprs: list[Expression] = [var(j) for j in range(ds.d)]
+    values = {e: ds.x[:, e.index] for e in exprs}
     layer_counts: list[dict] = []
     for kind in arch.order:
         m = len(exprs)
@@ -238,15 +238,16 @@ def generate_report(ds: Dataset, arch: Architecture, ops: OperatorSet,
             exprs = expand_unary(exprs, ops)
             raw = raw_unary_count(m, ops)
         layer_counts.append({"kind": kind, "raw": raw, "distinct": len(exprs)})
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            values = {e: values[e] if e in values else
+                      np.asarray(fns[e.op](*(values[c] for c in e.children))) for e in exprs}
 
-    unary_table = ops.unary_table()
-    binary_table = ops.binary_table()
     kept: list[Expression] = []
     columns: list[np.ndarray] = []
     dropped: list[dict] = []
     for e in exprs:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            col = np.asarray(e.evaluate(ds.x, unary_table, binary_table), dtype=float)
+            col = np.asarray(values[e], dtype=float)
         if col.shape != (ds.n,):
             raise DimensionMismatch(
                 f"{e.canonical()} evaluated to shape {col.shape}, expected ({ds.n},)")

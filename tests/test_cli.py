@@ -745,6 +745,27 @@ class TestTree:
     def test_missing_subcommand_exits_2(self):
         assert main(["tree"]) == 2
 
+    def test_predict_checks_the_column_names(self, data3, tmp_path, capsys):
+        tree_path = tmp_path / "tree.json"
+        assert main(["tree", "grow", "--input", str(data3), "--response", "y",
+                     "--depth", "3", "--out", str(tree_path)]) == 0
+        rows = list(csv.reader(data3.read_text().splitlines()))
+        swapped = tmp_path / "swapped.csv"
+        with open(swapped, "w", newline="") as fh:
+            csv.writer(fh).writerows([r[2], r[1], r[0], r[3]] for r in rows)
+        preds_path = tmp_path / "preds.csv"
+        predict = ["tree", "predict", "--tree", str(tree_path), "--input", str(swapped),
+                   "--response", "y", "--out", str(preds_path)]
+        assert main(predict) == 1 and not preds_path.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: tree was grown on columns ['x1', 'x2', 'x3'], {swapped} has input "
+            f"columns ['x3', 'x2', 'x1']"]
+        # a document without the names is checked for its width alone
+        doc = json.loads(tree_path.read_text())
+        del doc["columns"]
+        tree_path.write_text(json.dumps(doc))
+        assert main(predict) == 0 and len(preds_path.read_text().splitlines()) == 13
+
     def test_predict_rejects_an_out_of_range_coordinate(self, data3, tmp_path, capsys):
         tree_path = tmp_path / "tree.json"
         tree_path.write_text(json.dumps({"n_features": 3, "nodes": [

@@ -239,12 +239,19 @@ OPERATORS = {
     "repeated-binary": ({"binary_ops": ["+", "+"]}, "'binary_ops': operator names must be"),
     "bad-architecture": ({"architectures": ["bx"]}, "'architectures': architecture must be"),
 }
+CANDIDATES = {"mode": "candidates", "truth": "sin(4*x)", "candidates": ["sin(4*x)", "x"],
+              "n": 20, "repeats": 2, "methods": ["t0"]}
 # an experiment config that fails a check of its operators or expressions
 EXPERIMENTS = {
     **{name: ({**SIGNAL, **change}, message) for name, (change, message) in OPERATORS.items()},
     "unparsable-expression": (
-        {"mode": "candidates", "truth": "x +", "candidates": ["x +", "x"], "n": 20,
-         "repeats": 2, "methods": ["t0"]}, "cannot parse"),
+        {**CANDIDATES, "truth": "x +", "candidates": ["x +", "x"]},
+        "config key 'truth': cannot parse 'x +'"),
+    "unparsable-candidate": (
+        {**CANDIDATES, "candidates": ["sin(4*x)", "x +"]},
+        "config key 'candidates': cannot parse 'x +'"),
+    "unsupported-call": (
+        {**CANDIDATES, "truth": "tan(x)"}, "config key 'truth': unsupported call in 'tan(x)'"),
 }
 
 

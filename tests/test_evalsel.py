@@ -445,8 +445,9 @@ class TestExperimentHarness:
             assert all(0.0 <= v <= 1.0 for v in m["pr_auc"])
 
     def test_candidates_experiment_inclusion(self):
+        # the truth is matched by its parsed name, which has no spaces
         cfg = CandidatesExperimentConfig(
-            truth="sin(4*x)", candidates=("x", "sin(4*x)"),
+            truth="sin(4 * x)", candidates=("x", "sin(4*x)"),
             n=80, noise_var=0.05, repeats=5, n_selected=1,
             methods=("t0", "pearson"), seed=13)
         rep = run_candidates_experiment(cfg)

@@ -27,6 +27,9 @@ def reference_load_csv(path, response: str):
         except StopIteration:
             raise DimensionMismatch(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
+        if len(set(header)) < len(header):
+            name = next(h for i, h in enumerate(header) if h in header[:i])
+            raise DimensionMismatch(f"{path}: column name {name!r} appears more than once")
         if response not in header:
             raise DimensionMismatch(f"{path}: no column named {response!r}")
         y_col = header.index(response)
@@ -161,6 +164,16 @@ class TestGrammar:
             _load(tmp_path, "a,y\n1,2\nnan,3\n")
         with pytest.raises(NonFiniteData):
             _load(tmp_path, "a,y\ninf,2\n")
+
+    @pytest.mark.parametrize("header", ["x1,y,y", "x1,x1,y", " y ,x1,y"])
+    def test_repeated_header_name_is_rejected(self, header, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(f"{header}\n1,2,3\n")
+        name = "x1" if "x1,x1" in header else "y"
+        message = f"{path}: column name {name!r} appears more than once"
+        for load in (load_csv, reference_load_csv):
+            with pytest.raises(DimensionMismatch, match=re.escape(message)):
+                load(path, "y")
 
     def test_hash_inside_a_field_is_not_a_comment(self, tmp_path):
         # with loadtxt's default comments="#", "3,4#9" would read as 3,4

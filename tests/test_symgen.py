@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,8 @@ from symrank.core import build_dataset, binary, derive_rng, unary, var
 from symrank.errors import DimensionMismatch
 from symrank.symgen import (
     Architecture,
+    OperatorSet,
+    UnaryOp,
     build_operator_set,
     expand_binary,
     expand_unary,
@@ -23,6 +27,39 @@ OPS = build_operator_set(["id", "cube"], ["+", "*"])
 def random_dataset(seed, n=15, d=3):
     rng = derive_rng(seed)
     return build_dataset(rng.uniform(size=(n, d)), rng.uniform(size=n))
+
+
+def walk(e, x, ops):
+    """The values of expression e on the (n, d) inputs x by the recursive
+    walk: every subexpression is evaluated afresh from the base variables."""
+    if e.kind == "var":
+        return np.asarray(x)[:, e.index]
+    fns = {op.name: op.fn for op in ops.unary + ops.binary}
+    return np.asarray(fns[e.op](*(walk(c, x, ops) for c in e.children)))
+
+
+def walk_report(ds, arch, ops, value_dedup):
+    """The column names, z, drops and constant columns generate_report gives,
+    with each final column evaluated by the walk."""
+    exprs = [var(j) for j in range(ds.d)]
+    for kind in arch:
+        exprs = (expand_binary if kind == "b" else expand_unary)(exprs, ops)
+    columns, dropped = {}, []
+    for e in exprs:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            col = np.asarray(walk(e, ds.x, ops), dtype=float)
+        if not np.isfinite(col).all():
+            reason = "left operator domain on this data"
+        elif value_dedup and any(np.all(np.abs(col - prev) <= 1e-12)
+                                 for prev in columns.values()):
+            reason = "duplicate values of an earlier column"
+        else:
+            columns[e.canonical()] = col
+            continue
+        dropped.append({"expression": e.canonical(), "reason": reason})
+    z = np.array(list(columns.values())).T
+    constant = tuple(np.flatnonzero((z == z[0]).all(axis=0)).tolist())
+    return tuple(columns), z, tuple(dropped), constant
 
 
 class TestLayerCounts:
@@ -84,11 +121,44 @@ class TestGenerate:
         assert np.array_equal(fm.z, ds.x)
 
     def test_columns_match_expression_evaluation(self):
-        ds = random_dataset(64, n=10)
-        fm = generate_report(ds, Architecture("bu"), OPS).features
-        for j, e in enumerate(fm.exprs):
-            expected = e.evaluate(ds.x, OPS.unary_table(), OPS.binary_table())
-            assert np.array_equal(fm.z[:, j], expected)
+        # a zero for "/" and "1/x" to leave their domain, and x2 = 2 * x1
+        # for value duplicates
+        x1 = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, -1.0, 3.0])
+        ds = build_dataset(np.column_stack([x1, 2 * x1]), np.arange(8.0))
+        # int64 past 2**53, so int and float arithmetic on its values differ
+        to_int = UnaryOp("big", lambda v: np.rint(np.asarray(v)).astype(np.int64) + 2**60)
+        op_sets = [OPS, build_operator_set(
+            ["id", "exp", sin_affine(4, 0.2), unary_from_expr("1 / x"), to_int], ["-", "/"])]
+        reasons = set()
+        for ops in op_sets:
+            for arch in ("u", "b", "bu", "ub", "bb", "ubu"):
+                for value_dedup in (False, True):
+                    rep = generate_report(ds, Architecture(arch), ops, value_dedup)
+                    names, z, dropped, constant = walk_report(ds, arch, ops, value_dedup)
+                    assert rep.features.column_names() == names
+                    assert rep.features.z.shape == z.shape
+                    assert rep.features.z.tobytes() == z.tobytes()
+                    assert rep.dropped == dropped
+                    assert rep.constant_columns == constant
+                    reasons |= {d["reason"] for d in dropped}
+        assert len(reasons) == 2
+
+    def test_each_expression_is_computed_once(self):
+        calls = []
+
+        def counted(op):
+            def fn(*args):
+                calls.append(op.name)
+                return op.fn(*args)
+            return dataclasses.replace(op, fn=fn)
+
+        ops = OperatorSet(tuple(map(counted, OPS.unary)), tuple(map(counted, OPS.binary)))
+        ds = random_dataset(71)
+        generate_report(ds, Architecture("bu"), ops)
+        assert len(calls) == 12 + 12  # 12 binaries, then a cube of each ("id" is free)
+        calls.clear()
+        generate_report(ds, Architecture("ub"), ops)
+        assert len(calls) == 3 + 42  # 3 cubes, then 42 binaries
 
     def test_deterministic(self):
         ds = random_dataset(65)
@@ -158,9 +228,7 @@ class TestCanonicalSoundness:
         assert a.canonical() == b.canonical()
         rng = derive_rng(69)
         x = rng.normal(size=(20, 3))
-        va = a.evaluate(x, OPS.unary_table(), OPS.binary_table())
-        vb = b.evaluate(x, OPS.unary_table(), OPS.binary_table())
-        assert np.array_equal(va, vb)
+        assert np.array_equal(walk(a, x, OPS), walk(b, x, OPS))
 
     def test_identical_canonicals_evaluate_identically_in_layers(self):
         rng = derive_rng(70)
@@ -173,7 +241,7 @@ class TestCanonicalSoundness:
                     raw.append(binary(op.name, base[i], base[j]))
         by_name = {}
         for e in raw:
-            vals = e.evaluate(x, OPS.unary_table(), OPS.binary_table())
+            vals = walk(e, x, OPS)
             key = e.canonical()
             if key in by_name:
                 assert np.array_equal(by_name[key], vals)
