@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import FeatureMatrix, _is_number, load_csv, read_text, var
-from .errors import ColumnMismatch, ConfigError, DimensionMismatch, SymrankError, UsageError
+from .errors import ColumnMismatch, ConfigError, SymrankError, UsageError
 from .evalsel import (
     CandidatesExperimentConfig,
     CsvExperimentConfig,
@@ -98,18 +98,22 @@ def _unary_entry(entry):
 
 
 def _methods_arg(raw: str) -> list[str]:
+    """The --methods list, checked before any file is read."""
     if raw == "all":
         return list(SCORE_METHODS)
-    return _known_methods([m.strip() for m in raw.split(",") if m.strip()])
+    methods = [m.strip() for m in raw.split(",") if m.strip()]
+    if not methods:
+        raise UsageError(f"--methods {raw!r} names no method")
+    return _known_methods(methods)
 
 
 def _known_methods(methods):
     unknown = [m for m in methods if m not in SCORE_METHODS]
     if unknown:
-        raise SymrankError(f"unknown methods {unknown}; choose from {SCORE_METHODS}")
+        raise UsageError(f"unknown methods {unknown}; choose from {SCORE_METHODS}")
     repeated = sorted({m for m in methods if methods.count(m) > 1})
     if repeated:
-        raise SymrankError(f"methods {repeated} named more than once")
+        raise UsageError(f"methods {repeated} named more than once")
     return methods
 
 
@@ -211,21 +215,21 @@ _LABELS = {
 
 def _experiment_config(cls, raw, extra=()):
     """The validated experiment config of one mode, before any work is done.
-    Its operators, architectures and expressions are built here once, so a
-    bad one is a ConfigError that names its key."""
+    Its methods are checked and its operators, architectures and expressions
+    are built here once, so a bad one is a ConfigError that names its key."""
     cfg = _config(cls, raw, ("mode", *extra))
-    _known_methods(cfg.methods)
+    builds = {"methods": lambda: _known_methods(cfg.methods)}
     if hasattr(cfg, "architectures"):  # a mode that expands features
-        builds = {"unary_ops": lambda: build_operator_set(cfg.unary_ops, ()),
-                  "binary_ops": lambda: build_operator_set(cfg.unary_ops, cfg.binary_ops),
-                  "architectures": lambda: [Architecture(a) for a in cfg.architectures]}
+        builds.update(unary_ops=lambda: build_operator_set(cfg.unary_ops, ()),
+                      binary_ops=lambda: build_operator_set(cfg.unary_ops, cfg.binary_ops),
+                      architectures=lambda: [Architecture(a) for a in cfg.architectures])
     else:
-        builds = {"truth": lambda: unary_from_expr(cfg.truth),
-                  "candidates": lambda: [unary_from_expr(c) for c in cfg.candidates]}
+        builds.update(truth=lambda: unary_from_expr(cfg.truth),
+                      candidates=lambda: [unary_from_expr(c) for c in cfg.candidates])
     for key, build in builds.items():
         try:
             build()
-        except DimensionMismatch as exc:
+        except UsageError as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from None
     for key, (kind, label) in _LABELS.items():
         entries = getattr(cfg, key, ())
@@ -270,9 +274,8 @@ def cmd_score(args) -> int:
     failed = False
     for method in methods:
         try:
-            ms = score_features(fm, ds.y, method, seed=args.seed,
-                                tree_params=TreeParams(depth=args.depth))
-            table[method] = [float(v) for v in ms.scores]
+            table[method] = score_features(fm, ds.y, method, seed=args.seed,
+                                           tree_params=TreeParams(depth=args.depth)).tolist()
         except SymrankError as exc:
             warnings.append(f"{method}: {exc}")
             table[method] = None
@@ -304,9 +307,9 @@ def cmd_select(args) -> int:
     fm = _dataset_as_features(ds)
     doc = {"n_selected": args.n_selected, "methods": []}
     for method in methods:
-        ms = score_features(fm, ds.y, method, seed=args.seed,
-                            tree_params=TreeParams(depth=args.depth))
-        sel, tie = select_top(ms, args.n_selected)
+        scores = score_features(fm, ds.y, method, seed=args.seed,
+                                tree_params=TreeParams(depth=args.depth))
+        sel, tie = select_top(scores, args.n_selected, method)
         sel = sel.tolist()
         doc["methods"].append({
             "method": method,

@@ -373,9 +373,9 @@ def _bad_row(path, lines, rows, width) -> DimensionMismatch:
 def load_csv(path, response: str) -> Dataset:
     """Read a headed CSV into a Dataset.
 
-    The header row names the columns, each name once (names are stripped of
-    surrounding whitespace); ``response`` becomes y and every other column
-    becomes an input column, in header order. The data rows are
+    The header row names the columns, each name once and none empty (names
+    are stripped of surrounding whitespace); ``response`` becomes y and
+    every other column becomes an input column, in header order. The data rows are
     comma-separated numbers, optionally quoted with ``"`` and padded with
     whitespace, parsed by one ``np.loadtxt`` call; ``#`` is not a comment, and
     a quoted field that spans lines is joined without its line breaks. Lines
@@ -394,6 +394,8 @@ def load_csv(path, response: str) -> Dataset:
     del text  # the lines hold it; one copy is enough for a large file
     reader = csv.reader(line + "\n" for line in lines)
     header = [h.strip() for h in next(reader)]
+    if "" in header:
+        raise DimensionMismatch(f"{path}: header column {header.index('') + 1} has no name")
     if len(set(header)) < len(header):
         name = next(h for i, h in enumerate(header) if h in header[:i])
         raise DimensionMismatch(f"{path}: column name {name!r} appears more than once")

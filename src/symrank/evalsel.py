@@ -2,10 +2,11 @@
 selection, PR-AUC, average inclusion probability, synthetic generators, and
 the repeated-experiment harness.
 
-Scores carry a direction: the concordant divergence is lower-better, the
-absolute correlations and split importances are higher-better. Zero-variance
-columns never raise here: methods that cannot compute them fall back to
-their worst in-range sentinel, so selection stays total.
+Scores are plain arrays; a selection takes its direction from its method:
+the concordant divergence is lower-better, the absolute correlations and
+split importances are higher-better. Zero-variance columns never raise
+here: methods that cannot compute them fall back to their worst in-range
+sentinel, so selection stays total.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ __all__ = [
     "CandidatesExperimentConfig",
     "CsvExperimentConfig",
     "ExperimentReport",
-    "MethodScore",
     "SCORE_METHODS",
     "SignalExperimentConfig",
     "TreeParams",
@@ -72,69 +72,62 @@ SCORE_METHODS = ("t0", "pearson", "spearman", "kendall", "chatterjee", "tree-imp
 
 
 @dataclass(frozen=True)
-class MethodScore:
-    """Per-feature scores for one method, with the comparison direction: one
-    (q,) row, or an (R, q) block of one row per repeat."""
-
-    method: str
-    scores: np.ndarray
-    direction: str  # "lower" | "higher"
-
-    def __post_init__(self):
-        if np.isnan(self.scores).any():
-            raise LengthMismatch(f"{self.method} scores contain NaN")
-
-
-@dataclass(frozen=True)
 class TreeParams:
     n_trees: int = 20
     depth: int = 3
-
-
-# the correlations, scored by their magnitude
-_SIGNED_METHODS = ("pearson", "spearman", "kendall")
 
 
 def _direction(method: str) -> str:  # see the module docstring
     return "lower" if method == "t0" else "higher"
 
 
-def score_features(fm: FeatureMatrix, y, method: str, *, seed: int = 0,
-                   tree_params: TreeParams = TreeParams(), runs=None) -> MethodScore:
-    """Score every feature column against the response with one method.
+def score_features(fm: FeatureMatrix, y, method: str, *, seed=0,
+                   tree_params: TreeParams = TreeParams(), runs=None) -> np.ndarray:
+    """Score every feature column against the response with one method: (q,)
+    scores for y of shape (n,), or a (g, q // g) block for y of shape (n, g),
+    one response per group of q // g consecutive columns.
 
+    Every method scores the whole matrix in one call. The rank methods may
+    share ``runs``, the sorted runs of fm's columns (see
+    :func:`.stats.batched_scores`). Tree importance grows each group's forest
+    on a view of its columns, with ``seed`` one int or one per group.
     Zero-variance columns get the worst in-range sentinel: 0 for the
     absolute correlations, -1 for the rank coefficient that rejects ties;
     the concordant divergence and the split importance handle them natively.
-    The rank methods ignore ``seed`` and also take y of shape (n, g), one
-    response per group of q // g consecutive columns scored as one row of a
-    (g, q // g) block, and ``runs``, the sorted runs of fm's columns that
-    they may share (see :func:`.stats.batched_scores`).
     """
     y = np.asarray(y, dtype=float)
     if method not in SCORE_METHODS:
         raise LengthMismatch(f"unknown method {method!r}; choose from {SCORE_METHODS}")
     if method == "tree-importance":
-        if y.ndim != 1:
-            raise LengthMismatch(f"tree importance takes one response, got shape {y.shape}")
-        scores = ensemble_importance(fm.z, y, tree_params.n_trees, tree_params.depth, seed)
+        ys = np.atleast_2d(y.T)  # one row per response
+        if not len(ys) or fm.q % len(ys):
+            raise LengthMismatch(f"{fm.q} columns in {len(ys)} response groups")
+        seeds = np.array(seed, dtype=object).reshape(-1)  # exact ints past 2**63
+        if len(seeds) not in (1, len(ys)):
+            raise LengthMismatch(f"{len(seeds)} seeds for {len(ys)} responses")
+        scores = np.concatenate([
+            ensemble_importance(z, yi, tree_params.n_trees, tree_params.depth, s)
+            for z, yi, s in zip(np.hsplit(fm.z, len(ys)), ys, np.broadcast_to(seeds, len(ys)))])
     else:
-        scores = batched_scores(method, fm.z, y, runs).reshape(*y.shape[1:], -1)
-        if method in _SIGNED_METHODS:
+        scores = batched_scores(method, fm.z, y, runs)
+        if method in ("pearson", "spearman", "kendall"):  # correlations, by magnitude
             scores = np.abs(scores)
-    return MethodScore(method, scores, _direction(method))
+    scores = scores.reshape(*y.shape[1:], -1)
+    if np.isnan(scores).any():
+        raise LengthMismatch(f"{method} scores contain NaN")
+    return scores
 
 
-def select_top(scores: MethodScore, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k best columns of each score row per the method's direction, best
-    first, and whether each row's k-th and (k+1)-th best scores tie, which
-    makes its top k ambiguous.
+def select_top(scores: np.ndarray, k: int, method: str) -> tuple[np.ndarray, np.ndarray]:
+    """The k best columns of each score row in the direction of ``method``,
+    best first, and whether each row's k-th and (k+1)-th best scores tie,
+    which makes its top k ambiguous.
 
     Takes one (q,) row or an (R, q) block of rows and sorts each row once.
     Exact score ties resolve to the lowest column index. Raises
     SizeOutOfRange for k < 1 and KTooLarge for k beyond the column count.
     """
-    ranked = scores.scores if scores.direction == "lower" else -scores.scores
+    ranked = scores if _direction(method) == "lower" else -scores
     q = ranked.shape[-1]
     if k < 1:
         raise SizeOutOfRange(f"k={k} selects no feature; need k >= 1")
@@ -386,7 +379,7 @@ class _Cell:
     data: Callable[[range], tuple[np.ndarray, np.ndarray]]
 
 
-# Feature values one rank-method call scores: a chunk of a cell's repeats
+# Feature values one scoring call takes: a chunk of a cell's repeats
 # side by side. A few small repeats per call amortize the call overhead;
 # stacking every repeat raises peak memory for little more speed.
 CHUNK_VALUES = 2**14
@@ -407,14 +400,15 @@ def _run_cells(cells, methods, repeats, n_selected, seed, tree):
 
     Each cell builds its repeats a chunk at a time (see :func:`_chunks`).
     A chunk is scored in one fixed order: the rank methods first, then tree
-    importance. Each rank method scores the chunk in one call: the chunk's
-    matrix, with one response per repeat. The methods that rank the features
+    importance. Each method scores the chunk in one :func:`score_features`
+    call: the chunk's matrix, with one response per repeat, and for tree
+    importance one seed per repeat, whose forest grows on that repeat's
+    columns of the matrix, uncopied. The methods that rank the features
     share one sort of the chunk's columns, taken by the first of them and
-    released before any forest grows. Tree importance grows each repeat's
-    forest on that repeat's columns of the chunk's matrix, uncopied. Each
-    method then selects all of the chunk's repeats in one :func:`select_top`
-    call, on its (len(reps), q) scores. A method's chunks of selections join
-    into one (R, k) block, from which its report entry's metrics come.
+    released before any forest grows. Each method then selects all of the
+    chunk's repeats in one :func:`select_top` call, on its (len(reps), q)
+    scores. A method's chunks of selections join into one (R, k) block, from
+    which its report entry's metrics come.
     """
     runtimes = dict.fromkeys((f"{c.key}/{m}" for c in cells for m in methods), 0.0)
     order = sorted(enumerate(methods), key=lambda m: m[1] == "tree-importance")
@@ -424,23 +418,18 @@ def _run_cells(cells, methods, repeats, n_selected, seed, tree):
     def job(chunk) -> None:
         cell, reps, cell_picks = chunk
         z, ys = cell.data(reps)
-        q = len(cell.exprs)
         chunk_fm = FeatureMatrix(z, cell.exprs * len(reps))
-        runs = None
+        runs, seeds = None, 0
         for mi, method in order:
             start = time.perf_counter()
             if method == "tree-importance":
                 runs = None
-                ms = MethodScore(method, np.stack([
-                    score_features(FeatureMatrix(z[:, i * q:(i + 1) * q], cell.exprs), y,
-                                   method, tree_params=tree,
-                                   seed=_method_seed(seed, *cell.seed_key, r, mi)).scores
-                    for i, (r, y) in enumerate(zip(reps, ys))]), _direction(method))
-            else:
-                if runs is None and method in _RUNS_METHODS:
-                    runs = sorted_runs(z.T)
-                ms = score_features(chunk_fm, ys.T, method, runs=runs)
-            cell_picks[mi].append(select_top(ms, n_selected))
+                seeds = [_method_seed(seed, *cell.seed_key, r, mi) for r in reps]
+            elif runs is None and method in _RUNS_METHODS:
+                runs = sorted_runs(z.T)
+            scores = score_features(chunk_fm, ys.T, method, seed=seeds, tree_params=tree,
+                                    runs=runs)
+            cell_picks[mi].append(select_top(scores, n_selected, method))
             runtimes[f"{cell.key}/{method}"] += time.perf_counter() - start
 
     _run_repeats(job, [(cell, reps, cell_picks) for cell, cell_picks in zip(cells, picks)
@@ -566,9 +555,13 @@ def run_candidates_experiment(cfg: CandidatesExperimentConfig) -> ExperimentRepo
 
 def run_csv_experiment(ds: Dataset, cfg: CsvExperimentConfig) -> ExperimentReport:
     """Architecture expansion and selection on a fixed ingested dataset."""
-    active = cfg.active_variables
-    if active is not None:
-        active = [_input_column(ds, a) for a in active]
+    named = cfg.active_variables
+    active = None if named is None else [_input_column(ds, a) for a in named]
+    for i, col in enumerate(active or ()):
+        if col in active[:i]:
+            raise ConfigError(f"config key 'active_variables': entries "
+                              f"{named[active.index(col)]!r} and {named[i]!r} share "
+                              f"the input column {ds.column_names[col]!r}")
     ops = build_operator_set(cfg.unary_ops, cfg.binary_ops)
     cells = []
     for ai, arch in enumerate(cfg.architectures):

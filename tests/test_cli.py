@@ -563,7 +563,7 @@ class TestExperiment:
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out.exists()
 
-    def test_unknown_method_exits_1_before_scoring(self, tmp_path, monkeypatch):
+    def test_unknown_method_exits_2_before_scoring(self, tmp_path, monkeypatch):
         scored = []
         monkeypatch.setattr("symrank.evalsel.score_features",
                             lambda *args, **kwargs: scored.append(args))
@@ -572,7 +572,7 @@ class TestExperiment:
         cfg_path.write_text(json.dumps(cfg))
         rc = main(["experiment", "--config", str(cfg_path),
                    "--out-dir", str(tmp_path / "x")])
-        assert rc == 1 and scored == []
+        assert rc == 2 and scored == []
 
     @pytest.mark.parametrize("mode, change", [
         ("signal", {"noise_vars": [0.1, -0.1]}),
@@ -592,7 +592,7 @@ class TestExperiment:
         assert err.startswith(f"error: config key {next(iter(change))!r} takes a")
         assert ">= 0, got " in err
 
-    def test_repeated_method_exits_1_before_scoring(self, tmp_path, monkeypatch, capsys):
+    def test_repeated_method_exits_2_before_scoring(self, tmp_path, monkeypatch, capsys):
         scored = []
         monkeypatch.setattr("symrank.evalsel.score_features",
                             lambda *args, **kwargs: scored.append(args))
@@ -601,8 +601,46 @@ class TestExperiment:
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "x"
         rc = main(["experiment", "--config", str(cfg_path), "--out-dir", str(out)])
-        assert rc == 1 and scored == [] and not out.exists()
-        assert "['t0'] named more than once" in capsys.readouterr().err
+        assert rc == 2 and scored == [] and not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "error: config key 'methods': methods ['t0'] named more than once"]
+
+    @pytest.mark.parametrize("mode, methods, named", [
+        ("signal", ["lasso"], "unknown methods ['lasso']"),
+        ("candidates", ["t0", 3], "unknown methods [3]"),
+        ("csv", ["kendall", "t0", "kendall"], "methods ['kendall'] named more than once"),
+    ])
+    def test_method_list_error_names_the_key_before_any_work(self, mode, methods, named,
+                                                             tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_csv", None)
+        monkeypatch.setattr("symrank.evalsel.generate_report", None)
+        monkeypatch.setattr("symrank.evalsel._run_cells", None)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**VALID_CONFIGS[mode], "methods": methods}))
+        out = tmp_path / "x"
+        rc = main(["experiment", "--config", str(cfg_path), "--out-dir", str(out)])
+        assert rc == 2 and not out.exists()
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"error: config key 'methods': {named}")
+
+    @pytest.mark.parametrize("active, named", [
+        (["x1", 0, "x1"], "entries 'x1' and 0 share the input column 'x1'"),
+        (["x3", 2], "entries 'x3' and 2 share the input column 'x3'"),
+        ([1, "x3", 1], "entries 1 and 1 share the input column 'x2'"),
+    ])
+    def test_csv_repeated_active_variable_exits_2_before_expanding(
+            self, active, named, data3, tmp_path, capsys, monkeypatch):
+        expanded = []
+        monkeypatch.setattr("symrank.evalsel.generate_report",
+                            lambda *args: expanded.append(args))
+        cfg = {**VALID_CONFIGS["csv"], "input": str(data3), "active_variables": active}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        rc = main(["experiment", "--config", str(cfg_path), "--out-dir", str(out)])
+        assert rc == 2 and expanded == [] and not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config key 'active_variables': {named}"]
 
     @pytest.mark.parametrize("mode, change, named", [
         ("signal", {"noise_vars": [0.1, 0.1]}, "share the run label '0.1'"),
@@ -784,7 +822,24 @@ class TestUsage:
     def test_unknown_method_rejected(self, fig2a, tmp_path):
         rc = main(["score", "--input", str(fig2a), "--response", "y",
                    "--methods", "voodoo", "--out-dir", str(tmp_path / "o")])
-        assert rc == 1
+        assert rc == 2
+
+    @pytest.mark.parametrize("command, raw, message", [
+        ("score", "", "--methods '' names no method"),
+        ("select", " , ", "--methods ' , ' names no method"),
+        ("score", "lasso", "unknown methods ['lasso']; choose from ('t0', "),
+        ("select", "t0,lasso", "unknown methods ['lasso']; choose from ('t0', "),
+    ])
+    def test_bad_method_list_exits_2_before_reading_the_csv(self, command, raw, message,
+                                                            fig2a, tmp_path, capsys,
+                                                            monkeypatch):
+        monkeypatch.setattr(cli, "load_csv", None)
+        out = tmp_path / "o"
+        rc = main([command, "--input", str(fig2a), "--response", "y",
+                   "--methods", raw, "--out-dir", str(out)])
+        assert rc == 2 and not out.exists()
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize("command", ["score", "select"])
     def test_repeated_method_rejected_before_reading_the_csv(self, command, fig2a, tmp_path,
@@ -793,7 +848,7 @@ class TestUsage:
         out = tmp_path / "o"
         rc = main([command, "--input", str(fig2a), "--response", "y",
                    "--methods", "t0,pearson,t0", "--out-dir", str(out)])
-        assert rc == 1 and not out.exists()
+        assert rc == 2 and not out.exists()
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: methods ['t0'] named more than once"]
 

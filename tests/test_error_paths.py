@@ -7,9 +7,10 @@ import re
 import numpy as np
 import pytest
 
-from symrank import cli, errors
+from symrank import cli, errors, evalsel
 from symrank.cli import main
 from symrank.core import (
+    FeatureMatrix,
     Partition2,
     RankPermutation,
     build_dataset,
@@ -17,7 +18,6 @@ from symrank.core import (
     var,
 )
 from symrank.evalsel import (
-    MethodScore,
     average_inclusion_probability,
     pr_auc,
     score_features,
@@ -56,6 +56,12 @@ def wrong_shape_features():
     generate_report(build_dataset(Z5, Y5), Architecture("u"), ops)
 
 
+def nan_scores():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evalsel, "batched_scores", lambda *args: np.array([0.0, np.nan]))
+        score_features(FeatureMatrix(Z5, (var(0), var(1))), Y5, "t0")
+
+
 def partition(left, right):
     return Partition2(left, right, 0.0, 0.0, 0.0, 0.0)
 
@@ -79,8 +85,7 @@ CASES = {
         errors.DimensionMismatch, "no input columns besides 'y'"),
     # evalsel
     "nan-score": (
-        lambda _: MethodScore("m", np.array([0.0, np.nan]), "lower"),
-        errors.LengthMismatch, "contain NaN"),
+        lambda _: nan_scores(), errors.LengthMismatch, "t0 scores contain NaN"),
     "unknown-method": (
         lambda _: score_features(None, Y5, "lasso"),
         errors.LengthMismatch, "unknown method 'lasso'"),

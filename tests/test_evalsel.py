@@ -21,7 +21,6 @@ from symrank.errors import (
 )
 from symrank.evalsel import (
     CandidatesExperimentConfig,
-    MethodScore,
     SignalExperimentConfig,
     TreeParams,
     average_inclusion_probability,
@@ -58,18 +57,18 @@ class TestScoreFeatures:
         rng = derive_rng(71)
         y = np.sort(rng.normal(size=30))
         z = np.column_stack([np.arange(30.0), rng.normal(size=30)])
-        ms = score_features(feature_matrix(z), y, "t0")
-        assert ms.direction == "lower"
-        assert ms.scores[0] == 0.0
-        assert ms.scores[1] > 0.0
+        scores = score_features(feature_matrix(z), y, "t0")
+        assert top(scores, 1, "t0").tolist() == [0]  # lower is better
+        assert scores[0] == 0.0
+        assert scores[1] > 0.0
 
     def test_pearson_on_response_copy(self):
         rng = derive_rng(72)
         y = rng.normal(size=25)
         z = np.column_stack([y, rng.normal(size=25)])
-        ms = score_features(feature_matrix(z), y, "pearson")
-        assert ms.direction == "higher"
-        assert ms.scores[0] == pytest.approx(1.0)
+        scores = score_features(feature_matrix(z), y, "pearson")
+        assert top(scores, 1, "pearson").tolist() == [0]  # higher is better
+        assert scores[0] == pytest.approx(1.0)
 
     def test_t0_noise_column_bounded_away_from_zero(self):
         rng = derive_rng(73)
@@ -78,7 +77,7 @@ class TestScoreFeatures:
         vals = []
         for _ in range(draws):
             z = rng.normal(size=(n, 1))
-            vals.append(score_features(feature_matrix(z), y, "t0").scores[0])
+            vals.append(score_features(feature_matrix(z), y, "t0")[0])
         mean, se = np.mean(vals), np.std(vals, ddof=1) / np.sqrt(draws)
         assert mean - 2 * se > 0
 
@@ -89,11 +88,11 @@ class TestScoreFeatures:
         z = np.column_stack([np.full(20, 3.0), rng.normal(size=20), np.full(20, 0.1)])
         fm = feature_matrix(z)
         for j in (0, 2):
-            assert score_features(fm, y, "pearson").scores[j] == 0.0
-            assert score_features(fm, y, "spearman").scores[j] == 0.0
-            assert score_features(fm, y, "kendall").scores[j] == 0.0
-            assert score_features(fm, y, "chatterjee").scores[j] == -1.0
-            assert np.isfinite(score_features(fm, y, "t0").scores[j])
+            assert score_features(fm, y, "pearson")[j] == 0.0
+            assert score_features(fm, y, "spearman")[j] == 0.0
+            assert score_features(fm, y, "kendall")[j] == 0.0
+            assert score_features(fm, y, "chatterjee")[j] == -1.0
+            assert np.isfinite(score_features(fm, y, "t0")[j])
 
     def test_rank_methods_scale_to_1e5_rows(self):
         # an O(n^2) kernel would need ~80 GB per n x n temporary here; the
@@ -107,7 +106,7 @@ class TestScoreFeatures:
         tracemalloc.start()
         start = time.perf_counter()
         try:
-            scores = {m: score_features(fm, y, m).scores
+            scores = {m: score_features(fm, y, m)
                       for m in ("t0", "pearson", "spearman", "kendall", "chatterjee")}
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
@@ -123,22 +122,46 @@ class TestScoreFeatures:
         rng = derive_rng(75)
         z = rng.normal(size=(60, 3))
         y = z[:, 1] ** 3 + 0.05 * rng.normal(size=60)
-        ms = score_features(feature_matrix(z), y, "tree-importance",
-                            seed=5, tree_params=TreeParams(n_trees=10, depth=3))
-        assert ms.direction == "higher"
-        assert int(np.argmax(ms.scores)) == 1
-        with pytest.raises(LengthMismatch):  # grouped responses are for rank methods
+        scores = score_features(feature_matrix(z), y, "tree-importance",
+                                seed=5, tree_params=TreeParams(n_trees=10, depth=3))
+        assert top(scores, 1, "tree-importance").tolist() == [1]  # higher is better
+        assert int(np.argmax(scores)) == 1
+        with pytest.raises(LengthMismatch, match="3 columns in 2 response groups"):
             score_features(feature_matrix(z), np.column_stack([y, y]), "tree-importance")
+        with pytest.raises(LengthMismatch, match="2 seeds for 1 responses"):
+            score_features(feature_matrix(z), y, "tree-importance", seed=[5, 6])
+
+    # seeds on both sides of 2**63: a float64 seed list rounds the two large ones
+    @pytest.mark.parametrize("seeds", [[2**64 - 1, 2**63 + 5, 7], [7, 2**63 + 5, 2**64 - 1]])
+    def test_grouped_tree_importance_matches_one_call_per_group(self, seeds):
+        rng = derive_rng(78)
+        n, q = 40, 3
+        z = rng.normal(size=(n, len(seeds) * q))
+        ys = np.column_stack([z[:, i * q] ** 3 + 0.5 * rng.normal(size=n)
+                              for i in range(len(seeds))])
+        params = TreeParams(n_trees=6, depth=3)
+        grouped = score_features(feature_matrix(z), ys, "tree-importance", seed=seeds,
+                                 tree_params=params)
+        assert grouped.shape == (len(seeds), q)
+        for i, seed in enumerate(seeds):
+            one = score_features(feature_matrix(z[:, i * q:(i + 1) * q]), ys[:, i],
+                                 "tree-importance", seed=seed, tree_params=params)
+            assert grouped[i].tobytes() == one.tobytes()
+        # one int seeds every group alike
+        same = score_features(feature_matrix(z), ys, "tree-importance", seed=seeds[0],
+                              tree_params=params)
+        assert same[0].tobytes() == grouped[0].tobytes()
 
 
-def top(ms, k):
-    return select_top(ms, k)[0]
+def top(scores, k, method):
+    return select_top(scores, k, method)[0]
 
 
-def row_pick(scores, direction, k):
+def row_pick(scores, method, k):
     """One row's top k and boundary tie by a full sort and the scalar tie
-    rule: the oracle for :func:`select_top`."""
-    ascending = scores if direction == "lower" else -scores
+    rule, t0 lower-better and every other method higher-better: the oracle
+    for :func:`select_top`."""
+    ascending = scores if method == "t0" else -scores
     ranked = np.sort(ascending)
     tie = k < len(ranked) and abs(ranked[k - 1] - ranked[k]) <= TIE_RTOL * max(
         abs(ranked[k - 1]), abs(ranked[k]), 1.0)
@@ -147,53 +170,46 @@ def row_pick(scores, direction, k):
 
 class TestSelectTop:
     def test_lower_better(self):
-        ms = MethodScore("t0", np.array([0.1, 0.0, 5.0]), "lower")
-        assert top(ms, 2).tolist() == [1, 0]
+        assert top(np.array([0.1, 0.0, 5.0]), 2, "t0").tolist() == [1, 0]
 
     def test_k_equals_q(self):
-        ms = MethodScore("t0", np.array([0.3, 0.1, 0.1]), "lower")
-        selection, tie = select_top(ms, 3)
+        selection, tie = select_top(np.array([0.3, 0.1, 0.1]), 3, "t0")
         assert sorted(selection.tolist()) == [0, 1, 2]
         assert not tie  # no (k+1)-th score to tie with
 
     def test_ties_take_lowest_indices(self):
-        ms = MethodScore("pearson", np.array([0.5, 0.5, 0.5, 0.9]), "higher")
-        assert top(ms, 2).tolist() == [3, 0]
+        assert top(np.array([0.5, 0.5, 0.5, 0.9]), 2, "pearson").tolist() == [3, 0]
 
     def test_k_too_large(self):
-        ms = MethodScore("t0", np.array([0.1]), "lower")
         with pytest.raises(KTooLarge):
-            select_top(ms, 2)
+            select_top(np.array([0.1]), 2, "t0")
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one(self, k):
         # order[:k] would select nothing for 0 and all but the worst for -1
-        ms = MethodScore("t0", np.array([0.1, 0.0, 5.0]), "lower")
         with pytest.raises(SizeOutOfRange):
-            select_top(ms, k)
+            select_top(np.array([0.1, 0.0, 5.0]), k, "t0")
 
     def test_boundary_tie_flag(self):
-        tied = MethodScore("t0", np.array([0.0, 1.0, 1.0, 2.0]), "lower")
-        assert select_top(tied, 2)[1]
-        clear = MethodScore("t0", np.array([0.0, 1.0, 1.5, 2.0]), "lower")
-        assert not select_top(clear, 2)[1]
+        assert select_top(np.array([0.0, 1.0, 1.0, 2.0]), 2, "t0")[1]
+        assert not select_top(np.array([0.0, 1.0, 1.5, 2.0]), 2, "t0")[1]
 
     @settings(max_examples=200, deadline=None)
     @given(rows=st.integers(1, 5), q=st.integers(1, 8), k=st.integers(1, 8),
-           levels=st.integers(1, 4), direction=st.sampled_from(["lower", "higher"]),
+           levels=st.integers(1, 4), method=st.sampled_from(["t0", "pearson"]),
            seed=st.integers(0, 2**32 - 1))
-    def test_block_matches_each_row(self, rows, q, k, levels, direction, seed):
+    def test_block_matches_each_row(self, rows, q, k, levels, method, seed):
         # few distinct levels make ties at the boundary common; the 1e-13
         # nudges tie within TIE_RTOL without being equal
         k = min(k, q)
         rng = np.random.default_rng(seed)
         nudges = 1.0 + 1e-13 * rng.integers(0, 2, size=(rows, q))
         scores = rng.integers(0, levels, size=(rows, q)) * nudges
-        selection, tie = select_top(MethodScore("m", scores, direction), k)
+        selection, tie = select_top(scores, k, method)
         assert selection.shape == (rows, k) and tie.shape == (rows,)
         for r in range(rows):
-            assert (selection[r].tolist(), bool(tie[r])) == row_pick(scores[r], direction, k)
-            one, one_tie = select_top(MethodScore("m", scores[r], direction), k)
+            assert (selection[r].tolist(), bool(tie[r])) == row_pick(scores[r], method, k)
+            one, one_tie = select_top(scores[r], k, method)
             assert one.tolist() == selection[r].tolist() and one_tie == tie[r]
 
 
@@ -236,8 +252,7 @@ def labelled_blocks(draw):
 class TestPrAuc:
     def test_perfect_separation(self):
         truth = np.array([True, True, False, False, False, False])
-        ms = MethodScore("t0", np.array([0.0, 0.1, 5.0, 6.0, 7.0, 8.0]), "lower")
-        points, auc = pr_auc(truth, top(ms, 2))
+        points, auc = pr_auc(truth, top(np.array([0.0, 0.1, 5.0, 6.0, 7.0, 8.0]), 2, "t0"))
         assert auc == pytest.approx(1.0)
         assert points.shape == (3, 2)
         assert points[0].tolist() == [0.0, 1.0] and points[-1][0] == 1.0
@@ -250,12 +265,12 @@ class TestPrAuc:
         # positive ranked first
         s = scores.copy()
         s[5] = 100.0
-        assert pr_auc(truth, top(MethodScore("x", s, "higher"), k))[1] == pytest.approx(
+        assert pr_auc(truth, top(s, k, "pearson"))[1] == pytest.approx(
             single_positive_auc(q, True, k))
         # positive ranked last
         s = scores.copy()
         s[5] = -100.0
-        assert pr_auc(truth, top(MethodScore("x", s, "higher"), k))[1] == pytest.approx(
+        assert pr_auc(truth, top(s, k, "pearson"))[1] == pytest.approx(
             single_positive_auc(q, False, k))
 
     def test_random_scores_match_mixture_mean(self):
@@ -263,7 +278,7 @@ class TestPrAuc:
         q, k, trials = 24, 3, 4000
         truth = np.zeros(q, dtype=bool)
         truth[0] = True
-        selections = top(MethodScore("r", rng.uniform(size=(trials, q)), "higher"), k)
+        selections = top(rng.uniform(size=(trials, q)), k, "pearson")
         curves, aucs = pr_auc(truth, selections)
         assert curves.shape == (trials, 3, 2) and aucs.shape == (trials,)
         expected = (k / q) * single_positive_auc(q, True, k) \
@@ -277,9 +292,9 @@ class TestPrAuc:
         if not truth.any():
             truth[0] = True
         raw = rng.normal(size=10)
-        base = pr_auc(truth, top(MethodScore("m", raw, "higher"), 3))[1]
+        base = pr_auc(truth, top(raw, 3, "pearson"))[1]
         for g in (np.exp, lambda v: v**3, lambda v: 10 * v - 4):
-            transformed = pr_auc(truth, top(MethodScore("m", g(raw), "higher"), 3))[1]
+            transformed = pr_auc(truth, top(g(raw), 3, "pearson"))[1]
             assert transformed == pytest.approx(base)
 
     def test_no_positives(self):
@@ -474,12 +489,13 @@ class TestExperimentHarness:
             run_candidates_experiment(cfg)
 
 
-def per_repeat_entry(method, direction, picks, labels, n_selected):
+def per_repeat_entry(method, picks, labels, n_selected):
     """One method's report entry, and its selections as an (R, k) block,
     from its (selection, tie) per repeat, scored one repeat at a time by the
     row oracles."""
     selections = [sel for sel, _ in picks]
-    entry = {"method": method, "direction": direction, "selections": selections,
+    entry = {"method": method, "direction": "lower" if method == "t0" else "higher",
+             "selections": selections,
              "boundary_tie_repeats": int(sum(tie for _, tie in picks))}
     if labels is not None:
         prs = [row_pr_auc(labels, sel) for sel in selections]
@@ -496,17 +512,14 @@ def per_repeat_cells(cells, methods, repeats, n_selected, seed, tree):
     results = []
     for cell in cells:
         picks = [[] for _ in methods]
-        directions = {}
         for r in range(repeats):
             z, ys = cell.data(range(r, r + 1))
             fm = FeatureMatrix(np.array(z), cell.exprs)
             for mi, method in enumerate(methods):
-                ms = score_features(fm, ys[0], method, tree_params=tree,
-                                    seed=evalsel._method_seed(seed, *cell.seed_key, r, mi))
-                directions[method] = ms.direction
-                picks[mi].append(row_pick(ms.scores, ms.direction, n_selected))
-        results.append([per_repeat_entry(method, directions[method], picks[mi], cell.labels,
-                                         n_selected)
+                scores = score_features(fm, ys[0], method, tree_params=tree,
+                                        seed=evalsel._method_seed(seed, *cell.seed_key, r, mi))
+                picks[mi].append(row_pick(scores, method, n_selected))
+        results.append([per_repeat_entry(method, picks[mi], cell.labels, n_selected)
                         for mi, method in enumerate(methods)])
     return results, {f"{c.key}/{m}": 0.0 for c in cells for m in methods}
 
@@ -555,9 +568,9 @@ class TestChunkedRepeats:
                                          repeats=9, methods=("kendall", "tree-importance"),
                                          seed=1, tree=TreeParams(n_trees=2, depth=1))
         run_candidates_experiment(cfg)
-        assert [c for c in calls if c[0] == "kendall"] == [
-            ("kendall", 8, (n, 4)), ("kendall", 8, (n, 4)), ("kendall", 2, (n, 1))]
-        assert [c for c in calls if c[0] != "kendall"] == [("tree-importance", 2, (n,))] * 9
+        # one call per chunk and method, in chunk order, the rank method first
+        assert calls == [(method, q, (n, g)) for q, g in [(8, 4), (8, 4), (2, 1)]
+                         for method in ("kendall", "tree-importance")]
 
     @pytest.mark.parametrize("methods", [("t0", "tree-importance"),
                                          ("tree-importance", "kendall"),
@@ -568,13 +581,18 @@ class TestChunkedRepeats:
         # and no shared sort once the forests grow
         n, q = 200_000, 4
         calls = {}
-        score = evalsel.score_features
+        score, grow = evalsel.score_features, evalsel.ensemble_importance
 
         def traced(fm, y, method, **kwargs):
             calls.setdefault(method, []).append((fm.z, tracemalloc.get_traced_memory()[0]))
             return score(fm, y, method, **kwargs)
 
+        def forest(z, *args):
+            calls.setdefault("forest", []).append((z, tracemalloc.get_traced_memory()[0]))
+            return grow(z, *args)
+
         monkeypatch.setattr(evalsel, "score_features", traced)
+        monkeypatch.setattr(evalsel, "ensemble_importance", forest)
         monkeypatch.setattr(evalsel, "CHUNK_VALUES", 2 * n * q)
         cfg = CandidatesExperimentConfig(
             truth="x", candidates=("x", "x**2", "x**3", "sin(4*x)"), n=n, repeats=2,
@@ -584,9 +602,11 @@ class TestChunkedRepeats:
             run_candidates_experiment(cfg)
         finally:
             tracemalloc.stop()
-        ((chunk, _),) = calls[next(m for m in methods if m != "tree-importance")]
+        # every method scores the one chunk matrix in one call
+        ((chunk, _),) = calls["tree-importance"]
         assert chunk.shape == (n, 2 * q)
-        (first, held), (second, _) = calls["tree-importance"]
+        assert all(len(calls[m]) == 1 and calls[m][0][0] is chunk for m in methods)
+        (first, held), (second, _) = calls["forest"]
         assert first.shape == second.shape == (n, q)
         assert np.shares_memory(first, chunk) and np.shares_memory(second, chunk)
         assert not np.shares_memory(first, second)

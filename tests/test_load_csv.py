@@ -27,6 +27,9 @@ def reference_load_csv(path, response: str):
         except StopIteration:
             raise DimensionMismatch(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
+        if "" in header:
+            raise DimensionMismatch(
+                f"{path}: header column {header.index('') + 1} has no name")
         if len(set(header)) < len(header):
             name = next(h for i, h in enumerate(header) if h in header[:i])
             raise DimensionMismatch(f"{path}: column name {name!r} appears more than once")
@@ -174,6 +177,19 @@ class TestGrammar:
         for load in (load_csv, reference_load_csv):
             with pytest.raises(DimensionMismatch, match=re.escape(message)):
                 load(path, "y")
+
+    @pytest.mark.parametrize("header, column", [
+        ("x1,,y", 2), (" ,x1,y", 1), ('x1,y,""', 3), ("x1,,,y", 2)])
+    def test_empty_header_name_is_rejected(self, header, column, tmp_path):
+        # an empty name would score as a column named "", and --response ""
+        # would pick it as y
+        path = tmp_path / "d.csv"
+        path.write_text(f"{header}\n{','.join('1' * len(header.split(',')))}\n")
+        message = f"{path}: header column {column} has no name"
+        for load in (load_csv, reference_load_csv):
+            for response in ("y", ""):
+                with pytest.raises(DimensionMismatch, match=re.escape(message)):
+                    load(path, response)
 
     def test_hash_inside_a_field_is_not_a_comment(self, tmp_path):
         # with loadtxt's default comments="#", "3,4#9" would read as 3,4
