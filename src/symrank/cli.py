@@ -85,16 +85,21 @@ def _unary_entry(entry):
             if not _is_number(entry.get(key, 0.0)):
                 raise ConfigError(f"unary_ops entry {entry!r}: key {key!r} takes "
                                   f"a finite number, got {entry[key]!r}")
-        return sin_affine(entry["a"], entry.get("b", 0.0))
-    if "expr" in entry:
+        op, keys = sin_affine(entry["a"], entry.get("b", 0.0)), {"op", "a", "b"}
+    elif "expr" in entry:
         if type(entry["expr"]) is not str:
             raise ConfigError(f"unary_ops entry {entry!r}: key 'expr' takes a string, "
                               f"got {entry['expr']!r}")
-        return unary_from_expr(entry["expr"])
-    if "op" in entry:
+        op, keys = unary_from_expr(entry["expr"]), {"expr"}
+    elif "op" in entry:
         raise ConfigError(f"unary_ops entry {entry!r}: key 'op' takes \"sin\", "
                           f"got {entry['op']!r}")
-    raise ConfigError(f"unary_ops entry {entry!r}: needs key 'op' or 'expr'")
+    else:
+        raise ConfigError(f"unary_ops entry {entry!r}: needs key 'op' or 'expr'")
+    if entry.keys() - keys:
+        raise ConfigError(f"unary_ops entry {entry!r}: unknown keys "
+                          f"{sorted(entry.keys() - keys)}; takes {sorted(keys)}")
+    return op
 
 
 def _methods_arg(raw: str) -> list[str]:

@@ -247,9 +247,8 @@ def _candidate_exprs(ops) -> tuple[Expression, ...]:
 def _candidate_chunk(n: int, truth: UnaryOp, candidates, noise_var: float, seed: int,
                      reps: range) -> tuple[np.ndarray, np.ndarray]:
     """:func:`synth_candidates` of each repeat r in ``reps``, on the stream
-    ``derive_rng(seed, r)``, bit for bit: the candidate columns side by side
-    as an (n, len(reps) q) column-major matrix, and the responses as
-    (len(reps), n) rows.
+    ``derive_rng(seed, r)``, bit for bit, as a chunk (see :class:`_Cell`):
+    (len(reps), q, n) candidate rows and (len(reps), n) responses.
 
     Each repeat draws its own inputs and noise; the truth and each candidate
     are then evaluated once over the whole (len(reps), n) block. Raises what
@@ -272,7 +271,7 @@ def _candidate_chunk(n: int, truth: UnaryOp, candidates, noise_var: float, seed:
     z = np.empty((len(reps), len(candidates), n))
     for j, op in enumerate(candidates):
         z[:, j] = op.fn(x)
-    return z.reshape(-1, n).T, y
+    return z, y
 
 
 # ---------------------------------------------------------------------------
@@ -361,14 +360,12 @@ def _method_seed(master: int, *key: int) -> int:
 class _Cell:
     """One report run: its timing-key prefix, the (ai, ni) part of its method
     seeds, its sample count, the expressions every repeat expands to and
-    their labels (or None), and data(reps) -> (z, ys), the features of a
-    chunk of repeats already in the scorers' layout.
-
-    z holds the repeats' (n, q) matrices side by side as one (n, len(reps) q)
-    column-major matrix, repeat i in columns i q .. i q + q - 1; ys holds
-    their responses as (len(reps), n) rows. A repeat that expands to other
-    expressions raises DimensionMismatch, because the report names and
-    labels the cell's columns.
+    their labels (or None); data(reps) -> (rows, ys), a chunk of repeats as
+    (len(reps), q, n) feature rows and (len(reps), n) responses; ``run``,
+    the run's report fields but its methods; and extras(selections), the
+    fields a method's (R, k) selection block adds to its entry. A repeat
+    that expands to other expressions raises DimensionMismatch, because the
+    report names and labels the cell's columns.
     """
 
     key: str
@@ -377,6 +374,8 @@ class _Cell:
     exprs: tuple[Expression, ...]
     labels: np.ndarray | None
     data: Callable[[range], tuple[np.ndarray, np.ndarray]]
+    run: dict
+    extras: Callable[[np.ndarray], dict]
 
 
 # Feature values one scoring call takes: a chunk of a cell's repeats
@@ -395,20 +394,22 @@ def _chunks(values: int, repeats: int) -> list[range]:
 def _run_cells(cells, methods, repeats, n_selected, seed, tree):
     """Score and select with every method on every cell, over the repeats.
 
-    Returns, per cell, one (report entry, (R, k) selections) pair per
+    Returns the report's runs, each its cell's run fields and one entry per
     method, and the scoring and selection time of each cell and method.
 
-    Each cell builds its repeats a chunk at a time (see :func:`_chunks`).
-    A chunk is scored in one fixed order: the rank methods first, then tree
-    importance. Each method scores the chunk in one :func:`score_features`
-    call: the chunk's matrix, with one response per repeat, and for tree
-    importance one seed per repeat, whose forest grows on that repeat's
-    columns of the matrix, uncopied. The methods that rank the features
-    share one sort of the chunk's columns, taken by the first of them and
-    released before any forest grows. Each method then selects all of the
-    chunk's repeats in one :func:`select_top` call, on its (len(reps), q)
-    scores. A method's chunks of selections join into one (R, k) block, from
-    which its report entry's metrics come.
+    Each cell builds its repeats a chunk at a time (see :func:`_chunks`),
+    laid out once as ``rows.reshape(-1, n).T``: the repeats' (n, q) matrices
+    side by side in one column-major (n, len(reps) q) matrix. A chunk is
+    scored in one fixed order: the rank methods first, then tree importance.
+    Each method scores the chunk in one :func:`score_features` call: the
+    chunk's matrix, with one response per repeat, and for tree importance
+    one seed per repeat, whose forest grows on that repeat's columns of the
+    matrix, uncopied. The methods that rank the features share one sort of
+    the chunk's columns, taken by the first of them and released before any
+    forest grows. Each method then selects all of the chunk's repeats in one
+    :func:`select_top` call, on its (len(reps), q) scores. A method's chunks
+    of selections join into one (R, k) block, from which its report entry's
+    metrics and its cell's extras come.
     """
     runtimes = dict.fromkeys((f"{c.key}/{m}" for c in cells for m in methods), 0.0)
     order = sorted(enumerate(methods), key=lambda m: m[1] == "tree-importance")
@@ -417,7 +418,8 @@ def _run_cells(cells, methods, repeats, n_selected, seed, tree):
 
     def job(chunk) -> None:
         cell, reps, cell_picks = chunk
-        z, ys = cell.data(reps)
+        rows, ys = cell.data(reps)
+        z = rows.reshape(-1, cell.n).T
         chunk_fm = FeatureMatrix(z, cell.exprs * len(reps))
         runs, seeds = None, 0
         for mi, method in order:
@@ -434,35 +436,30 @@ def _run_cells(cells, methods, repeats, n_selected, seed, tree):
 
     _run_repeats(job, [(cell, reps, cell_picks) for cell, cell_picks in zip(cells, picks)
                        for reps in _chunks(cell.n * len(cell.exprs), repeats)])
-    return [[_method_entry(method, *map(np.concatenate, zip(*cell_picks[mi])), cell.labels)
-             for mi, method in enumerate(methods)]
+    return [{**cell.run,
+             "methods": [_method_entry(method, *map(np.concatenate, zip(*cell_picks[mi])), cell)
+                         for mi, method in enumerate(methods)]}
             for cell, cell_picks in zip(cells, picks)], runtimes
 
 
-def _side_by_side(matrices) -> np.ndarray:
-    """(n, q) matrices side by side, as one column-major (n, len(matrices) q)
-    matrix."""
-    return np.concatenate([z.T for z in matrices]).T
-
-
-def _method_entry(method: str, selections: np.ndarray, ties: np.ndarray,
-                  labels) -> tuple[dict, np.ndarray]:
+def _method_entry(method: str, selections: np.ndarray, ties: np.ndarray, cell: _Cell) -> dict:
     """One method's report entry from its (R, k) selections and (R,) boundary
-    ties, with the AIP and PR columns when the cell has labels; returned
-    with the selections, which the runners read for their own columns."""
+    ties: the AIP and PR columns when the cell has labels, then the cell's
+    extras."""
     entry = {
         "method": method,
         "direction": _direction(method),
         "selections": selections.tolist(),
         "boundary_tie_repeats": int(ties.sum()),
     }
-    if labels is not None:
-        entry["aip"] = average_inclusion_probability(selections, labels, selections.shape[1])
-        curves, aucs = pr_auc(labels, selections)
+    if cell.labels is not None:
+        entry["aip"] = average_inclusion_probability(selections, cell.labels,
+                                                     selections.shape[1])
+        curves, aucs = pr_auc(cell.labels, selections)
         entry["pr_auc"] = aucs.tolist()
         entry["pr_auc_median"] = float(np.median(aucs))
         entry["pr_curves"] = curves.tolist()
-    return entry, selections
+    return {**entry, **cell.extras(selections)}
 
 
 def run_signal_experiment(cfg: SignalExperimentConfig) -> ExperimentReport:
@@ -483,6 +480,7 @@ def run_signal_experiment(cfg: SignalExperimentConfig) -> ExperimentReport:
         key = f"{arch.order}/{noise_var:g}"
         first = repeat(arch, noise_var, 0)
         exprs = first[0].exprs
+        labels = label_correct(exprs, EQ15_ACTIVE_VARIABLES)
 
         def data(reps: range):
             built = [first if r == 0 else repeat(arch, noise_var, r) for r in reps]
@@ -491,29 +489,21 @@ def run_signal_experiment(cfg: SignalExperimentConfig) -> ExperimentReport:
                     raise DimensionMismatch(
                         f"{key}: repeat {r} expands to other features than repeat 0 "
                         f"({fm.q} against {len(exprs)} columns)")
-            return _side_by_side([fm.z for fm, _ in built]), np.stack([y for _, y in built])
+            return np.stack([fm.z.T for fm, _ in built]), np.stack([y for _, y in built])
 
-        return _Cell(key, (ai, ni), cfg.n, exprs,
-                     label_correct(exprs, EQ15_ACTIVE_VARIABLES), data)
+        def extras(selections: np.ndarray) -> dict:
+            correct = _picked(selections, len(exprs)) & labels
+            return {"correct_counts": correct.sum(axis=1).tolist()}
 
-    grid = [(ai, Architecture(a), ni, nv) for ai, a in enumerate(cfg.architectures)
-            for ni, nv in enumerate(cfg.noise_vars)]
-    cells = [cell(*point) for point in grid]
-    results, runtimes = _run_cells(cells, cfg.methods, cfg.repeats, cfg.n_selected,
-                                   cfg.seed, cfg.tree)
-    runs = []
-    for (_, arch, _, nv), c, entries in zip(grid, cells, results):
-        for entry, selections in entries:
-            correct = _picked(selections, len(c.exprs)) & c.labels
-            entry["correct_counts"] = correct.sum(axis=1).tolist()
-        runs.append({
-            "architecture": arch.order,
-            "noise_var": nv,
-            "q": len(c.exprs),
-            "feature_names": [e.canonical() for e in c.exprs],
-            "correct_columns": [int(j) for j in np.flatnonzero(c.labels)],
-            "methods": [entry for entry, _ in entries],
-        })
+        run = {"architecture": arch.order, "noise_var": noise_var, "q": len(exprs),
+               "feature_names": [e.canonical() for e in exprs],
+               "correct_columns": np.flatnonzero(labels).tolist()}
+        return _Cell(key, (ai, ni), cfg.n, exprs, labels, data, run, extras)
+
+    runs, runtimes = _run_cells(
+        [cell(ai, Architecture(a), ni, nv) for ai, a in enumerate(cfg.architectures)
+         for ni, nv in enumerate(cfg.noise_vars)],
+        cfg.methods, cfg.repeats, cfg.n_selected, cfg.seed, cfg.tree)
     config = {**_config_dict(cfg), "active_variables": list(EQ15_ACTIVE_VARIABLES)}
     return ExperimentReport(config, runs, runtimes)
 
@@ -533,23 +523,18 @@ def run_candidates_experiment(cfg: CandidatesExperimentConfig) -> ExperimentRepo
     labels = np.zeros(len(cfg.candidates), dtype=bool)
     labels[truth_col] = True
 
-    data = partial(_candidate_chunk, cfg.n, truth_op, cand_ops, cfg.noise_var, cfg.seed)
-    (entries,), runtimes = _run_cells(
-        [_Cell("candidates", (0, 0), cfg.n, _candidate_exprs(cand_ops), None, data)],
-        cfg.methods, cfg.repeats, cfg.n_selected, cfg.seed, cfg.tree)
-    for entry, selections in entries:
+    def extras(selections: np.ndarray) -> dict:
         picked = _picked(selections, len(cfg.candidates))
         inclusion = dict(zip(cfg.candidates, picked.mean(axis=0).tolist()))
-        entry["inclusion"] = inclusion
-        entry["truth_inclusion"] = inclusion[cfg.candidates[truth_col]]
-        entry["aip"] = average_inclusion_probability(selections, labels, cfg.n_selected)
-    runs = [{
-        "mode": "candidates",
-        "noise_var": cfg.noise_var,
-        "candidates": list(cfg.candidates),
-        "truth_column": truth_col,
-        "methods": [entry for entry, _ in entries],
-    }]
+        return {"inclusion": inclusion, "truth_inclusion": inclusion[cfg.candidates[truth_col]],
+                "aip": average_inclusion_probability(selections, labels, cfg.n_selected)}
+
+    run = {"mode": "candidates", "noise_var": cfg.noise_var,
+           "candidates": list(cfg.candidates), "truth_column": truth_col}
+    data = partial(_candidate_chunk, cfg.n, truth_op, cand_ops, cfg.noise_var, cfg.seed)
+    runs, runtimes = _run_cells(
+        [_Cell("candidates", (0, 0), cfg.n, _candidate_exprs(cand_ops), None, data, run, extras)],
+        cfg.methods, cfg.repeats, cfg.n_selected, cfg.seed, cfg.tree)
     return ExperimentReport(_config_dict(cfg), runs, runtimes)
 
 
@@ -563,36 +548,33 @@ def run_csv_experiment(ds: Dataset, cfg: CsvExperimentConfig) -> ExperimentRepor
                               f"{named[active.index(col)]!r} and {named[i]!r} share "
                               f"the input column {ds.column_names[col]!r}")
     ops = build_operator_set(cfg.unary_ops, cfg.binary_ops)
-    cells = []
-    for ai, arch in enumerate(cfg.architectures):
+
+    def cell(ai: int, arch: str) -> _Cell:
         fm = generate_report(ds, Architecture(arch), ops, cfg.value_dedup).features
-        labels = label_correct(fm.exprs, active) if active is not None else None
-        cells.append(_Cell(f"{arch}/csv", (ai, 0), ds.n, fm.exprs, labels,
-                           partial(_repeated, fm.z, ds.y)))
-    results, runtimes = _run_cells(cells, cfg.methods, cfg.repeats, cfg.n_selected,
-                                   cfg.seed, cfg.tree)
-    runs = []
-    for arch, c, entries in zip(cfg.architectures, cells, results):
-        names = [e.canonical() for e in c.exprs]
-        for entry, selections in entries:
-            entry["selected_names"] = np.asarray(names)[selections].tolist()
-        run = {"architecture": arch, "q": len(names), "feature_names": names,
-               "methods": [entry for entry, _ in entries]}
+        names = np.asarray(fm.column_names())
+        run = {"architecture": arch, "q": fm.q, "feature_names": names.tolist()}
+        labels = None
         if active is not None:
-            run["correct_columns"] = [int(j) for j in np.flatnonzero(c.labels)]
-        runs.append(run)
+            labels = label_correct(fm.exprs, active)
+            run["correct_columns"] = np.flatnonzero(labels).tolist()
+        return _Cell(f"{arch}/csv", (ai, 0), ds.n, fm.exprs, labels,
+                     partial(_repeated, fm, ds.y), run,
+                     lambda selections: {"selected_names": names[selections].tolist()})
+
+    runs, runtimes = _run_cells([cell(ai, arch) for ai, arch in enumerate(cfg.architectures)],
+                                cfg.methods, cfg.repeats, cfg.n_selected, cfg.seed, cfg.tree)
     # the csv echo leaves out tree and value_dedup
     config = {k: v for k, v in _config_dict(cfg).items() if k not in ("tree", "value_dedup")}
     config.update(mode="csv", active_variables=active)
     return ExperimentReport(config, runs, runtimes)
 
 
-def _repeated(z: np.ndarray, y: np.ndarray, reps: range) -> tuple[np.ndarray, np.ndarray]:
-    """One fixed matrix and response as every repeat of a chunk; a chunk of
-    one repeat gets z itself, uncopied."""
-    if len(reps) > 1:
-        z = _side_by_side([z] * len(reps))
-    return z, np.broadcast_to(y, (len(reps), y.shape[0]))
+def _repeated(fm: FeatureMatrix, y: np.ndarray, reps: range) -> tuple[np.ndarray, np.ndarray]:
+    """One fixed matrix and response as every repeat of a chunk, broadcast:
+    laid out (see :func:`_run_cells`), a chunk of one repeat is a view of
+    fm.z, uncopied, and a longer chunk copies it once."""
+    return (np.broadcast_to(fm.z.T, (len(reps), fm.q, len(y))),
+            np.broadcast_to(y, (len(reps), len(y))))
 
 
 def _input_column(ds: Dataset, entry) -> int:

@@ -513,6 +513,9 @@ class TestExperiment:
         # past the bound on n, where numpy's dimension checks would fail
         ("signal", {"n": 2**40 + 1}),
         ("candidates", {"n": 2**40 + 1}),
+        # unknown keys of unary op objects: a mistyped offset, an expression's extra
+        ("signal", {"unary_ops": [{"op": "sin", "a": 4, "B": 0.2}]}),
+        ("signal", {"unary_ops": [{"expr": "x**2", "a": 4}]}),
     ])
     def test_invalid_config_exits_2_before_any_work(self, mode, change, data3, tmp_path,
                                                     capsys, monkeypatch):

@@ -147,6 +147,9 @@ class TestInterval:
         iv = Interval(0.0, 1.0, lo_closed=True, hi_closed=False)
         assert iv.contains(0.0) and not iv.contains(1.0) and iv.contains(0.5)
 
+    def test_open_lower_endpoint_excluded(self):
+        assert not Interval(0.0, 1.0, lo_closed=False).contains(0.0)
+
     def test_degenerate_requires_closed(self):
         with pytest.raises(DimensionMismatch):
             Interval(1.0, 1.0, lo_closed=False)
@@ -181,6 +184,14 @@ class TestLoadCsv:
     def test_malformed_row_named(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,y\n1,10\nbad,20\n")
+        with pytest.raises(DimensionMismatch, match="row 3"):
+            load_csv(path, "y")
+
+    def test_malformed_row_after_a_blank_line_named(self, tmp_path):
+        # the blank line is an empty prefix for the bad-row search, which it
+        # must not hand to np.loadtxt (that warns on input without data)
+        path = tmp_path / "d.csv"
+        path.write_text("x1,y\n\n1,a\n2,3\n")
         with pytest.raises(DimensionMismatch, match="row 3"):
             load_csv(path, "y")
 

@@ -1,6 +1,7 @@
 import json
 import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,11 +22,13 @@ from symrank.errors import (
 )
 from symrank.evalsel import (
     CandidatesExperimentConfig,
+    CsvExperimentConfig,
     SignalExperimentConfig,
     TreeParams,
     average_inclusion_probability,
     pr_auc,
     run_candidates_experiment,
+    run_csv_experiment,
     run_signal_experiment,
     score_features,
     select_top,
@@ -434,13 +437,12 @@ class TestCandidateChunks:
                     with pytest.raises(failed[0]):
                         evalsel._candidate_chunk(n, truth_op, ops, noise_var, seed, reps)
                     continue
-                z, ys = evalsel._candidate_chunk(n, truth_op, ops, noise_var, seed, reps)
-                assert z.shape == (n, len(reps) * q) and z.flags.f_contiguous
+                rows, ys = evalsel._candidate_chunk(n, truth_op, ops, noise_var, seed, reps)
+                assert rows.shape == (len(reps), q, n) and rows.flags.c_contiguous
                 assert ys.shape == (len(reps), n)
                 for i, (ds, fm) in enumerate(built):
                     assert ys[i].tobytes() == ds.y.tobytes()
-                    assert (np.ascontiguousarray(z[:, i * q:(i + 1) * q]).tobytes()
-                            == np.ascontiguousarray(fm.z).tobytes())
+                    assert rows[i].tobytes() == np.ascontiguousarray(fm.z.T).tobytes()
 
 
 class TestExperimentHarness:
@@ -489,11 +491,10 @@ class TestExperimentHarness:
             run_candidates_experiment(cfg)
 
 
-def per_repeat_entry(method, picks, labels, n_selected):
-    """One method's report entry, and its selections as an (R, k) block,
-    from its (selection, tie) per repeat, scored one repeat at a time by the
-    row oracles."""
-    selections = [sel for sel, _ in picks]
+def per_repeat_entry(method, picks, cell, n_selected):
+    """One method's report entry from its (selection, tie) per repeat,
+    scored one repeat at a time by the row oracles, with its cell's extras."""
+    selections, labels = [sel for sel, _ in picks], cell.labels
     entry = {"method": method, "direction": "lower" if method == "t0" else "higher",
              "selections": selections,
              "boundary_tie_repeats": int(sum(tie for _, tie in picks))}
@@ -503,49 +504,54 @@ def per_repeat_entry(method, picks, labels, n_selected):
         entry["pr_auc"] = [auc for _, auc in prs]
         entry["pr_auc_median"] = float(np.median(entry["pr_auc"]))
         entry["pr_curves"] = [[list(pt) for pt in curve] for curve, _ in prs]
-    return entry, np.array(selections)
+    return {**entry, **cell.extras(np.array(selections))}
 
 
 def per_repeat_cells(cells, methods, repeats, n_selected, seed, tree):
     """The experiment loop building, scoring and selecting one repeat per
     call: the oracle for the chunked ``evalsel._run_cells``."""
-    results = []
+    runs = []
     for cell in cells:
         picks = [[] for _ in methods]
         for r in range(repeats):
-            z, ys = cell.data(range(r, r + 1))
-            fm = FeatureMatrix(np.array(z), cell.exprs)
+            rows, ys = cell.data(range(r, r + 1))
+            fm = FeatureMatrix(np.array(rows[0].T), cell.exprs)
             for mi, method in enumerate(methods):
                 scores = score_features(fm, ys[0], method, tree_params=tree,
                                         seed=evalsel._method_seed(seed, *cell.seed_key, r, mi))
                 picks[mi].append(row_pick(scores, method, n_selected))
-        results.append([per_repeat_entry(method, picks[mi], cell.labels, n_selected)
-                        for mi, method in enumerate(methods)])
-    return results, {f"{c.key}/{m}": 0.0 for c in cells for m in methods}
+        runs.append({**cell.run, "methods": [per_repeat_entry(method, picks[mi], cell, n_selected)
+                                             for mi, method in enumerate(methods)]})
+    return runs, {f"{c.key}/{m}": 0.0 for c in cells for m in methods}
 
 
 class TestChunkedRepeats:
-    @pytest.mark.parametrize("run, cfg, q", [
+    @pytest.mark.parametrize("run, cfg, n, q", [
         (run_signal_experiment,
          SignalExperimentConfig(n=100, noise_vars=(0.0, 0.1), methods=evalsel.SCORE_METHODS,
                                 repeats=8, seed=4, tree=TreeParams(n_trees=3, depth=2)),
-         24),
+         100, 24),
         (run_candidates_experiment,
          CandidatesExperimentConfig(truth="sin(4*x)",
                                     candidates=("x", "x**3", "sin(4*x+0.2)", "sin(4*x)"),
                                     repeats=10, methods=evalsel.SCORE_METHODS[:5], seed=2),
-         4),
+         500, 4),
         # tree importance listed between rank methods, which score before it
         (run_candidates_experiment,
          CandidatesExperimentConfig(truth="sin(4*x)",
                                     candidates=("x", "x**3", "sin(4*x+0.2)", "sin(4*x)"),
                                     repeats=10, seed=2, tree=TreeParams(n_trees=3, depth=2),
                                     methods=("kendall", "tree-importance", "t0", "pearson")),
-         4),
+         500, 4),
+        # one fixed matrix per architecture: only tree importance's seeds vary
+        (partial(run_csv_experiment, synth_3var(100, 0.1, seed=6)),
+         CsvExperimentConfig(methods=evalsel.SCORE_METHODS, repeats=8, seed=9,
+                             tree=TreeParams(n_trees=3, depth=2), active_variables=(0, "x3")),
+         100, 24),
     ])
-    def test_report_bytes_match_the_per_repeat_loop(self, run, cfg, q, monkeypatch):
+    def test_report_bytes_match_the_per_repeat_loop(self, run, cfg, n, q, monkeypatch):
         # the first cell's repeats split into full chunks and a shorter last one
-        size = evalsel.CHUNK_VALUES // (cfg.n * q)
+        size = evalsel.CHUNK_VALUES // (n * q)
         assert 1 < size < cfg.repeats and cfg.repeats % size
         chunked = run(cfg)
         monkeypatch.setattr(evalsel, "_run_cells", per_repeat_cells)
@@ -614,6 +620,39 @@ class TestChunkedRepeats:
         # the chunk's features and responses, with room for neither a second
         # copy of the features nor the shared sort of them
         assert chunk.nbytes < held < 1.5 * chunk.nbytes
+
+    def test_csv_chunk_of_one_repeat_is_the_report_matrix_uncopied(self, monkeypatch):
+        # each repeat is a chunk of its own: every scorer and every forest
+        # reads the matrix generate_report returned, not a copy of it
+        calls = {"report": [], "kendall": [], "tree-importance": [], "forest": []}
+        generate, score, grow = (evalsel.generate_report, evalsel.score_features,
+                                 evalsel.ensemble_importance)
+
+        def report(*args):
+            built = generate(*args)
+            calls["report"].append(built.features.z)
+            return built
+
+        def traced(fm, y, method, **kwargs):
+            calls[method].append(fm.z)
+            return score(fm, y, method, **kwargs)
+
+        def forest(z, *args):
+            calls["forest"].append(z)
+            return grow(z, *args)
+
+        monkeypatch.setattr(evalsel, "generate_report", report)
+        monkeypatch.setattr(evalsel, "score_features", traced)
+        monkeypatch.setattr(evalsel, "ensemble_importance", forest)
+        monkeypatch.setattr(evalsel, "CHUNK_VALUES", 1)
+        cfg = CsvExperimentConfig(architectures=("bu",), methods=("kendall", "tree-importance"),
+                                  repeats=2, seed=1, tree=TreeParams(n_trees=1, depth=1))
+        run_csv_experiment(synth_3var(50, 0.1, seed=2), cfg)
+        (z,) = calls["report"]
+        for read in calls["kendall"] + calls["tree-importance"] + calls["forest"]:
+            assert read.shape == z.shape and np.shares_memory(read, z)
+            assert np.array_equal(read, z)
+        assert [len(calls[k]) for k in ("kendall", "tree-importance", "forest")] == [2, 2, 2]
 
     def test_memory_stays_bounded_at_1e5_rows(self):
         # each (1e5, 4) repeat is its own chunk: ~37 MB of tracemalloc peak on

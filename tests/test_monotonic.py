@@ -122,6 +122,10 @@ class TestPreimage:
         assert preimage_count(affine_up, 1.2, iv) == 1  # closed-range rule
         assert find_preimage(affine_up, 1.2, iv) == pytest.approx(0.0)
 
+    def test_exact_midpoint_hit_returned(self):
+        t = piecewise_monotone((0, 1), [], ["x"], ["increasing"])
+        assert find_preimage(t, 0.5, Interval(0.0, 1.0)) == 0.5
+
     def test_spanning_interval_rejected(self, parabola):
         with pytest.raises(IntervalSpansBreakpoint):
             preimage_count(parabola, 0.5, Interval(0.25, 0.75))

@@ -282,3 +282,8 @@ class TestParser:
         assert op.name == "sin(4*x)"
         xs = np.linspace(0, 1, 5)
         assert np.allclose(op.fn(xs), np.sin(4 * xs))
+
+    def test_unary_from_expr_through_the_identity(self):
+        op = unary_from_expr("id(x)+1")
+        xs = np.linspace(0, 1, 5)
+        assert np.array_equal(op.fn(xs), xs + 1)
