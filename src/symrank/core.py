@@ -32,7 +32,6 @@ __all__ = [
     "load_csv",
     "make_partition2",
     "read_text",
-    "sort_by_response",
     "var",
     "unary",
     "binary",
@@ -213,12 +212,6 @@ class RankPermutation:
             raise DimensionMismatch("order is not a permutation of 0..N-1")
 
 
-def sort_by_response(ds: Dataset) -> RankPermutation:
-    """Indices that put the responses in strictly increasing order."""
-    order = np.argsort(ds.y, kind="stable")
-    return RankPermutation(tuple(int(i) for i in order))
-
-
 # ---------------------------------------------------------------------------
 # 2-partitions
 # ---------------------------------------------------------------------------
@@ -288,15 +281,6 @@ class Interval:
             raise DimensionMismatch(f"interval lo {self.lo} > hi {self.hi}")
         if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
             raise DimensionMismatch("a point interval needs both endpoints closed")
-
-    def contains(self, x: float) -> bool:
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo and not self.lo_closed:
-            return False
-        if x == self.hi and not self.hi_closed:
-            return False
-        return True
 
     def __str__(self) -> str:
         lb = "[" if self.lo_closed else "("

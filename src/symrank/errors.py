@@ -38,14 +38,6 @@ class LengthMismatch(SymrankError):
     """Paired vectors have different lengths."""
 
 
-class TiesPresent(SymrankError):
-    """A statistic that requires tie-free input received ties."""
-
-
-class ZeroVariance(SymrankError):
-    """A correlation was requested for a constant vector."""
-
-
 # -- partitions ----------------------------------------------------------
 
 class EmptySide(SymrankError):
@@ -60,18 +52,10 @@ class TooLarge(UsageError):
     """Input exceeds the combinatorial guard for exhaustive search."""
 
 
-class MembershipViolation(SymrankError):
-    """A swap index does not belong to the stated partition side."""
-
-
 # -- trees ---------------------------------------------------------------
 
 class Unsplittable(SymrankError):
     """Node admits no split (constant response or no admissible threshold)."""
-
-
-class InadmissibleRule(SymrankError):
-    """A split rule references an invalid coordinate or threshold."""
 
 
 class ColumnMismatch(SymrankError):
@@ -97,16 +81,8 @@ class IntervalSpansBreakpoint(SymrankError):
     """The query interval crosses a segment boundary."""
 
 
-class NotRefinedInterval(SymrankError):
-    """The interval is not a member of the refined partition."""
-
-
 class CaseThreePresent(SymrankError):
     """Both transforms have a pre-image on some refined interval."""
-
-
-class UnboundedTransform(SymrankError):
-    """sup/inf of a transform is not finite on its domain."""
 
 
 # -- symbolic feature generation ------------------------------------------

@@ -65,7 +65,6 @@ __all__ = [
     "score_features",
     "select_top",
     "synth_3var",
-    "synth_candidates",
 ]
 
 SCORE_METHODS = ("t0", "pearson", "spearman", "kendall", "chatterjee", "tree-importance")
@@ -217,28 +216,6 @@ def _as_unary(spec) -> UnaryOp:
     return spec if isinstance(spec, UnaryOp) else unary_from_expr(str(spec))
 
 
-def synth_candidates(n: int, truth, candidates, noise_var: float, seed: int = 0,
-                     rng: np.random.Generator | None = None
-                     ) -> tuple[Dataset, FeatureMatrix]:
-    """Univariate standard-normal input; y = truth(x) + noise; candidate
-    transforms evaluated into a FeatureMatrix.
-
-    ``truth`` and each candidate may be a UnaryOp or an expression string in
-    x (e.g. "sin(4*x+0.2)").
-    """
-    if rng is None:
-        rng = derive_rng(seed)
-    x = rng.standard_normal((n, 1))
-    eps = rng.standard_normal(n)
-    truth_op = _as_unary(truth)
-    y = np.asarray(truth_op.fn(x[:, 0]), dtype=float) + np.sqrt(noise_var) * eps
-    ds = build_dataset(x, y)
-    ops = [_as_unary(cand) for cand in candidates]
-    z = np.column_stack([np.asarray(op.fn(x[:, 0]), dtype=float) for op in ops])
-    z.setflags(write=False)
-    return ds, FeatureMatrix(z, _candidate_exprs(ops))
-
-
 def _candidate_exprs(ops) -> tuple[Expression, ...]:
     return tuple(var(0) if op.name in ("x", "id") else unary_expr(op.name, var(0))
                  for op in ops)
@@ -246,13 +223,15 @@ def _candidate_exprs(ops) -> tuple[Expression, ...]:
 
 def _candidate_chunk(n: int, truth: UnaryOp, candidates, noise_var: float, seed: int,
                      reps: range) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`synth_candidates` of each repeat r in ``reps``, on the stream
-    ``derive_rng(seed, r)``, bit for bit, as a chunk (see :class:`_Cell`):
+    """The candidate rows and responses of each repeat r in ``reps``, on the
+    stream ``derive_rng(seed, r)``, as a chunk (see :class:`_Cell`):
     (len(reps), q, n) candidate rows and (len(reps), n) responses.
 
-    Each repeat draws its own inputs and noise; the truth and each candidate
-    are then evaluated once over the whole (len(reps), n) block. Raises what
-    building the first failing repeat's dataset raises.
+    Each repeat draws n standard-normal inputs x, then n standard-normal
+    noise values eps, and its response is truth(x) + sqrt(noise_var) * eps;
+    the truth and each candidate are evaluated once over the whole
+    (len(reps), n) block. Raises what :func:`.core.build_dataset` raises on
+    the first repeat whose response is not finite or has ties.
     """
     x = np.empty((len(reps), n))
     eps = np.empty((len(reps), n))

@@ -1,6 +1,6 @@
 """Piecewise-monotone transform analysis: refined monotone intervals,
-pre-image counting, per-interval case classification, and the signed
-preference probability between two transforms.
+pre-image counting, and the signed preference probability between two
+transforms.
 
 Interval convention: segments and refined intervals are half-open [a, b)
 except the final one, which is closed. Under the continuous input measures
@@ -25,8 +25,6 @@ from .errors import (
     IntervalSpansBreakpoint,
     MergeableSegments,
     NotMonotone,
-    NotRefinedInterval,
-    UnboundedTransform,
 )
 from .symgen import parse_univariate
 
@@ -36,19 +34,14 @@ __all__ = [
     "PreferenceReport",
     "TabulatedCDF",
     "UniformCDF",
-    "classify_interval",
-    "find_preimage",
     "load_piecewise",
-    "offset_shift",
     "piecewise_monotone",
     "preference_probability",
     "preimage_count",
     "refine",
-    "shift",
 ]
 
 MONOTONE_GRID_POINTS = 101
-DEFAULT_BISECT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -71,17 +64,6 @@ class PiecewiseMonotone:
     domain: Interval
     breakpoints: tuple[float, ...]
     segments: tuple[MonotoneSegment, ...]
-
-    def __call__(self, x: float) -> float:
-        return float(self.segment_at(x).fn(np.asarray(x, dtype=float)))
-
-    def segment_at(self, x: float) -> MonotoneSegment:
-        if not self.domain.contains(x):
-            raise DomainMismatch(f"{x} outside domain {self.domain}")
-        for seg in self.segments[:-1]:
-            if x < seg.interval.hi:
-                return seg
-        return self.segments[-1]
 
 
 def _segment_intervals(lo: float, hi: float, breakpoints) -> list[Interval]:
@@ -208,54 +190,11 @@ def _closed_range(seg: MonotoneSegment, interval: Interval) -> tuple[float, floa
 def preimage_count(t: PiecewiseMonotone, c: float, interval: Interval) -> int:
     """1 when c lies in the closed range of t over the interval, else 0.
 
-    The interval must sit inside a single monotone segment. When the count
-    is 1, :func:`find_preimage` locates the pre-image by bisection.
+    The interval must sit inside a single monotone segment.
     """
     seg = _enclosing_segment(t, interval)
     lo_r, hi_r = _closed_range(seg, interval)
     return 1 if lo_r <= c <= hi_r else 0
-
-
-def find_preimage(t: PiecewiseMonotone, c: float, interval: Interval,
-                  tol: float = DEFAULT_BISECT_TOL) -> float | None:
-    """Bisection solve of t(x) = c on the interval, or None when no pre-image."""
-    seg = _enclosing_segment(t, interval)
-    lo_r, hi_r = _closed_range(seg, interval)
-    if not lo_r <= c <= hi_r:
-        return None
-    a, b = interval.lo, interval.hi
-    fa = float(seg.fn(np.asarray(a, dtype=float)))
-    if fa == c:
-        return a
-    increasing = seg.direction == "increasing"
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        fm = float(seg.fn(np.asarray(mid, dtype=float)))
-        if fm == c:
-            return mid
-        if (fm < c) == increasing:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
-def classify_interval(t1: PiecewiseMonotone, t2: PiecewiseMonotone,
-                      c1: float, c2: float, interval: Interval) -> str:
-    """Case label by pre-image counts of (c1, c2) on a refined interval.
-
-    "both-zero": neither transform can split inside the interval, so the two
-    rules compare equal there. "t1-only"/"t2-only": the transform with the
-    pre-image is preferred. "both-one": data-dependent; compare the actual
-    split losses at the pulled-back thresholds (see tree.best_split).
-    """
-    members = {(iv.lo, iv.hi) for iv in refine(t1, t2)}
-    if (interval.lo, interval.hi) not in members:
-        raise NotRefinedInterval(f"{interval} is not a refined interval")
-    n1 = preimage_count(t1, c1, interval)
-    n2 = preimage_count(t2, c2, interval)
-    return {(0, 0): "both-zero", (1, 0): "t1-only",
-            (0, 1): "t2-only", (1, 1): "both-one"}[(n1, n2)]
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +252,9 @@ def preference_probability(t1: PiecewiseMonotone, t2: PiecewiseMonotone,
     p = P(union of intervals where only t1 has a pre-image) minus
     P(union where only t2 does) under the supplied input CDF (default:
     uniform on the domain). Raises CaseThreePresent when some refined
-    interval gives both transforms a pre-image; shifting t1 by
-    :func:`offset_shift` removes that case.
+    interval gives both transforms a pre-image; adding to t1 a constant
+    that lifts its range above t2's, such as sup t2 - inf t1 + 1, leaves its
+    splits unchanged and removes that case.
     """
     if measure is None:
         measure = UniformCDF(t1.domain.lo, t1.domain.hi)
@@ -333,35 +273,3 @@ def preference_probability(t1: PiecewiseMonotone, t2: PiecewiseMonotone,
     p2 = sum(measure(iv.hi) - measure(iv.lo) for iv in pref2)
     return PreferenceReport(tuple(pref1), tuple(pref2), float(p1 - p2))
 
-
-def offset_shift(t1: PiecewiseMonotone, t2: PiecewiseMonotone) -> float:
-    """Constant c0 = sup t2 - inf t1 + 1.
-
-    Adding c0 to t1 leaves its split behavior unchanged while guaranteeing
-    that no shared splitting value gives both transforms a pre-image on the
-    same refined interval.
-    """
-    # strict monotonicity puts segment extremes at the segment endpoints
-    def extremes(t: PiecewiseMonotone) -> tuple[float, float]:
-        values = []
-        for seg in t.segments:
-            values.append(float(seg.fn(np.asarray(seg.interval.lo, dtype=float))))
-            values.append(float(seg.fn(np.asarray(seg.interval.hi, dtype=float))))
-        arr = np.asarray(values)
-        if not np.isfinite(arr).all():
-            raise UnboundedTransform("transform is unbounded on its domain")
-        return float(arr.min()), float(arr.max())
-
-    _, sup2 = extremes(t2)
-    inf1, _ = extremes(t1)
-    return sup2 - inf1 + 1.0
-
-
-def shift(t: PiecewiseMonotone, c0: float) -> PiecewiseMonotone:
-    """The transform t + c0 (same pieces, same directions)."""
-    segments = tuple(
-        MonotoneSegment(seg.interval, f"({seg.expr})+{c0:g}",
-                        (lambda x, _f=seg.fn, _c=c0: np.asarray(_f(x)) + _c),
-                        seg.direction)
-        for seg in t.segments)
-    return PiecewiseMonotone(t.domain, t.breakpoints, segments)

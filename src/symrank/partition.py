@@ -1,5 +1,5 @@
 """Oracle 2-partitions of the response: fixed-size and varying-size optima,
-swap-gain analysis, and brute-force enumeration for verification.
+and brute-force enumeration for verification.
 
 For fixed group sizes the within-group SSE objective has exactly two
 candidate minimizers: the lowest-i block of the sorted responses (with its
@@ -14,35 +14,16 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Partition2, _group_stats, _tied, make_partition2
-from .errors import (
-    EmptySide,
-    MembershipViolation,
-    SizeOutOfRange,
-    TooLarge,
-)
+from .core import Partition2, _tied, make_partition2
+from .errors import SizeOutOfRange, TooLarge
 from .tree import _column_split_losses, _response_pairs
 
 __all__ = [
     "OracleFixedSize",
-    "apply_swap",
     "brute_force_best_2partition",
-    "loss",
     "oracle_fixed_size",
     "oracle_varying_size",
-    "swap_gain",
 ]
-
-
-def loss(p: Partition2, y) -> float:
-    """SS(P1) + SS(P2), recomputed from y (ignores the cached fields)."""
-    y = np.asarray(y, dtype=float)
-    n = y.shape[0]
-    if not p.left or not p.right:
-        raise EmptySide("both partition sides must be nonempty")
-    if sorted(p.left + p.right) != list(range(n)):
-        raise EmptySide(f"partition does not cover 0..{n - 1} exactly")
-    return _group_stats(y, list(p.left))[1] + _group_stats(y, list(p.right))[1]
 
 
 @dataclass(frozen=True)
@@ -125,18 +106,3 @@ def oracle_varying_size(y) -> tuple[int, Partition2]:
     i_star = int(np.argmin(losses)) + 1  # argmin returns first minimum
     return i_star, make_partition2(y, order[:i_star])
 
-
-def apply_swap(y, p: Partition2, a: int, b: int) -> Partition2:
-    """The partition with a (from the left side) and b (right) exchanged."""
-    if a not in p.left:
-        raise MembershipViolation(f"index {a} is not in the left side")
-    if b not in p.right:
-        raise MembershipViolation(f"index {b} is not in the right side")
-    new_left = tuple(sorted(set(p.left) - {a} | {b}))
-    return make_partition2(y, new_left)
-
-
-def swap_gain(y, p: Partition2, a: int, b: int) -> float:
-    """Loss reduction from exchanging a and b; positive means improvement."""
-    y = np.asarray(y, dtype=float)
-    return loss(p, y) - loss(apply_swap(y, p, a, b), y)

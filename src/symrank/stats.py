@@ -2,10 +2,10 @@
 the pairwise ranking quality metric with its optimal permutation.
 
 :func:`batched_scores` scores each feature-response statistic over every
-column of an (n, q) feature matrix. Pearson, Spearman and Chatterjee also
-have a per-column reference function, and :func:`t0_divergence` is the
-one-column form of the t0 kernel. The O(n^2) pair enumerations of t0 and
-Kendall's tau are the test oracles in ``tests/test_stats.py``.
+column of an (n, q) feature matrix, and :func:`t0_divergence` is the
+one-column form of the t0 kernel. The per-column Pearson, Spearman and
+Chatterjee functions and the O(n^2) pair enumerations of t0 and Kendall's
+tau are the test oracles in ``tests/test_stats.py``.
 
 The scorer takes one response of shape (n,) or one per column group, of
 shape (n, g) with q a multiple of g: column j pairs with response
@@ -31,24 +31,15 @@ from __future__ import annotations
 import numpy as np
 
 from .core import RankPermutation, _bounded_response
-from .errors import (
-    LengthMismatch,
-    NonFiniteData,
-    TiesInResponse,
-    TiesPresent,
-    ZeroVariance,
-)
+from .errors import LengthMismatch, NonFiniteData, TiesInResponse
 
 __all__ = [
     "batched_scores",
     "bayes_permutation",
-    "chatterjee_xi",
     "dense_ranks",
     "midranks",
-    "pearson",
     "ranking_metric_T",
     "sorted_runs",
-    "spearman",
     "t0_divergence",
     "tied_pairs",
 ]
@@ -142,46 +133,6 @@ def t0_divergence(u, y) -> float:
 
 
 # ---------------------------------------------------------------------------
-# classical correlations
-# ---------------------------------------------------------------------------
-
-def pearson(u, y) -> float:
-    """Standard sample Pearson correlation; raises ZeroVariance on constants
-    and NonFiniteData on a response too large for its squared sums (see
-    :data:`.core._RESPONSE_BOUND`)."""
-    u, y = _paired(u, y)
-    _bounded_response(y)
-    du = u - u.mean()
-    dy = y - y.mean()
-    spread = float(np.sqrt(np.sum(du**2))) * float(np.sqrt(np.sum(dy**2)))
-    # exact equality too: the rounded mean of a constant like 0.1 can differ from it
-    if spread == 0.0 or np.all(u == u[0]) or np.all(y == y[0]):
-        raise ZeroVariance("pearson needs nonzero variance in both arguments")
-    return float(np.dot(du, dy) / spread)
-
-
-def spearman(u, y) -> float:
-    """Pearson correlation of rank vectors, with midranks on ties."""
-    u, y = _paired(u, y)
-    return pearson(*midranks(*sorted_runs(np.vstack([u, y]))))
-
-
-def chatterjee_xi(u, y) -> float:
-    """Chatterjee's rank coefficient, tie-free variant.
-
-    Sorts pairs by the feature, ranks the responses in that order and returns
-    1 - 3 * sum |r_{i+1} - r_i| / (n^2 - 1). Raises TiesPresent on any tie in
-    either argument.
-    """
-    u, y = _paired(u, y)
-    n = u.shape[0]
-    if np.unique(u).size != n or np.unique(y).size != n:
-        raise TiesPresent("tie-free variant: u and y must both be tie-free")
-    r = dense_ranks(*sorted_runs(y[None, np.argsort(u)]))
-    return 1.0 - 3.0 * float(np.sum(np.abs(np.diff(r)))) / (n * n - 1)
-
-
-# ---------------------------------------------------------------------------
 # column-batched scorers
 # ---------------------------------------------------------------------------
 #
@@ -243,7 +194,7 @@ def _pearson(rows, ys, runs=None) -> np.ndarray:
     spread = np.sqrt((dz**2).sum(axis=1)) * _per_column(np.sqrt((dy**2).sum(axis=1)), q)
     live = (spread > 0) & ~np.all(rows == rows[:, :1], axis=1) \
         & _per_column(~np.all(ys == ys[:, :1], axis=1), q)
-    # vecdot runs the same BLAS dot per row as the np.dot in :func:`pearson`
+    # vecdot runs the same BLAS dot per row as np.dot on one pair of rows
     dots = np.vecdot(_grouped(dz, g), dy[:, None, :]).ravel()
     out = np.zeros(q)
     out[live] = dots[live] / spread[live]
@@ -338,12 +289,13 @@ _RUNS_METHODS = ("t0", "spearman", "kendall", "chatterjee")
 def batched_scores(method: str, z, y, runs=None) -> np.ndarray:
     """The ``method`` statistic of every column of z against y, for
     ``method`` one of "t0" (:func:`t0_divergence`, see :func:`_t0`),
-    "pearson", "spearman", "kendall" (see :func:`_kendall`) and "chatterjee"
-    (:func:`chatterjee_xi`). Entries must be finite. Pearson, Spearman and
-    Chatterjee give their per-column function's value bit for bit, with 0.0
-    in place of ZeroVariance for Pearson and Spearman and -1.0 in place of
-    TiesPresent for Chatterjee, so every column of a response with ties
-    scores -1.0.
+    "pearson", "spearman" (Pearson's on midranks), "kendall" (see
+    :func:`_kendall`) and "chatterjee". Entries must be finite. Pearson and
+    Spearman score 0.0 where the column or the response is constant or has
+    zero spread. Chatterjee's is the tie-free variant,
+    1 - 3 * sum |r_{i+1} - r_i| / (n^2 - 1) with r the response ranks in
+    feature order, and scores -1.0 where the column or the response has a
+    tie, so every column of a response with ties scores -1.0.
 
     ``runs`` is :func:`sorted_runs` of z's columns as rows (of ``z.T``); it
     is not checked against z. With it, several methods scoring one z share

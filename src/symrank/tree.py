@@ -1,6 +1,5 @@
-"""CART regression trees: best-split search, split comparison in log space,
-complete-tree growth, induced rankings, and a bootstrap split-frequency
-importance.
+"""CART regression trees: best-split search, complete-tree growth, induced
+rankings, and a bootstrap split-frequency importance.
 
 Split convention: the left child takes z <= C. Thresholds are restricted to
 observed column values within the node, excluding the node maximum so both
@@ -25,12 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RankPermutation, _bounded_response, _group_stats, _is_number, derive_rng
+from .core import RankPermutation, _bounded_response, _is_number, derive_rng
 from .errors import (
     ColumnMismatch,
     DimensionMismatch,
-    EmptySide,
-    InadmissibleRule,
     LengthMismatch,
     NonFiniteData,
     Unsplittable,
@@ -44,11 +41,7 @@ __all__ = [
     "ensemble_importance",
     "grow_tree",
     "induced_permutation",
-    "log_principal_decision_ratio",
-    "predict",
     "predict_rows",
-    "split_means",
-    "split_rule_loss",
     "tree_from_json",
     "tree_to_json",
 ]
@@ -100,15 +93,6 @@ def _matrix_and_response(data, y) -> tuple[np.ndarray, np.ndarray]:
     if not (np.isfinite(z).all() and np.isfinite(y).all()):
         raise NonFiniteData("tree predictors and response must be finite")
     return z, y
-
-
-def split_means(y, left_mask) -> tuple[float, float]:
-    """Per-side response means; both sides must be nonempty."""
-    y = np.asarray(y, dtype=float)
-    left_mask = np.asarray(left_mask, dtype=bool)
-    if not left_mask.any() or left_mask.all():
-        raise EmptySide("both split sides must be nonempty")
-    return _group_stats(y, left_mask)[0], _group_stats(y, ~left_mask)[0]
 
 
 def _response_pairs(y: np.ndarray) -> np.ndarray:
@@ -182,29 +166,6 @@ def best_split(data, y) -> SplitRule:
         raise Unsplittable("node needs >= 2 samples, a non-constant response "
                            "and a column with two distinct values")
     return SplitRule(int(root.coordinate[0]), float(root.threshold[0]))
-
-
-def split_rule_loss(data, y, rule: SplitRule) -> float:
-    """Two-sided SSE of a rule on this node.
-
-    A threshold that sends every sample to one side scores the parent SSE
-    (the empty side contributes nothing), matching the indicator sums that
-    define the loss. Raises InadmissibleRule for an invalid coordinate or a
-    non-finite threshold.
-    """
-    z = _matrix(data)
-    y = np.asarray(y, dtype=float)
-    if not 0 <= rule.coordinate < z.shape[1]:
-        raise InadmissibleRule(f"coordinate {rule.coordinate} out of range")
-    if not np.isfinite(rule.threshold):
-        raise InadmissibleRule(f"threshold {rule.threshold} is not finite")
-    mask = z[:, rule.coordinate] <= rule.threshold
-    return sum((_group_stats(y, side)[1] for side in (mask, ~mask) if side.any()), 0.0)
-
-
-def log_principal_decision_ratio(data, y, rule1: SplitRule, rule2: SplitRule) -> float:
-    """loss(rule2) - loss(rule1); positive means rule1 fits better."""
-    return split_rule_loss(data, y, rule2) - split_rule_loss(data, y, rule1)
 
 
 # the padded values one split-kernel call may take, chosen by a sweep (see
@@ -382,11 +343,6 @@ def _route(coordinate: np.ndarray, threshold: np.ndarray, right: np.ndarray,
         go_left = z[rows, np.maximum(k, 0)] <= threshold.take(node)
         node = np.where(k < 0, node, np.where(go_left, node + 1, right.take(node)))
     return node
-
-
-def predict(tree: Tree, row) -> float:
-    """Route a single row to its leaf mean: one row of :func:`predict_rows`."""
-    return float(predict_rows(tree, np.asarray(row, dtype=float).reshape(1, -1))[0])
 
 
 def predict_rows(tree: Tree, data) -> np.ndarray:

@@ -928,12 +928,10 @@ def _error_classes(cls=errors.SymrankError):
 EXIT_CODES = {
     "SymrankError": 1, "UsageError": 2, "ConfigError": 2,
     "TiesInResponse": 2, "DimensionMismatch": 2, "NonFiniteData": 2,
-    "LengthMismatch": 1, "TiesPresent": 1, "ZeroVariance": 1,
-    "EmptySide": 1, "SizeOutOfRange": 2, "TooLarge": 2,
-    "MembershipViolation": 1, "Unsplittable": 1, "InadmissibleRule": 1,
-    "ColumnMismatch": 1, "DomainMismatch": 2, "NotMonotone": 2,
-    "MergeableSegments": 2, "IntervalSpansBreakpoint": 1, "NotRefinedInterval": 1,
-    "CaseThreePresent": 1, "UnboundedTransform": 1, "PartialOperatorDomain": 1,
+    "LengthMismatch": 1, "EmptySide": 1, "SizeOutOfRange": 2, "TooLarge": 2,
+    "Unsplittable": 1, "ColumnMismatch": 1, "DomainMismatch": 2, "NotMonotone": 2,
+    "MergeableSegments": 2, "IntervalSpansBreakpoint": 1, "CaseThreePresent": 1,
+    "PartialOperatorDomain": 1,
     "KTooLarge": 2, "NoPositives": 1, "SizeMismatch": 1,
 }
 

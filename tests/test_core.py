@@ -9,7 +9,6 @@ from symrank.core import (
     derive_rng,
     load_csv,
     make_partition2,
-    sort_by_response,
     unary,
     var,
 )
@@ -49,30 +48,6 @@ class TestBuildDataset:
     def test_bad_name_count(self):
         with pytest.raises(DimensionMismatch):
             build_dataset([[1, 2]], [1], names=["a"])
-
-
-class TestSortByResponse:
-    def test_five_sample(self):
-        ds = build_dataset([[0]] * 5, [5, 2.1, 1, 2, 4])
-        assert sort_by_response(ds).order == (2, 3, 1, 4, 0)
-
-    def test_already_sorted(self):
-        ds = build_dataset([[0]] * 3, [1, 2, 3])
-        assert sort_by_response(ds).order == (0, 1, 2)
-
-    def test_rotated(self):
-        ds = build_dataset([[0]] * 3, [3, 1, 2])
-        assert sort_by_response(ds).order == (1, 2, 0)
-
-    @given(st.permutations(list(range(8))))
-    def test_row_permutation_invariance(self, perm):
-        y = np.array([0.5, 1.5, -2.0, 3.25, 7.0, -0.25, 2.0, 9.5])
-        x = np.arange(8.0).reshape(-1, 1)
-        base = build_dataset(x, y)
-        shuffled = build_dataset(x[perm], y[perm])
-        sorted_base = base.y[list(sort_by_response(base).order)]
-        sorted_shuf = shuffled.y[list(sort_by_response(shuffled).order)]
-        assert np.array_equal(sorted_base, sorted_shuf)
 
 
 def expr_strategy(depth=3, n_vars=3):
@@ -138,19 +113,13 @@ class TestPartition2:
                              ids=["repeated", "past-the-end", "negative", "only-past-the-end"])
     def test_repeated_index_rejected(self, left):
         # a repeated index, or one outside 0..n-1
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=r"distinct indices in 0\.\.3$"):
             make_partition2([1, 2, 3, 10], left)
 
 
 class TestInterval:
-    def test_contains_respects_closedness(self):
-        iv = Interval(0.0, 1.0, lo_closed=True, hi_closed=False)
-        assert iv.contains(0.0) and not iv.contains(1.0) and iv.contains(0.5)
-
-    def test_open_lower_endpoint_excluded(self):
-        assert not Interval(0.0, 1.0, lo_closed=False).contains(0.0)
-
     def test_degenerate_requires_closed(self):
+        assert str(Interval(1.0, 1.0)) == "[1.0, 1.0]"
         with pytest.raises(DimensionMismatch):
             Interval(1.0, 1.0, lo_closed=False)
 

@@ -11,10 +11,10 @@ from symrank import cli, errors, evalsel
 from symrank.cli import main
 from symrank.core import (
     FeatureMatrix,
-    Partition2,
     RankPermutation,
     build_dataset,
     load_csv,
+    make_partition2,
     var,
 )
 from symrank.evalsel import (
@@ -28,7 +28,6 @@ from symrank.monotonic import (
     load_piecewise,
     piecewise_monotone,
 )
-from symrank.partition import apply_swap, loss
 from symrank.stats import ranking_metric_T
 from symrank.symgen import (
     Architecture,
@@ -38,7 +37,7 @@ from symrank.symgen import (
     generate_report,
     parse_univariate,
 )
-from symrank.tree import SplitRule, ensemble_importance, split_rule_loss
+from symrank.tree import ensemble_importance, grow_tree
 
 Y5 = np.array([5.0, 2.1, 1.0, 2.0, 4.0])
 Z5 = np.column_stack([Y5, -Y5])
@@ -60,10 +59,6 @@ def nan_scores():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evalsel, "batched_scores", lambda *args: np.array([0.0, np.nan]))
         score_features(FeatureMatrix(Z5, (var(0), var(1))), Y5, "t0")
-
-
-def partition(left, right):
-    return Partition2(left, right, 0.0, 0.0, 0.0, 0.0)
 
 
 # each check: a call that fails it, its error class and a part of its message
@@ -124,9 +119,6 @@ CASES = {
     "unparsable-expression": (
         lambda _: parse_univariate("x +"), errors.DimensionMismatch, "cannot parse"),
     # monotonic
-    "point-outside-domain": (
-        lambda _: piecewise_monotone((0, 1), [], *UP)(1.5),
-        errors.DomainMismatch, "outside domain"),
     "empty-domain": (
         lambda _: piecewise_monotone((1, 0), [], *UP),
         errors.DimensionMismatch, "positive length"),
@@ -161,19 +153,12 @@ CASES = {
         errors.DimensionMismatch, "nondecreasing"),
     # tree
     "1-d-matrix": (
-        lambda _: split_rule_loss(Y5, Y5, SplitRule(0, 1.0)),
-        errors.ColumnMismatch, "must be 2-D"),
-    "infinite-threshold": (
-        lambda _: split_rule_loss(Z5, Y5, SplitRule(0, np.inf)),
-        errors.InadmissibleRule, "not finite"),
+        lambda _: grow_tree(Y5, Y5, 1), errors.ColumnMismatch, "must be 2-D"),
     "no-trees": (
         lambda _: ensemble_importance(Z5, Y5, 0, 3, 0), errors.Unsplittable, "n_trees >= 1"),
     # partition
     "empty-side": (
-        lambda _: loss(partition((), (0, 1, 2, 3, 4)), Y5), errors.EmptySide, "nonempty"),
-    "swap-from-left": (
-        lambda _: apply_swap(Y5, partition((0, 1), (2, 3, 4)), 0, 1),
-        errors.MembershipViolation, "not in the right side"),
+        lambda _: make_partition2(Y5, ()), errors.EmptySide, "nonempty"),
     # stats
     "one-mean": (
         lambda _: ranking_metric_T(RankPermutation((0,)), [1.0]),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from symrank import evalsel
-from symrank.core import TIE_RTOL, FeatureMatrix, derive_rng, var
+from symrank.core import TIE_RTOL, Dataset, FeatureMatrix, build_dataset, derive_rng, var
 from symrank.errors import (
     ConfigError,
     DimensionMismatch,
@@ -33,10 +33,32 @@ from symrank.evalsel import (
     score_features,
     select_top,
     synth_3var,
-    synth_candidates,
 )
 from symrank.stats import t0_divergence
 from symrank.symgen import unary_from_expr
+
+
+def synth_candidates(n: int, truth, candidates, noise_var: float, seed: int = 0,
+                     rng: np.random.Generator | None = None
+                     ) -> tuple[Dataset, FeatureMatrix]:
+    """Univariate standard-normal input; y = truth(x) + noise; candidate
+    transforms evaluated into a FeatureMatrix. The oracle for one repeat of
+    ``evalsel._candidate_chunk``.
+
+    ``truth`` and each candidate may be a UnaryOp or an expression string in
+    x (e.g. "sin(4*x+0.2)").
+    """
+    if rng is None:
+        rng = derive_rng(seed)
+    x = rng.standard_normal((n, 1))
+    eps = rng.standard_normal(n)
+    truth_op = evalsel._as_unary(truth)
+    y = np.asarray(truth_op.fn(x[:, 0]), dtype=float) + np.sqrt(noise_var) * eps
+    ds = build_dataset(x, y)
+    ops = [evalsel._as_unary(cand) for cand in candidates]
+    z = np.column_stack([np.asarray(op.fn(x[:, 0]), dtype=float) for op in ops])
+    z.setflags(write=False)
+    return ds, FeatureMatrix(z, evalsel._candidate_exprs(ops))
 
 
 def feature_matrix(z):

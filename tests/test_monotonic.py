@@ -8,22 +8,16 @@ from symrank.errors import (
     IntervalSpansBreakpoint,
     MergeableSegments,
     NotMonotone,
-    NotRefinedInterval,
 )
 from symrank.monotonic import (
     TabulatedCDF,
     UniformCDF,
-    classify_interval,
-    find_preimage,
     load_piecewise,
-    offset_shift,
     piecewise_monotone,
     preference_probability,
     preimage_count,
     refine,
-    shift,
 )
-from symrank.tree import SplitRule, log_principal_decision_ratio
 
 
 @pytest.fixture
@@ -62,8 +56,11 @@ class TestConstruction:
         assert len(t.segments) == 2
 
     def test_evaluation_routes_to_segment(self, parabola):
-        assert parabola(0.25) == pytest.approx(-4 * 0.25**2 + 4 * 0.25)
-        assert parabola(0.75) == pytest.approx(-4 * 0.75**2 + 4 * 0.75)
+        rising, falling = parabola.segments
+        assert (rising.interval.lo, rising.interval.hi) == (0.0, 0.5)
+        assert (falling.interval.lo, falling.interval.hi) == (0.5, 1.0)
+        assert rising.fn(0.25) == pytest.approx(-4 * 0.25**2 + 4 * 0.25)
+        assert falling.fn(0.75) == pytest.approx(-4 * 0.75**2 + 4 * 0.75)
 
     def test_json_loading(self):
         t = load_piecewise({
@@ -109,22 +106,16 @@ class TestPreimage:
     def test_parabola_preimage_located(self, parabola):
         iv = Interval(0.0, 0.5, True, False)
         assert preimage_count(parabola, 0.5, iv) == 1
-        root = find_preimage(parabola, 0.5, iv, tol=1e-10)
-        assert root == pytest.approx((1 - np.sqrt(0.5)) / 2, abs=1e-9)
+        assert preimage_count(parabola, 1.0, iv) == 1  # the apex, at the closed end
+        assert preimage_count(parabola, 1.01, iv) == 0
 
     def test_out_of_range_zero(self, affine_up):
         iv = Interval(0.0, 0.5, True, False)
         assert preimage_count(affine_up, 0.5, iv) == 0
-        assert find_preimage(affine_up, 0.5, iv) is None
 
     def test_range_endpoint_counts(self, affine_up):
         iv = Interval(0.0, 0.5, True, False)
         assert preimage_count(affine_up, 1.2, iv) == 1  # closed-range rule
-        assert find_preimage(affine_up, 1.2, iv) == pytest.approx(0.0)
-
-    def test_exact_midpoint_hit_returned(self):
-        t = piecewise_monotone((0, 1), [], ["x"], ["increasing"])
-        assert find_preimage(t, 0.5, Interval(0.0, 1.0)) == 0.5
 
     def test_spanning_interval_rejected(self, parabola):
         with pytest.raises(IntervalSpansBreakpoint):
@@ -144,38 +135,28 @@ class TestPreimage:
             vals = np.asarray(t.segments[seg_idx].fn(grid))
             grid_hit = bool(vals.min() <= c <= vals.max())
             assert preimage_count(t, c, iv) == int(grid_hit)
-            if grid_hit:
-                root = find_preimage(t, c, iv, tol=1e-10)
-                nearest = grid[np.argmin(np.abs(vals - c))]
-                assert abs(root - nearest) <= 1e-3  # grid resolution
-                assert abs(float(t.segments[seg_idx].fn(np.asarray(root))) - c) < 1e-8
 
 
 class TestClassify:
+    # the case of a refined interval is the pair of pre-image counts of the
+    # two transforms' splitting values
     def test_cases(self, affine_up, parabola):
         iv = refine(affine_up, parabola)[0]
-        assert classify_interval(affine_up, parabola, 0.5, -1.0, iv) == "both-zero"
-        assert classify_interval(affine_up, parabola, 1.5, -1.0, iv) == "t1-only"
-        assert classify_interval(affine_up, parabola, 0.5, 0.5, iv) == "t2-only"
-        assert classify_interval(affine_up, parabola, 1.5, 0.5, iv) == "both-one"
-
-    def test_requires_refined_member(self, affine_up, parabola):
-        with pytest.raises(NotRefinedInterval):
-            classify_interval(affine_up, parabola, 0.5, 0.5, Interval(0.0, 0.25))
+        cases = {(0.5, -1.0): (0, 0), (1.5, -1.0): (1, 0), (0.5, 0.5): (0, 1),
+                 (1.5, 0.5): (1, 1)}
+        for (c1, c2), counts in cases.items():
+            assert (preimage_count(affine_up, c1, iv), preimage_count(parabola, c2, iv)) == counts
 
     def test_both_zero_implies_zero_log_ratio(self, affine_up, parabola):
-        # samples inside a both-zero interval: both rules put every sample on
-        # one side, so both rules score the parent SSE and the log ratio is 0
+        # samples inside a both-zero interval: each rule puts every sample on
+        # one side, so neither splits them and both score the parent SSE
         rng = derive_rng(52)
         iv = refine(affine_up, parabola)[0]
-        assert classify_interval(affine_up, parabola, 0.5, -1.0, iv) == "both-zero"
+        assert preimage_count(affine_up, 0.5, iv) == preimage_count(parabola, -1.0, iv) == 0
         x = rng.uniform(iv.lo, iv.hi, size=12)
-        z = np.column_stack([[affine_up(v) for v in x],
-                             [parabola(v) for v in x]])
-        y = rng.normal(size=12)
-        ratio = log_principal_decision_ratio(
-            z, y, SplitRule(0, 0.5), SplitRule(1, -1.0))
-        assert ratio == pytest.approx(0.0, abs=1e-12)
+        for t, c in ((affine_up, 0.5), (parabola, -1.0)):
+            below = t.segments[0].fn(x) <= c
+            assert below.all() or not below.any()
 
 
 class TestPreferenceProbability:
@@ -233,32 +214,10 @@ class TestPreferenceProbability:
 
 
 class TestOffsetShift:
-    def test_identity_vs_parabola(self, parabola):
-        ramp = piecewise_monotone((0, 1), [], ["x"], ["increasing"])
-        assert offset_shift(ramp, parabola) == pytest.approx(2.0)
-
-    def test_affine_vs_parabola(self, affine_up, parabola):
-        assert offset_shift(affine_up, parabola) == pytest.approx(0.8)
-
-    def test_identical_transforms_positive(self, parabola):
-        assert offset_shift(parabola, parabola) > 0
-
-    def test_unbounded_transform_rejected(self, parabola):
-        # bypass the factory's grid check with a hand-built segment
-        from symrank.errors import UnboundedTransform
-        from symrank.monotonic import MonotoneSegment, PiecewiseMonotone
-        from symrank.core import Interval
-        seg = MonotoneSegment(
-            Interval(0.0, 1.0), "1/(1-x)",
-            lambda x: np.divide(1.0, 1.0 - np.asarray(x)), "increasing")
-        unbounded = PiecewiseMonotone(Interval(0.0, 1.0), (), (seg,))
-        with np.errstate(divide="ignore"), pytest.raises(UnboundedTransform):
-            offset_shift(parabola, unbounded)
-
     def test_shift_removes_case_three(self, parabola):
-        ramp = piecewise_monotone((0, 1), [], ["x"], ["increasing"])
-        c0 = offset_shift(ramp, parabola)
-        shifted = shift(ramp, c0)
+        # x + 2 = x + (sup parabola - inf x + 1): the ranges [2, 3] and [0, 1]
+        # are disjoint, so no value has a pre-image under both
+        shifted = piecewise_monotone((0, 1), [], ["x + 2"], ["increasing"])
         rng = derive_rng(55)
         for c in rng.uniform(-1, 4, size=40):
             preference_probability(shifted, parabola, float(c))  # never raises

@@ -249,6 +249,19 @@ class TestCanonicalSoundness:
                 by_name[key] = vals
 
 
+class TestBuiltinOperators:
+    def test_values(self):
+        xs, ws = np.array([-1.5, 0.0, 0.5, 2.0]), np.array([0.25, -2.0, 3.0, 1.0])
+        unary_values = {"id": xs, "square": xs**2, "cube": xs**3, "sin": np.sin(xs),
+                        "cos": np.cos(xs), "exp": np.exp(xs)}
+        binary_values = {"+": xs + ws, "-": xs - ws, "*": xs * ws, "/": xs / ws}
+        ops = build_operator_set(list(unary_values), list(binary_values))
+        for op in ops.unary:
+            assert np.array_equal(op.fn(xs), unary_values[op.name])
+        for op in ops.binary:
+            assert np.array_equal(op.fn(xs, ws), binary_values[op.name])
+
+
 class TestParser:
     def test_polynomial(self):
         fn = parse_univariate("-4*x**2 + 4*x")

@@ -10,12 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symrank import tree as tree_module
-from symrank.core import derive_rng
+from symrank.core import derive_rng, make_partition2
 from symrank.errors import (
     ColumnMismatch,
     DimensionMismatch,
     EmptySide,
-    InadmissibleRule,
     LengthMismatch,
     NonFiniteData,
     Unsplittable,
@@ -31,17 +30,18 @@ from symrank.tree import (
     ensemble_importance,
     grow_tree,
     induced_permutation,
-    log_principal_decision_ratio,
-    predict,
     predict_rows,
-    split_means,
-    split_rule_loss,
     tree_from_json,
     tree_to_json,
 )
 
 FIG2A_X = np.array([[0.1], [0.3], [0.5], [0.6], [0.9]])
 FIG2A_Y = np.array([5.0, 2.1, 1.0, 2.0, 4.0])
+
+
+def rule_loss(z, y, rule):
+    """The two-sided SSE of a rule that sends rows to both sides."""
+    return make_partition2(y, np.flatnonzero(z[:, rule.coordinate] <= rule.threshold)).total_sse
 
 
 def node_rows(tree, z):
@@ -93,14 +93,16 @@ def brute_force_best_split(z, y):
 
 class TestSplitMeans:
     def test_basic(self):
-        assert split_means([1, 2, 10], [True, True, False]) == (1.5, 10.0)
+        p = make_partition2([1, 2, 10], (0, 1))
+        assert (p.mean_left, p.mean_right) == (1.5, 10.0)
 
     def test_singletons(self):
-        assert split_means([3.0, 7.0], [True, False]) == (3.0, 7.0)
+        p = make_partition2([3.0, 7.0], (0,))
+        assert (p.mean_left, p.mean_right) == (3.0, 7.0)
 
     def test_empty_side(self):
         with pytest.raises(EmptySide):
-            split_means([1, 2, 3, 4], [True] * 4)
+            make_partition2([1, 2, 3, 4], range(4))
 
 
 class TestBestSplit:
@@ -109,7 +111,7 @@ class TestBestSplit:
         y = np.array([1.0, 2.0, 10.0])
         rule = best_split(z, y)
         assert rule == SplitRule(0, 2.0)
-        assert split_rule_loss(z, y, rule) == pytest.approx(0.5)
+        assert rule_loss(z, y, rule) == pytest.approx(0.5)
 
     def test_matches_brute_force(self):
         # column 0's cube and exp join its rank class, its negation does not,
@@ -129,7 +131,7 @@ class TestBestSplit:
                 continue
             loss, k, threshold = expected
             rule = best_split(z, y)
-            assert split_rule_loss(z, y, rule) == pytest.approx(loss)
+            assert rule_loss(z, y, rule) == pytest.approx(loss)
             # the brute-force partition; a negated column may realize it
             # with the sides swapped, and its loss then ties up to rounding
             left = z[:, rule.coordinate] <= rule.threshold
@@ -148,7 +150,7 @@ class TestBestSplit:
         y = np.exp(2.0 * x[:, 0])  # strictly monotone in the column
         rule = best_split(x, y)
         _, oracle = oracle_varying_size(y)
-        assert split_rule_loss(x, y, rule) == pytest.approx(oracle.total_sse)
+        assert rule_loss(x, y, rule) == pytest.approx(oracle.total_sse)
 
     def test_monotone_column_beats_noise_columns(self):
         rng = derive_rng(46)
@@ -160,7 +162,7 @@ class TestBestSplit:
         rule = best_split(z, y)
         assert rule.coordinate == 1
         _, oracle = oracle_varying_size(y)
-        assert split_rule_loss(z, y, rule) == pytest.approx(oracle.total_sse)
+        assert rule_loss(z, y, rule) == pytest.approx(oracle.total_sse)
 
     def test_duplicate_columns_tie_to_smaller_k(self):
         rng = derive_rng(33)
@@ -190,7 +192,7 @@ class TestBestSplit:
                     continue
                 child_sum = node_sse(y[mask]) + node_sse(y[~mask])
                 assert child_sum <= parent + 1e-9 * max(parent, 1.0)
-                mu_l, mu_r = split_means(y, mask)
+                mu_l, mu_r = y[mask].mean(), y[~mask].mean()
                 if abs(child_sum - parent) <= 1e-12 * max(parent, 1.0):
                     assert abs(mu_l - mu_r) < 1e-6
 
@@ -217,38 +219,21 @@ class TestBestSplit:
 
 
 class TestLogPrincipalDecisionRatio:
-    def test_identical_rules_zero(self):
-        z = np.array([[1.0], [2.0], [3.0]])
-        y = np.array([1.0, 2.0, 10.0])
-        rule = SplitRule(0, 2.0)
-        assert log_principal_decision_ratio(z, y, rule, rule) == 0.0
-
+    # the log of the principal decision ratio of two rules is their loss difference
     def test_three_point_example(self):
         z = np.array([[1.0], [2.0], [3.0]])
         y = np.array([1.0, 2.0, 10.0])
-        assert log_principal_decision_ratio(
-            z, y, SplitRule(0, 2.0), SplitRule(0, 1.0)) == pytest.approx(31.5)
+        assert rule_loss(z, y, SplitRule(0, 1.0)) - rule_loss(z, y, SplitRule(0, 2.0)) \
+            == pytest.approx(31.5)
 
     def test_argmin_dominates_every_rule(self):
         rng = derive_rng(36)
         z = rng.normal(size=(15, 2))
         y = rng.normal(size=15)
-        best = best_split(z, y)
+        best = rule_loss(z, y, best_split(z, y))
         for k in range(2):
-            for c in z[:, k]:
-                assert log_principal_decision_ratio(
-                    z, y, best, SplitRule(k, float(c))) >= -1e-12
-
-    def test_one_sided_rule_scores_parent_sse(self):
-        z = np.array([[1.0], [2.0], [3.0]])
-        y = np.array([1.0, 2.0, 10.0])
-        assert split_rule_loss(z, y, SplitRule(0, 99.0)) == pytest.approx(node_sse(y))
-
-    def test_inadmissible_coordinate(self):
-        z = np.array([[1.0], [2.0]])
-        y = np.array([1.0, 2.0])
-        with pytest.raises(InadmissibleRule):
-            log_principal_decision_ratio(z, y, SplitRule(3, 0.5), SplitRule(0, 1.0))
+            for c in np.sort(z[:, k])[:-1]:  # every rule that splits the node
+                assert rule_loss(z, y, SplitRule(k, float(c))) - best >= -1e-12
 
 
 class TestGrowPredict:
@@ -271,7 +256,7 @@ class TestGrowPredict:
         z = x_centered**2
         rule = best_split(z, FIG2A_Y)
         _, oracle = oracle_varying_size(FIG2A_Y)
-        assert split_rule_loss(z, FIG2A_Y, rule) == pytest.approx(oracle.total_sse)
+        assert rule_loss(z, FIG2A_Y, rule) == pytest.approx(oracle.total_sse)
         mask = z[:, 0] <= rule.threshold
         assert set(np.flatnonzero(~mask)) == set(oracle.right)
 
@@ -287,10 +272,11 @@ class TestGrowPredict:
         y = rng.normal(size=40)
         tree = grow_tree(z, y, 3)
         routed = node_rows(tree, z)
+        predicted = predict_rows(tree, z)
         for leaf in leaf_ids(tree):
             rows = list(routed[leaf])
             for i in rows:
-                assert predict(tree, z[i]) == pytest.approx(float(y[rows].mean()))
+                assert predicted[i] == pytest.approx(float(y[rows].mean()))
 
     def test_min_leaf_stops_growth(self):
         # nodes smaller than 2*min_leaf become leaves instead of splitting
@@ -305,7 +291,7 @@ class TestGrowPredict:
     def test_column_mismatch(self):
         tree = grow_tree(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]), 1)
         with pytest.raises(ColumnMismatch):
-            predict(tree, [1.0, 2.0])
+            predict_rows(tree, [[1.0, 2.0]])
 
     def test_interpolator_column_dominates(self):
         rng = derive_rng(39)
@@ -316,7 +302,7 @@ class TestGrowPredict:
         rule = best_split(z, y)
         assert rule.coordinate == 3
         _, oracle = oracle_varying_size(y)
-        assert split_rule_loss(z, y, rule) == pytest.approx(oracle.total_sse)
+        assert rule_loss(z, y, rule) == pytest.approx(oracle.total_sse)
 
     @pytest.mark.parametrize("grow", [
         lambda z, y: grow_tree(z, y, 2),
@@ -384,10 +370,8 @@ class TestSerialization:
         for field in dataclasses.fields(tree):
             assert np.array_equal(getattr(rebuilt, field.name), getattr(tree, field.name),
                                   equal_nan=True)
-        # predict routes one row as predict_rows does and checks its width
-        assert [predict(rebuilt, row) for row in z] == predict_rows(rebuilt, z).tolist()
         with pytest.raises(ColumnMismatch):
-            predict(rebuilt, z[0, :1])
+            predict_rows(rebuilt, z[:, :1])
 
     def test_document_shape(self):
         z = np.array([[1.0], [2.0], [3.0]])
@@ -436,7 +420,6 @@ class TestSerialization:
         assert tree.right.tolist() == [4, 3, -1, -1, -1]
         rows = np.array([[0.0, 0.9], [0.1, 0.2], [0.9, 0.1]])
         assert predict_rows(tree, rows).tolist() == [3.0, 1.0, 2.0]
-        assert [predict(tree, row) for row in rows] == [3.0, 1.0, 2.0]
         assert tree_to_json(tree) == doc
 
 
@@ -690,7 +673,8 @@ class TestPresortedGrowthMatchesOracle:
         tree = grow_tree(z, y, depth, min_leaf)
         assert_matches_oracle(tree, oracle_grow_tree(z, y, depth, min_leaf), z)
         rows = predict_rows(tree, z)
-        assert np.array_equal(rows, [predict(tree, row) for row in z])
+        # each row routes alone as it does among the others
+        assert np.array_equal(rows, [predict_rows(tree, row[None])[0] for row in z])
 
     @pytest.mark.parametrize("min_leaf", [1, 2, 3])
     def test_deep_tree_on_2000_rows(self, min_leaf):
