@@ -5,6 +5,9 @@ tree grow, tree predict. Exit codes: 0 success, 1 runtime/method failure,
 2 usage or config error; a package error returns its class's ``exit_code``.
 Every subcommand that takes --seed writes a byte-deterministic primary JSON
 document; wall-clock timings go to a sidecar file.
+
+A command imports ``tree``, ``partition`` or ``monotonic`` in its own body,
+so a command that does not run them does not load them.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ from .evalsel import (
     score_features,
     select_top,
 )
-from .monotonic import TabulatedCDF, load_piecewise, preference_probability
-from .partition import brute_force_best_2partition, oracle_fixed_size
 from .symgen import (
     Architecture,
     build_operator_set,
@@ -42,7 +43,6 @@ from .symgen import (
     sin_affine,
     unary_from_expr,
 )
-from .tree import grow_tree, predict_rows, tree_from_json, tree_to_json
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -380,6 +380,8 @@ def _c_values(raw: str) -> list[float]:
 def _p12_maps(doc):
     """The two transforms and the optional CDF of a p12 maps document; a
     malformed document is a ConfigError that names its bad key."""
+    from .monotonic import TabulatedCDF, load_piecewise
+
     if not isinstance(doc, dict):
         raise ConfigError(f"p12 maps file must be a JSON object, got {doc!r}")
     transforms = []
@@ -401,6 +403,8 @@ def _p12_maps(doc):
 
 
 def cmd_p12(args) -> int:
+    from .monotonic import preference_probability
+
     c_values = _c_values(args.c)
     t1, t2, measure = _p12_maps(_load_config(args.maps))
     rows = []
@@ -423,6 +427,8 @@ def cmd_p12(args) -> int:
 
 
 def cmd_oracle_partition(args) -> int:
+    from .partition import brute_force_best_2partition, oracle_fixed_size
+
     ds = load_csv(args.input, args.response)
     y = ds.y
     result = oracle_fixed_size(y, args.i)
@@ -460,6 +466,8 @@ def _partition_doc(p, y) -> dict:
 
 
 def cmd_tree_grow(args) -> int:
+    from .tree import grow_tree, tree_to_json
+
     ds = load_csv(args.input, args.response)
     tree = grow_tree(ds.x, ds.y, args.depth, args.min_leaf)
     doc = tree_to_json(tree)
@@ -471,6 +479,8 @@ def cmd_tree_grow(args) -> int:
 
 
 def cmd_tree_predict(args) -> int:
+    from .tree import predict_rows, tree_from_json
+
     doc = _load_config(args.tree)
     tree = tree_from_json(doc)
     ds = load_csv(args.input, args.response)

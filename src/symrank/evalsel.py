@@ -48,7 +48,6 @@ from .symgen import (
     label_correct,
     unary_from_expr,
 )
-from .tree import ensemble_importance
 
 __all__ = [
     "CandidatesExperimentConfig",
@@ -98,6 +97,8 @@ def score_features(fm: FeatureMatrix, y, method: str, *, seed=0,
     if method not in SCORE_METHODS:
         raise LengthMismatch(f"unknown method {method!r}; choose from {SCORE_METHODS}")
     if method == "tree-importance":
+        from .tree import ensemble_importance
+
         ys = np.atleast_2d(y.T)  # one row per response
         if not len(ys) or fm.q % len(ys):
             raise LengthMismatch(f"{fm.q} columns in {len(ys)} response groups")

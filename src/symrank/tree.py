@@ -111,6 +111,12 @@ def _response_pairs(y: np.ndarray) -> np.ndarray:
     return pairs
 
 
+# indexed by a cut's inadmissibility: max(loss, -inf) keeps the loss, which is
+# never NaN (the response is bounded), and max(loss, inf) rules the cut out; one
+# take and one maximum cost less than np.putmask
+PENALTY = np.array([-np.inf, np.inf])
+
+
 def _column_split_losses(keys: np.ndarray, pairs: np.ndarray, m=None) -> np.ndarray:
     """Two-sided SSE for every cut position of every row, inf where inadmissible.
 
@@ -147,8 +153,8 @@ def _column_split_losses(keys: np.ndarray, pairs: np.ndarray, m=None) -> np.ndar
     np.subtract(s2_total, s2, out=s2)
     s2 -= s1  # sse_r
     losses += s2
-    np.putmask(losses, keys[:, :-1] >= keys[:, 1:], np.inf)
-    return losses
+    inadmissible = keys[:, :-1] >= keys[:, 1:]
+    return np.maximum(losses, PENALTY.take(inadmissible.view(np.uint8)), out=losses)
 
 
 def best_split(data, y) -> SplitRule:
@@ -263,6 +269,8 @@ def _grow_levels(keys: np.ndarray, pairs: np.ndarray, rows: np.ndarray, depth: i
             coordinate[node[found]] = k[found]
             position[node] = pos
             cut[node] = ids[np.arange(c), k, pos]
+            if last:  # the children are leaves: no child reads side
+                continue
             left = np.where(found & (pos + 1 >= min_split), 0, 2)
             right = np.where(found & (mb - pos - 1 >= min_split), 1, 2)
             side.put(ids[np.arange(c), k],

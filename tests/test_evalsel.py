@@ -36,6 +36,7 @@ from symrank.evalsel import (
 )
 from symrank.stats import t0_divergence
 from symrank.symgen import unary_from_expr
+from symrank.tree import ensemble_importance
 
 
 def synth_candidates(n: int, truth, candidates, noise_var: float, seed: int = 0,
@@ -609,7 +610,7 @@ class TestChunkedRepeats:
         # and no shared sort once the forests grow
         n, q = 200_000, 4
         calls = {}
-        score, grow = evalsel.score_features, evalsel.ensemble_importance
+        score = evalsel.score_features
 
         def traced(fm, y, method, **kwargs):
             calls.setdefault(method, []).append((fm.z, tracemalloc.get_traced_memory()[0]))
@@ -617,10 +618,10 @@ class TestChunkedRepeats:
 
         def forest(z, *args):
             calls.setdefault("forest", []).append((z, tracemalloc.get_traced_memory()[0]))
-            return grow(z, *args)
+            return ensemble_importance(z, *args)
 
         monkeypatch.setattr(evalsel, "score_features", traced)
-        monkeypatch.setattr(evalsel, "ensemble_importance", forest)
+        monkeypatch.setattr("symrank.tree.ensemble_importance", forest)
         monkeypatch.setattr(evalsel, "CHUNK_VALUES", 2 * n * q)
         cfg = CandidatesExperimentConfig(
             truth="x", candidates=("x", "x**2", "x**3", "sin(4*x)"), n=n, repeats=2,
@@ -647,8 +648,7 @@ class TestChunkedRepeats:
         # each repeat is a chunk of its own: every scorer and every forest
         # reads the matrix generate_report returned, not a copy of it
         calls = {"report": [], "kendall": [], "tree-importance": [], "forest": []}
-        generate, score, grow = (evalsel.generate_report, evalsel.score_features,
-                                 evalsel.ensemble_importance)
+        generate, score = evalsel.generate_report, evalsel.score_features
 
         def report(*args):
             built = generate(*args)
@@ -661,11 +661,11 @@ class TestChunkedRepeats:
 
         def forest(z, *args):
             calls["forest"].append(z)
-            return grow(z, *args)
+            return ensemble_importance(z, *args)
 
         monkeypatch.setattr(evalsel, "generate_report", report)
         monkeypatch.setattr(evalsel, "score_features", traced)
-        monkeypatch.setattr(evalsel, "ensemble_importance", forest)
+        monkeypatch.setattr("symrank.tree.ensemble_importance", forest)
         monkeypatch.setattr(evalsel, "CHUNK_VALUES", 1)
         cfg = CsvExperimentConfig(architectures=("bu",), methods=("kendall", "tree-importance"),
                                   repeats=2, seed=1, tree=TreeParams(n_trees=1, depth=1))

@@ -1,9 +1,13 @@
 """Every public name earns its place: each name in a ``symrank`` module's
 ``__all__`` is used by the package itself, outside its own definition, or
 named by the acceptance suite. A helper that only tests need lives in the
-tests as an oracle."""
+tests as an oracle. ``import symrank`` loads each module of ``__all__`` on
+first use, and the CLI loads only the modules its commands share."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import symrank
@@ -52,3 +56,25 @@ def test_every_public_name_has_a_caller_or_a_criterion():
             if not used:
                 unused.append(f"{module}.{name}")
     assert not unused, f"no caller in symrank nor in the acceptance suite: {unused}"
+
+
+LAZY_IMPORTS = """
+import sys
+import symrank.cli
+loaded = sorted(m for m in sys.modules if m.startswith("symrank."))
+assert not {"symrank.tree", "symrank.monotonic", "symrank.partition"} & set(loaded), loaded
+import symrank
+for name in symrank.__all__:
+    assert getattr(symrank, name) is sys.modules[f"symrank.{name}"], name
+assert not hasattr(symrank, "no_such_module")  # hasattr catches only AttributeError
+"""
+
+
+def test_cli_loads_only_what_it_runs_and_every_module_loads_on_first_use():
+    # a fresh interpreter: this one has already imported every module
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                       os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", LAZY_IMPORTS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
