@@ -69,7 +69,10 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def _load_config(path: str) -> dict:
     """A JSON file: an experiment config, a p12 maps file or a grown tree."""
-    return json.loads(read_text(path))
+    try:
+        return json.loads(read_text(path))
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply") from None
 
 
 def _unary_entry(entry):

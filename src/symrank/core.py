@@ -68,6 +68,21 @@ def _bounded_response(y: np.ndarray) -> None:
                             f"must stay below 2**511 for its squared sums to be finite")
 
 
+def _response_order(ys: np.ndarray) -> np.ndarray:
+    """The argsort of each row of a (g, n) array of responses: the one check
+    that a response is strictly ordered, raising NonFiniteData or
+    TiesInResponse for its first row that is not finite or not tie-free."""
+    order = np.argsort(ys, axis=1)
+    s = np.take_along_axis(ys, order, axis=1)
+    infinite = ~np.isfinite(s).all(axis=1)
+    bad = infinite | (s[:, 1:] == s[:, :-1]).any(axis=1)
+    if bad.any():
+        if infinite[bad.argmax()]:
+            raise NonFiniteData("dataset entries must be finite")
+        raise TiesInResponse("response vector contains exact ties")
+    return order
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     a.setflags(write=False)
@@ -154,8 +169,8 @@ class Dataset:
 def build_dataset(x, y, names=None) -> Dataset:
     """Validate and freeze a dataset.
 
-    Raises TiesInResponse when y has exact duplicates, DimensionMismatch on
-    shape disagreements and NonFiniteData on NaN/inf entries.
+    Raises DimensionMismatch on shape disagreements, NonFiniteData on NaN/inf
+    entries and TiesInResponse on exact duplicates in y (:func:`_response_order`).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -168,10 +183,9 @@ def build_dataset(x, y, names=None) -> Dataset:
         raise DimensionMismatch(f"need at least one row and one column, got {x.shape}")
     if y.shape[0] != n:
         raise DimensionMismatch(f"x has {n} rows but y has {y.shape[0]}")
-    if not np.isfinite(x).all() or not np.isfinite(y).all():
+    if not np.isfinite(x).all():
         raise NonFiniteData("dataset entries must be finite")
-    if np.unique(y).size != n:
-        raise TiesInResponse("response vector contains exact ties")
+    _response_order(y[None])
     if names is None:
         names = tuple(f"x{j + 1}" for j in range(d))
     else:
@@ -316,11 +330,11 @@ _LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 2}
 
 
 def read_text(path) -> str:
-    """The text of a UTF-8 file; UsageError naming the file when it is not
-    UTF-8."""
+    """The text of a UTF-8 file, without the byte-order mark that some
+    editors write first; UsageError naming the file when it is not UTF-8."""
     try:
         with open(path, encoding="utf-8") as fh:  # reads \r\n and \r as \n
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x} "
                          f"at offset {exc.start})") from None

@@ -22,6 +22,7 @@ from .core import (
     Dataset,
     Expression,
     FeatureMatrix,
+    _response_order,
     _tied,
     build_dataset,
     derive_rng,
@@ -33,11 +34,9 @@ from .errors import (
     DimensionMismatch,
     KTooLarge,
     LengthMismatch,
-    NonFiniteData,
     NoPositives,
     SizeMismatch,
     SizeOutOfRange,
-    TiesInResponse,
 )
 from .stats import _RUNS_METHODS, batched_scores, sorted_runs
 from .symgen import (
@@ -89,9 +88,11 @@ def score_features(fm: FeatureMatrix, y, method: str, *, seed=0,
     share ``runs``, the sorted runs of fm's columns (see
     :func:`.stats.batched_scores`). Tree importance grows each group's forest
     on a view of its columns, with ``seed`` one int or one per group.
-    Zero-variance columns get the worst in-range sentinel: 0 for the
-    absolute correlations, -1 for the rank coefficient that rejects ties;
-    the concordant divergence and the split importance handle them natively.
+    Every method but tree importance raises TiesInResponse on a tied or
+    constant response. Zero-variance columns get the worst in-range
+    sentinel: 0 for the absolute correlations, -1 for Chatterjee's, which
+    scores -1 for every tied column; the concordant divergence and the split
+    importance handle them natively.
     """
     y = np.asarray(y, dtype=float)
     if method not in SCORE_METHODS:
@@ -231,8 +232,8 @@ def _candidate_chunk(n: int, truth: UnaryOp, candidates, noise_var: float, seed:
     Each repeat draws n standard-normal inputs x, then n standard-normal
     noise values eps, and its response is truth(x) + sqrt(noise_var) * eps;
     the truth and each candidate are evaluated once over the whole
-    (len(reps), n) block. Raises what :func:`.core.build_dataset` raises on
-    the first repeat whose response is not finite or has ties.
+    (len(reps), n) block. Raises what :func:`.core._response_order` raises
+    on the first repeat whose response is not finite or has ties.
     """
     x = np.empty((len(reps), n))
     eps = np.empty((len(reps), n))
@@ -241,13 +242,7 @@ def _candidate_chunk(n: int, truth: UnaryOp, candidates, noise_var: float, seed:
         rng.standard_normal(out=x[i])
         rng.standard_normal(out=eps[i])
     y = np.asarray(truth.fn(x), dtype=float) + np.sqrt(noise_var) * eps
-    infinite = ~np.isfinite(y).all(axis=1)
-    s = np.sort(y, axis=1)
-    bad = infinite | (s[:, 1:] == s[:, :-1]).any(axis=1)
-    if bad.any():
-        if infinite[bad.argmax()]:
-            raise NonFiniteData("dataset entries must be finite")
-        raise TiesInResponse("response vector contains exact ties")
+    _response_order(y)
     z = np.empty((len(reps), len(candidates), n))
     for j, op in enumerate(candidates):
         z[:, j] = op.fn(x)

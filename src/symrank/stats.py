@@ -9,18 +9,18 @@ tau are the test oracles in ``tests/test_stats.py``.
 
 The scorer takes one response of shape (n,) or one per column group, of
 shape (n, g) with q a multiple of g: column j pairs with response
-``j // (q // g)``. Work on a response (its sort, ranks, ties and centring)
-runs once per group, and every column is still reduced on its own, so the
-scores are bit for bit those of g separate calls. A repeated experiment
-scores several repeats' feature matrices, stacked side by side, in one call.
+``j // (q // g)``. Each response must be tie-free: ``core._response_order``
+orders it once per call and rejects ties, and its ranks and centring run
+once per group. Every column is still reduced on its own, so the scores are
+bit for bit those of g separate calls. A repeated experiment scores several
+repeats' feature matrices, stacked side by side, in one call.
 
 Every statistic but Pearson's, and every CART split, sees a feature only
 through its tie-aware ranks, and :func:`sorted_runs` makes that decision
-once. Dense ranks, midranks (bit for bit scipy's ``rankdata``), tied-pair
-counts and, for a tie-free row, ordinal ranks all derive from it; ``tree``
-keys its forests on the same dense ranks. :func:`batched_scores` takes the
-sorted runs of a matrix's columns, so the methods that score one matrix can
-share one sort of it.
+once. Dense ranks, midranks (bit for bit scipy's ``rankdata``) and tied-pair
+counts all derive from it; ``tree`` keys its forests on the same dense
+ranks. :func:`batched_scores` takes the sorted runs of a matrix's columns,
+so the methods that score one matrix can share one sort of it.
 
 Every statistic of a feature and a response raises NonFiniteData on NaN
 or infinite entries. All functions are pure.
@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import RankPermutation, _bounded_response
-from .errors import LengthMismatch, NonFiniteData, TiesInResponse
+from .core import RankPermutation, _bounded_response, _response_order
+from .errors import LengthMismatch, NonFiniteData
 
 __all__ = [
     "batched_scores",
@@ -61,19 +61,15 @@ def _paired(u, y, ndim: int = 1) -> tuple[np.ndarray, np.ndarray]:
 # ranks
 # ---------------------------------------------------------------------------
 
-def _run_heads(s) -> np.ndarray:
-    """Mask of the entries of each row-sorted row that differ from their
-    predecessor; a row's first entry always does."""
-    head = np.ones(s.shape, dtype=bool)
-    np.not_equal(s[:, 1:], s[:, :-1], out=head[:, 1:])
-    return head
-
-
 def sorted_runs(rows) -> tuple[np.ndarray, np.ndarray]:
     """The argsort of each row of a (q, n) array of finite values, and the
-    heads of the runs of equal values in the sorted rows (see :func:`_run_heads`)."""
+    heads of the runs of equal values: the sorted entries that differ from
+    their predecessor, each row's first entry among them."""
     order = np.argsort(rows, axis=1)
-    return order, _run_heads(np.take_along_axis(rows, order, axis=1))
+    s = np.take_along_axis(rows, order, axis=1)
+    head = np.ones(s.shape, dtype=bool)
+    np.not_equal(s[:, 1:], s[:, :-1], out=head[:, 1:])
+    return order, head
 
 
 def _unsorted(order, by_rank) -> np.ndarray:
@@ -90,9 +86,13 @@ def _run_firsts(head) -> np.ndarray:
 
 
 def dense_ranks(order, head) -> np.ndarray:
-    """0-based dense ranks of each row: the number of distinct smaller values.
-    For a tie-free row they are its ordinal ranks less one."""
+    """0-based dense ranks of each row: the number of distinct smaller values."""
     return _unsorted(order, np.cumsum(head, axis=1) - 1)
+
+
+def _ordinal_ranks(order) -> np.ndarray:
+    """0-based ranks of each tie-free row, from its argsort: its dense ranks."""
+    return _unsorted(order, np.broadcast_to(np.arange(order.shape[1]), order.shape))
 
 
 def midranks(order, head) -> np.ndarray:
@@ -125,11 +125,10 @@ def t0_divergence(u, y) -> float:
     a concordant pair contributes 0. Zero exactly when the feature ranks the
     responses concordantly with strict feature order; always >= 0.
 
-    The one-column case of the rank form :func:`_t0`, in O(n log n): bit for
-    bit ``batched_scores("t0", u[:, None], y)[0]``.
+    The one-column case of the rank form :func:`_t0`, in O(n log n).
     """
     u, y = _paired(u, y)
-    return float(_t0(u[None], y[None], sorted_runs(u[None]))[0])
+    return float(batched_scores("t0", u[:, None], y)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +154,7 @@ def _grouped(rows, g) -> np.ndarray:
     return rows.reshape(g, rows.shape[0] // g, rows.shape[1])
 
 
-def _per_column(values, q) -> np.ndarray:
-    """A value per response group, repeated for each column of its group."""
-    return np.repeat(values, q // values.shape[0])
-
-
-def _t0(rows, ys, runs) -> np.ndarray:
+def _t0(rows, ys, order, runs) -> np.ndarray:
     """:func:`t0_divergence` of every column, from midranks in O(q n log n).
 
     With r the feature's midranks and y_(k) the k-th smallest response,
@@ -172,9 +166,6 @@ def _t0(rows, ys, runs) -> np.ndarray:
     half-integers, all zero for a strictly concordant feature.
     """
     g, n = ys.shape
-    order, head = sorted_runs(ys)
-    if not head.all():
-        raise TiesInResponse("response vector contains exact ties")
     ys = np.take_along_axis(ys, order, axis=1)
     # the features' midranks read in increasing-response order: exact
     # half-integers, so bit for bit the midranks of the reordered rows
@@ -186,14 +177,13 @@ def _t0(rows, ys, runs) -> np.ndarray:
     return 4.0 * total / (n * (n - 1))
 
 
-def _pearson(rows, ys, runs=None) -> np.ndarray:
+def _pearson(rows, ys, order=None, runs=None) -> np.ndarray:
     _bounded_response(ys)
     q, g = rows.shape[0], ys.shape[0]
     dz = rows - rows.mean(axis=1, keepdims=True)
     dy = ys - ys.mean(axis=1, keepdims=True)
-    spread = np.sqrt((dz**2).sum(axis=1)) * _per_column(np.sqrt((dy**2).sum(axis=1)), q)
-    live = (spread > 0) & ~np.all(rows == rows[:, :1], axis=1) \
-        & _per_column(~np.all(ys == ys[:, :1], axis=1), q)
+    spread = np.sqrt((dz**2).sum(axis=1)) * np.repeat(np.sqrt((dy**2).sum(axis=1)), q // g)
+    live = (spread > 0) & ~np.all(rows == rows[:, :1], axis=1)
     # vecdot runs the same BLAS dot per row as np.dot on one pair of rows
     dots = np.vecdot(_grouped(dz, g), dy[:, None, :]).ravel()
     out = np.zeros(q)
@@ -201,8 +191,9 @@ def _pearson(rows, ys, runs=None) -> np.ndarray:
     return out
 
 
-def _spearman(rows, ys, runs) -> np.ndarray:
-    return _pearson(midranks(*runs), midranks(*sorted_runs(ys)))
+def _spearman(rows, ys, order, runs) -> np.ndarray:
+    # a tie-free response's midranks are its ordinal ranks + 1
+    return _pearson(midranks(*runs), _ordinal_ranks(order) + 1.0)
 
 
 def _inversions(v, ref) -> np.ndarray:
@@ -233,51 +224,33 @@ def _inversions(v, ref) -> np.ndarray:
     return ones_at[-1] - ones_at[:-1]
 
 
-def _kendall(rows, ys, runs) -> np.ndarray:
+def _kendall(rows, ys, order, runs) -> np.ndarray:
     """(concordant - discordant) / C(n, 2) of every column, exactly, in
     O(q n log n); tied pairs count as neither.
 
-    Knight's (1966) count, batched: with n0 = C(n, 2) pairs of which n1 tie
-    in the column, n2 in y and n3 in both, S = n0 - n1 - n2 + n3 - 2D, where
-    D counts the strict inversions of the y-ranks once each column is sorted
-    by (u, y). Every count is an integer, so S is exact and S / C(n, 2) is
-    bit for bit the pair enumeration's quotient. A constant column or a
-    constant y scores 0.0.
+    Knight's (1966) count, batched, for a tie-free y: with n0 = C(n, 2)
+    pairs of which n1 tie in the column, S = n0 - n1 - 2D, where D counts
+    the inversions of the y-ranks once each column is sorted by (u, y).
+    Every count is an integer, so S is exact and S / C(n, 2) is bit for bit
+    the pair enumeration's quotient. A constant column scores 0.0.
     """
     (q, n), g = rows.shape, ys.shape[0]
-    y_order, y_head = sorted_runs(ys)
-    u_order, u_head = runs
-    y_rank, n1 = dense_ranks(y_order, y_head), tied_pairs(u_head)
-    n2 = _per_column(tied_pairs(y_head), q)
-    bits = int(y_rank.max()).bit_length()
-    # (u, y) order; equal (u, y) pairs are neither inverted nor untied
-    key = _grouped(dense_ranks(u_order, u_head) << bits, g) | y_rank[:, None, :]
+    bits = (n - 1).bit_length()
+    key = _grouped(dense_ranks(*runs) << bits, g) | _ordinal_ranks(order)[:, None, :]
     key = np.sort(key.reshape(q, n), axis=1)
-    n3 = tied_pairs(_run_heads(key))
-    # _inversions compares rows that hold one multiset, which a response's
-    # tie pattern fixes: one call per pattern, one in all when y is tie-free
-    patterns: dict[bytes, list[int]] = {}
-    for i, head in enumerate(y_head):
-        patterns.setdefault(head.tobytes(), []).append(i)
-    key &= (1 << bits) - 1
-    d = np.empty(q, dtype=np.int64)
-    for members in patterns.values():
-        cols = _per_column(np.isin(np.arange(g), members), q)
-        d[cols] = _inversions(key[cols], np.cumsum(y_head[members[:1]], axis=1) - 1)
-    s = (n * (n - 1) // 2 - n1 - n2 + n3) - 2 * d
-    return s / (n * (n - 1) / 2)
+    key &= (1 << bits) - 1  # each row: the y-ranks 0..n-1 in (u, y) order
+    d = _inversions(key, np.arange(n)[None])
+    return (n * (n - 1) // 2 - tied_pairs(runs[1]) - 2 * d) / (n * (n - 1) / 2)
 
 
-def _chatterjee(rows, ys, runs) -> np.ndarray:
-    (q, n), g = rows.shape, ys.shape[0]
-    y_order, y_head = sorted_runs(ys)
-    order, head = runs
-    # a tie-free y's ranks in feature order are its overall ranks
-    y_rank = dense_ranks(y_order, y_head)[:, None, :]
-    path = np.take_along_axis(y_rank, _grouped(order, g), axis=2)
+def _chatterjee(rows, ys, order, runs) -> np.ndarray:
+    n, g = rows.shape[1], ys.shape[0]
+    u_order, u_head = runs
+    # the y-ranks in feature order
+    path = np.take_along_axis(_ordinal_ranks(order)[:, None, :], _grouped(u_order, g), axis=2)
     steps = np.abs(np.diff(path, axis=2)).sum(axis=2).ravel()
     xi = 1.0 - 3.0 * steps / (n * n - 1)
-    return np.where(head.all(axis=1) & _per_column(y_head.all(axis=1), q), xi, -1.0)
+    return np.where(u_head.all(axis=1), xi, -1.0)
 
 
 _KERNELS = {"t0": _t0, "pearson": _pearson, "spearman": _spearman,
@@ -290,12 +263,13 @@ def batched_scores(method: str, z, y, runs=None) -> np.ndarray:
     """The ``method`` statistic of every column of z against y, for
     ``method`` one of "t0" (:func:`t0_divergence`, see :func:`_t0`),
     "pearson", "spearman" (Pearson's on midranks), "kendall" (see
-    :func:`_kendall`) and "chatterjee". Entries must be finite. Pearson and
-    Spearman score 0.0 where the column or the response is constant or has
-    zero spread. Chatterjee's is the tie-free variant,
+    :func:`_kendall`) and "chatterjee". Entries must be finite, and every
+    response tie-free: a tied or constant response raises TiesInResponse
+    (see ``core._response_order``). Pearson and Spearman score 0.0 only
+    where the column is constant or a spread rounds to zero.
+    Chatterjee's is the tie-free variant,
     1 - 3 * sum |r_{i+1} - r_i| / (n^2 - 1) with r the response ranks in
-    feature order, and scores -1.0 where the column or the response has a
-    tie, so every column of a response with ties scores -1.0.
+    feature order, and scores -1.0 only where the column has a tie.
 
     ``runs`` is :func:`sorted_runs` of z's columns as rows (of ``z.T``); it
     is not checked against z. With it, several methods scoring one z share
@@ -305,9 +279,10 @@ def batched_scores(method: str, z, y, runs=None) -> np.ndarray:
     if method not in _KERNELS:
         raise LengthMismatch(f"no batched scorer {method!r}; choose from {tuple(_KERNELS)}")
     rows, ys = _rows(z, y)
+    order = _response_order(ys)
     if runs is None and method in _RUNS_METHODS:
         runs = sorted_runs(rows)
-    return _KERNELS[method](rows, ys, runs)
+    return _KERNELS[method](rows, ys, order, runs)
 
 
 # ---------------------------------------------------------------------------

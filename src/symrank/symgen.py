@@ -285,6 +285,7 @@ def label_correct(exprs, active_variables) -> np.ndarray:
 _ALLOWED_BINOPS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
                    ast.Div: np.divide, ast.Pow: np.power}
 _ALLOWED_UNARYOPS = {ast.UAdd: lambda v: v, ast.USub: np.negative}
+MAX_EXPR_DEPTH = 100  # compiling and evaluating recurse once per tree level
 
 
 def parse_univariate(expr: str):
@@ -292,19 +293,27 @@ def parse_univariate(expr: str):
 
     Supports numbers, x, + - * / **, parentheses, and calls to the built-in
     unary names. Returns a vectorized callable. Raises DimensionMismatch on
-    anything outside that grammar.
+    anything outside that grammar, on an integer too large for a float and
+    on a tree deeper than MAX_EXPR_DEPTH levels.
     """
     funcs = {name: op.fn for name, op in BUILTIN_UNARY.items()}
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
         raise DimensionMismatch(f"cannot parse {expr!r}: {exc}") from None
+    except (RecursionError, MemoryError):  # the parser's stack overflowed
+        raise DimensionMismatch(f"cannot parse {expr!r}: nested too deeply") from None
 
-    def compile_node(node):
+    def compile_node(node, depth=0):
+        if depth > MAX_EXPR_DEPTH:
+            raise DimensionMismatch(f"{expr!r} nests deeper than {MAX_EXPR_DEPTH} levels")
         if isinstance(node, ast.Expression):
-            return compile_node(node.body)
+            return compile_node(node.body, depth + 1)
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            value = float(node.value)
+            try:
+                value = float(node.value)
+            except OverflowError:
+                raise DimensionMismatch(f"{expr!r} has an integer too large for a float") from None
             return lambda x: value
         if isinstance(node, ast.Name):
             if node.id == "x":
@@ -312,17 +321,17 @@ def parse_univariate(expr: str):
             raise DimensionMismatch(f"unknown name {node.id!r} in {expr!r}")
         if isinstance(node, ast.UnaryOp) and type(node.op) in _ALLOWED_UNARYOPS:
             fn = _ALLOWED_UNARYOPS[type(node.op)]
-            operand = compile_node(node.operand)
+            operand = compile_node(node.operand, depth + 1)
             return lambda x: fn(operand(x))
         if isinstance(node, ast.BinOp) and type(node.op) in _ALLOWED_BINOPS:
             fn = _ALLOWED_BINOPS[type(node.op)]
-            lhs, rhs = compile_node(node.left), compile_node(node.right)
+            lhs, rhs = compile_node(node.left, depth + 1), compile_node(node.right, depth + 1)
             return lambda x: fn(lhs(x), rhs(x))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             if node.func.id not in funcs or node.keywords or len(node.args) != 1:
                 raise DimensionMismatch(f"unsupported call in {expr!r}")
             fn = funcs[node.func.id]
-            arg = compile_node(node.args[0])
+            arg = compile_node(node.args[0], depth + 1)
             return lambda x: fn(arg(x))
         raise DimensionMismatch(f"unsupported syntax in {expr!r}")
 

@@ -920,6 +920,95 @@ class TestNonUtf8Files:
         assert not preds_path.exists()
 
 
+class TestByteOrderMark:
+    # Excel's "CSV UTF-8" and some editors write these bytes first
+    BOM = b"\xef\xbb\xbf"
+
+    def test_csv_first_column_keeps_its_name(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(self.BOM + b"y,u\n1,1\n2,2\n3,4\n4,3\n")
+        out = tmp_path / "o"
+        rc = main(["score", "--input", str(path), "--response", "y",
+                   "--methods", "kendall", "--out-dir", str(out)])
+        assert rc == 0
+        doc = json.loads((out / "scores.json").read_text())
+        assert doc["columns"] == ["u"]
+        assert doc["methods"]["kendall"] == [pytest.approx(2 / 3)]
+
+    def test_offset_of_a_bad_byte_counts_the_mark(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(self.BOM + b"x,y\n\xe9\n")
+        rc = main(["score", "--input", str(path), "--response", "y",
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: not UTF-8 text (byte 0xe9 at offset 7)\n")
+
+    def test_experiment_config(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(self.BOM + json.dumps(VALID_CONFIGS["candidates"]).encode())
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", str(path), "--out-dir", str(out)]) == 0
+        assert (out / "report.json").exists()
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    return err[0]
+
+
+class TestOversizedInputs:
+    # a literal no float holds, and a sum deeper than the interpreter's stack
+    EXPRS = {"huge-literal": "x + " + "9" * 400, "deep-sum": "x" + "+x" * 1000}
+    DEEP_JSON = "[" * 100000
+
+    @pytest.mark.parametrize("expr", EXPRS.values(), ids=EXPRS.keys())
+    def test_candidates_truth_exits_2(self, expr, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**VALID_CONFIGS["candidates"], "truth": expr}))
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", str(path), "--out-dir", str(out)]) == 2
+        assert one_error_line(capsys).startswith("error: config key 'truth': ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("expr", EXPRS.values(), ids=EXPRS.keys())
+    def test_p12_segment_expr_exits_2(self, expr, tmp_path, capsys):
+        segment = {"expr": expr, "direction": "increasing"}
+        maps = tmp_path / "maps.json"
+        maps.write_text(json.dumps({**MAPS_DOC, "transform_1": {"domain": [0, 1],
+                                                                "segments": [segment]}}))
+        out = tmp_path / "p12"
+        assert main(["p12", "--maps", str(maps), "--c=1.5", "--out-dir", str(out)]) == 2
+        assert expr in one_error_line(capsys)
+        assert not out.exists()
+
+    def assert_names_the_file(self, rc, path, capsys):
+        assert rc == 2
+        assert one_error_line(capsys) == f"error: {path}: JSON nested too deeply"
+
+    def test_deep_experiment_config(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(self.DEEP_JSON)
+        rc = main(["experiment", "--config", str(path), "--out-dir", str(tmp_path / "o")])
+        self.assert_names_the_file(rc, path, capsys)
+
+    def test_deep_maps_file(self, tmp_path, capsys):
+        path = tmp_path / "maps.json"
+        path.write_text(self.DEEP_JSON)
+        rc = main(["p12", "--maps", str(path), "--c=1.5", "--out-dir", str(tmp_path / "o")])
+        self.assert_names_the_file(rc, path, capsys)
+
+    def test_deep_tree_file(self, data3, tmp_path, capsys):
+        path = tmp_path / "tree.json"
+        path.write_text(self.DEEP_JSON)
+        preds_path = tmp_path / "preds.csv"
+        rc = main(["tree", "predict", "--tree", str(path), "--input", str(data3),
+                   "--response", "y", "--out", str(preds_path)])
+        self.assert_names_the_file(rc, path, capsys)
+        assert not preds_path.exists()
+
+
 def _error_classes(cls=errors.SymrankError):
     return [cls] + [c for sub in cls.__subclasses__() for c in _error_classes(sub)]
 

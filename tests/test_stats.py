@@ -413,19 +413,21 @@ def scoring_inputs(draw):
     return z, y
 
 
+def tie_free_response(draw, n):
+    """A tie-free response of length n: a permutation of evenly spaced
+    values, or n distinct floats."""
+    if draw(st.booleans()):
+        return np.array(draw(st.permutations(range(n)))) * 1.5 - 4.0
+    return np.array(draw(st.lists(st.floats(-100, 100, allow_subnormal=False),
+                                  min_size=n, max_size=n, unique=True)))
+
+
 @st.composite
 def kendall_inputs(draw):
-    """A response and seven columns, with ties in both: a tie-heavy base, its
-    copy, its cube, its negation, a constant, and two tie-free columns. The
-    response is tie-heavy, tie-free or constant."""
+    """A tie-free response and seven columns: a tie-heavy base, its copy,
+    its cube, its negation, a constant, and two tie-free columns."""
     n = draw(st.integers(2, 70))
-    kind = draw(st.sampled_from(["ties", "tie-free", "constant"]))
-    if kind == "ties":
-        y = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))) * 0.5
-    elif kind == "tie-free":
-        y = np.array(draw(st.permutations(range(n)))) * 1.5 - 4.0
-    else:
-        y = np.full(n, 2.0)
+    y = tie_free_response(draw, n)
     base = np.array(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))) / 10
     const = draw(st.sampled_from([0.1, 3.0, -7.25]))
     tie_free = np.array(draw(st.permutations(range(n)))) / 7.0
@@ -443,21 +445,14 @@ def _oracle(fn, col, y, sentinel):
 
 @st.composite
 def grouped_inputs(draw):
-    """Columns in g groups of m, with one response per group. Each response is
-    tie-free, tie-heavy (with its own tie pattern) or constant; each group's
-    columns come from a tie-heavy base, its copy, a constant and a tie-free
-    column."""
+    """Columns in g groups of m, with one tie-free response per group; each
+    group's columns come from a tie-heavy base, its copy, a constant and a
+    tie-free column."""
     n = draw(st.integers(2, 30))
     g, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     ys, blocks = [], []
     for _ in range(g):
-        kind = draw(st.sampled_from(["ties", "tie-free", "constant"]))
-        if kind == "ties":
-            y = np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))) * 0.5
-        elif kind == "tie-free":
-            y = np.array(draw(st.permutations(range(n)))) * 1.5 - 4.0
-        else:
-            y = np.full(n, 2.0)
+        y = tie_free_response(draw, n)
         base = np.array(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))) / 10
         palette = [base, base.copy(), np.full(n, draw(st.sampled_from([0.1, -7.25]))),
                    np.array(draw(st.permutations(range(n)))) / 7.0]
@@ -486,7 +481,7 @@ def t0_from_reordered_rows(z, y):
 
 class TestBatchedScorers:
     @given(grouped_inputs(), st.booleans(), st.randoms(use_true_random=False))
-    @example((np.array([[1.0, 0.1], [1.0, 0.1]]), np.array([[0.0, 3.0], [0.0, 2.0]])),
+    @example((np.array([[1.0, 0.1], [1.0, 0.1]]), np.array([[0.0, 3.0], [1.0, 2.0]])),
              False, None)
     @settings(max_examples=200, deadline=None)
     def test_shared_sort_is_bit_identical_to_separate_calls(self, inputs, column_major,
@@ -494,13 +489,8 @@ class TestBatchedScorers:
         z, y = inputs
         if column_major:
             z = np.asfortranarray(z)
-        methods = ["pearson", "spearman", "kendall", "chatterjee"]
-        if all(np.unique(yk).size == yk.size for yk in y.T):
-            methods.append("t0")
-            assert batched_scores("t0", z, y).tobytes() == t0_from_reordered_rows(z, y).tobytes()
-        else:
-            with pytest.raises(TiesInResponse):
-                batched_scores("t0", z, y, sorted_runs(z.T))
+        methods = ["pearson", "spearman", "kendall", "chatterjee", "t0"]
+        assert batched_scores("t0", z, y).tobytes() == t0_from_reordered_rows(z, y).tobytes()
         if shuffle is not None:
             shuffle.shuffle(methods)
         # one sort for every method in turn: no scorer may change it
@@ -510,26 +500,20 @@ class TestBatchedScorers:
                     == batched_scores(method, z, y).tobytes())
 
     @given(grouped_inputs())
-    @example((np.array([[1.0, 0.1], [1.0, 0.1]]), np.array([[0.0, 3.0], [0.0, 2.0]])))
+    @example((np.array([[1.0, 0.1], [1.0, 0.1]]), np.array([[0.0, 3.0], [1.0, 2.0]])))
     @settings(max_examples=200, deadline=None)
     def test_grouped_response_is_bit_identical_to_per_group_calls(self, inputs):
         z, y = inputs
         g = y.shape[1]
         m = z.shape[1] // g
         groups = [(z[:, k * m:(k + 1) * m], y[:, k]) for k in range(g)]
-        for method in ("pearson", "spearman", "kendall", "chatterjee"):
+        for method in ("t0", "pearson", "spearman", "kendall", "chatterjee"):
             expected = np.concatenate([batched_scores(method, zk, yk) for zk, yk in groups])
             assert batched_scores(method, z, y).tobytes() == expected.tobytes()
         kendall, chatterjee = batched_scores("kendall", z, y), batched_scores("chatterjee", z, y)
         for j in range(z.shape[1]):
             assert kendall[j] == kendall_tau(z[:, j], y[:, j // m])
             assert chatterjee[j] == _oracle(chatterjee_xi, z[:, j], y[:, j // m], -1.0)
-        if all(np.unique(yk).size == yk.size for _, yk in groups):
-            expected = np.concatenate([batched_scores("t0", zk, yk) for zk, yk in groups])
-            assert batched_scores("t0", z, y).tobytes() == expected.tobytes()
-        else:
-            with pytest.raises(TiesInResponse):
-                batched_scores("t0", z, y)
 
     @given(scoring_inputs())
     @settings(max_examples=150, deadline=None)
@@ -555,7 +539,7 @@ class TestBatchedScorers:
 
     @given(kendall_inputs())
     @settings(max_examples=200, deadline=None)
-    def test_kendall_matches_oracle_with_ties_in_both(self, inputs):
+    def test_kendall_matches_oracle_with_tied_columns(self, inputs):
         z, y = inputs
         scores = batched_scores("kendall", z, y)
         for j in range(z.shape[1]):
@@ -623,9 +607,16 @@ class TestBatchedScorers:
             huge = batched_scores("t0", u, 1e306 * y)[0]
         assert huge == pytest.approx(1e306 * batched_scores("t0", u, y)[0], rel=1e-9)
 
-    def test_t0_response_ties_rejected(self):
-        with pytest.raises(TiesInResponse):
-            batched_scores("t0", np.eye(3), [1.0, 1.0, 2.0])
+    @pytest.mark.parametrize("method", ["t0", "pearson", "spearman", "kendall", "chatterjee"])
+    @pytest.mark.parametrize("y", [
+        [1.0, 1.0, 2.0],                                # tied
+        [2.0, 2.0, 2.0],                                # constant
+        [[1.0, 3.0], [2.0, 3.0], [3.0, 0.5]],           # one tied group of two
+    ], ids=["tied", "constant", "one-tied-group"])
+    def test_tied_response_rejected(self, method, y):
+        z = np.arange(12.0).reshape(3, 4)
+        with pytest.raises(TiesInResponse, match="response vector contains exact ties"):
+            batched_scores(method, z, y)
 
     def test_no_columns(self):
         for method in ("t0", "kendall", "chatterjee", "pearson", "spearman"):

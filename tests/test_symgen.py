@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from symrank.core import build_dataset, binary, derive_rng, unary, var
 from symrank.errors import DimensionMismatch
 from symrank.symgen import (
+    MAX_EXPR_DEPTH,
     Architecture,
     OperatorSet,
     UnaryOp,
@@ -284,6 +285,19 @@ class TestParser:
             parse_univariate("__import__('os')")
         with pytest.raises(DimensionMismatch):
             parse_univariate("x ^ 2")  # xor is not power
+
+    def test_depth_is_bounded(self):
+        deepest = "+" * (MAX_EXPR_DEPTH - 1) + "x"  # below the root and its body
+        assert parse_univariate(deepest)(np.arange(3.0)).tolist() == [0.0, 1.0, 2.0]
+        with pytest.raises(DimensionMismatch, match="nests deeper than 100 levels"):
+            parse_univariate("+" + deepest)
+        for depth in (5000, 100000):  # past the recursion limit, past the parser's stack
+            with pytest.raises(DimensionMismatch, match="nested too deeply"):
+                parse_univariate("-" * depth + "x")
+
+    def test_integer_too_large_for_a_float(self):
+        with pytest.raises(DimensionMismatch, match="too large for a float"):
+            parse_univariate("x + " + "9" * 400)
 
     def test_sin_affine_naming(self):
         assert sin_affine(4, 0.2).name == "sin(4x+0.2)"
