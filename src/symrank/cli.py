@@ -8,6 +8,10 @@ document; wall-clock timings go to a sidecar file.
 
 A command imports ``tree``, ``partition`` or ``monotonic`` in its own body,
 so a command that does not run them does not load them.
+
+The CLI checks an experiment config only as JSON: unknown and missing keys,
+JSON types and value ranges (``_CONFIG_VALUES``). Every other rule belongs
+to the config types in ``evalsel``, which check themselves when built.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .evalsel import (
     SCORE_METHODS,
     SignalExperimentConfig,
     TreeParams,
+    _known_methods,
     run_candidates_experiment,
     run_csv_experiment,
     run_signal_experiment,
@@ -115,16 +120,6 @@ def _methods_arg(raw: str) -> list[str]:
     return _known_methods(methods)
 
 
-def _known_methods(methods):
-    unknown = [m for m in methods if m not in SCORE_METHODS]
-    if unknown:
-        raise UsageError(f"unknown methods {unknown}; choose from {SCORE_METHODS}")
-    repeated = sorted({m for m in methods if methods.count(m) > 1})
-    if repeated:
-        raise UsageError(f"methods {repeated} named more than once")
-    return methods
-
-
 def _is_variance(value) -> bool:
     return _is_number(value) and value >= 0
 
@@ -197,9 +192,10 @@ def _config_value(key: str, value):
 def _config(cls, raw, extra=()):
     """A ``cls`` dataclass from a JSON object whose keys are its fields.
 
-    The dataclass holds every default. Keys in ``extra`` are accepted and left
-    out; any other unknown key, a missing required field, or a value of the
-    wrong JSON type or out of range (see ``_CONFIG_VALUES``) is a ConfigError.
+    The dataclass holds every default and checks its own rules when built.
+    Keys in ``extra`` are accepted and left out; any other unknown key, a
+    missing required field, or a value of the wrong JSON type or out of range
+    (see ``_CONFIG_VALUES``) is a ConfigError.
     """
     fields = {f.name: f for f in dataclasses.fields(cls)}
     unknown = sorted(set(raw) - set(fields) - set(extra))
@@ -210,43 +206,6 @@ def _config(cls, raw, extra=()):
                           f"missing keys {missing}")
     return cls(**{key: _config_value(key, value)
                   for key, value in raw.items() if key in fields})
-
-
-# the run label of each entry of a config array; two entries with one label
-# would share a run's output files, or a candidate's report entry
-_LABELS = {
-    "architectures": ("run label", str),
-    "noise_vars": ("run label", "{:g}".format),
-    "candidates": ("expression", lambda c: unary_from_expr(c).name),
-}
-
-
-def _experiment_config(cls, raw, extra=()):
-    """The validated experiment config of one mode, before any work is done.
-    Its methods are checked and its operators, architectures and expressions
-    are built here once, so a bad one is a ConfigError that names its key."""
-    cfg = _config(cls, raw, ("mode", *extra))
-    builds = {"methods": lambda: _known_methods(cfg.methods)}
-    if hasattr(cfg, "architectures"):  # a mode that expands features
-        builds.update(unary_ops=lambda: build_operator_set(cfg.unary_ops, ()),
-                      binary_ops=lambda: build_operator_set(cfg.unary_ops, cfg.binary_ops),
-                      architectures=lambda: [Architecture(a) for a in cfg.architectures])
-    else:
-        builds.update(truth=lambda: unary_from_expr(cfg.truth),
-                      candidates=lambda: [unary_from_expr(c) for c in cfg.candidates])
-    for key, build in builds.items():
-        try:
-            build()
-        except UsageError as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from None
-    for key, (kind, label) in _LABELS.items():
-        entries = getattr(cfg, key, ())
-        labels = [label(entry) for entry in entries]
-        for i, name in enumerate(labels):
-            if name in labels[:i]:
-                raise ConfigError(f"config key {key!r}: entries {entries[labels.index(name)]!r} "
-                                  f"and {entries[i]!r} share the {kind} {name!r}")
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +297,12 @@ def cmd_experiment(args) -> int:
         raw.setdefault("seed", args.seed)
     mode = raw.get("mode", "signal")
     if mode == "signal":
-        report = run_signal_experiment(_experiment_config(SignalExperimentConfig, raw))
+        report = run_signal_experiment(_config(SignalExperimentConfig, raw, ("mode",)))
     elif mode == "candidates":
         report = run_candidates_experiment(
-            _experiment_config(CandidatesExperimentConfig, raw))
+            _config(CandidatesExperimentConfig, raw, ("mode",)))
     elif mode == "csv":
-        cfg = _experiment_config(CsvExperimentConfig, raw, ("input", "response"))
+        cfg = _config(CsvExperimentConfig, raw, ("mode", "input", "response"))
         source = [_config_value(key, raw.get(key)) for key in ("input", "response")]
         report = run_csv_experiment(load_csv(*source), cfg)
     else:
@@ -381,8 +340,9 @@ def _c_values(raw: str) -> list[float]:
 
 
 def _p12_maps(doc):
-    """The two transforms and the optional CDF of a p12 maps document; a
-    malformed document is a ConfigError that names its bad key."""
+    """The two transforms and the optional CDF of a p12 maps document. A
+    malformed document is a ConfigError that names its bad key; any other
+    error in a transform keeps its class and names its key too."""
     from .monotonic import TabulatedCDF, load_piecewise
 
     if not isinstance(doc, dict):
@@ -391,8 +351,8 @@ def _p12_maps(doc):
     for key in ("transform_1", "transform_2"):
         try:
             transforms.append(load_piecewise(doc.get(key)))
-        except ConfigError as exc:
-            raise ConfigError(f"p12 maps key {key!r}: {exc}") from None
+        except UsageError as exc:
+            raise type(exc)(f"p12 maps key {key!r}: {exc}") from None
     if "cdf" not in doc:
         return (*transforms, None)
     cdf = doc["cdf"]
@@ -485,7 +445,13 @@ def cmd_tree_predict(args) -> int:
     from .tree import predict_rows, tree_from_json
 
     doc = _load_config(args.tree)
-    tree = tree_from_json(doc)
+    try:
+        tree = tree_from_json(doc)
+        columns = doc.get("columns", [])
+        if type(columns) is not list or not all(type(c) is str for c in columns):
+            raise ConfigError(f"key 'columns' takes an array of strings, got {columns!r}")
+    except ConfigError as exc:
+        raise ConfigError(f"{args.tree}: {exc}") from None
     ds = load_csv(args.input, args.response)
     if "columns" in doc and doc["columns"] != list(ds.column_names):
         raise ColumnMismatch(f"tree was grown on columns {doc['columns']}, "

@@ -60,7 +60,7 @@ class Unsplittable(SymrankError):
 
 class ColumnMismatch(SymrankError):
     """Prediction input width or column names differ from the tree's training
-    columns, or a tree document is malformed."""
+    columns."""
 
 
 # -- piecewise monotone transforms ----------------------------------------

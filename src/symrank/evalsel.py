@@ -37,6 +37,7 @@ from .errors import (
     NoPositives,
     SizeMismatch,
     SizeOutOfRange,
+    UsageError,
 )
 from .stats import _RUNS_METHODS, batched_scores, sorted_runs
 from .symgen import (
@@ -66,6 +67,16 @@ __all__ = [
 ]
 
 SCORE_METHODS = ("t0", "pearson", "spearman", "kendall", "chatterjee", "tree-importance")
+
+
+def _known_methods(methods):
+    unknown = [m for m in methods if m not in SCORE_METHODS]
+    if unknown:
+        raise UsageError(f"unknown methods {unknown}; choose from {SCORE_METHODS}")
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise UsageError(f"methods {repeated} named more than once")
+    return methods
 
 
 @dataclass(frozen=True)
@@ -260,9 +271,54 @@ def _run_repeats(job, chunks) -> None:
         job(chunk)
 
 
+# the run label of each entry of a config array; two entries with one label
+# would share a run's output files, or a candidate's report entry
+_LABELS = {
+    "architectures": ("run label", str),
+    "noise_vars": ("run label", "{:g}".format),
+    "candidates": ("expression", lambda c: _as_unary(c).name),
+}
+
+
+class _CheckedConfig:
+    def __post_init__(self):
+        """Check the config when it is built, before any work is done. Its
+        methods are checked and its operators, architectures and expressions
+        are built here once, so a bad one is a ConfigError that names its key."""
+        builds = {"methods": lambda: _known_methods(self.methods)}
+        if hasattr(self, "architectures"):  # a mode that expands features
+            builds.update(unary_ops=lambda: build_operator_set(self.unary_ops, ()),
+                          binary_ops=lambda: build_operator_set(self.unary_ops, self.binary_ops),
+                          architectures=lambda: [Architecture(a) for a in self.architectures])
+        else:
+            builds.update(truth=lambda: _as_unary(self.truth),
+                          candidates=lambda: [_as_unary(c) for c in self.candidates])
+        built = {}
+        for key, build in builds.items():
+            try:
+                built[key] = build()
+            except UsageError as exc:
+                raise ConfigError(f"config key {key!r}: {exc}") from None
+        for key, (kind, label) in _LABELS.items():
+            entries = getattr(self, key, ())
+            labels = [label(entry) for entry in entries]
+            for i, name in enumerate(labels):
+                if name in labels[:i]:
+                    raise ConfigError(f"config key {key!r}: entries "
+                                      f"{entries[labels.index(name)]!r} and {entries[i]!r} "
+                                      f"share the {kind} {name!r}")
+        if "truth" in built and built["truth"].name not in [c.name for c in built["candidates"]]:
+            raise ConfigError(f"config key 'truth': {self.truth!r} is not among the candidates")
+
+
 @dataclass(frozen=True)
-class SignalExperimentConfig:
-    """Repeated feature-selection experiment on the built-in 3-input signal."""
+class SignalExperimentConfig(_CheckedConfig):
+    """Repeated feature-selection experiment on the built-in 3-input signal.
+
+    Building one raises a ConfigError naming the key unless every method is
+    known and named once, the operators and architectures build, and no two
+    architectures or noise variances (labelled ``{:g}``) share a run label.
+    """
 
     n: int = 100
     noise_vars: tuple[float, ...] = (0.0, 0.01, 0.1)
@@ -278,8 +334,14 @@ class SignalExperimentConfig:
 
 
 @dataclass(frozen=True)
-class CandidatesExperimentConfig:
-    """Repeated single-pick selection among explicit candidate transforms."""
+class CandidatesExperimentConfig(_CheckedConfig):
+    """Repeated single-pick selection among explicit candidate transforms.
+
+    Building one raises a ConfigError naming the key unless every method is
+    known and named once, the truth and the candidates parse, no two
+    candidates are one expression once spaces are removed, and the truth is
+    one of them.
+    """
 
     truth: str
     candidates: tuple[str, ...]
@@ -293,11 +355,16 @@ class CandidatesExperimentConfig:
 
 
 @dataclass(frozen=True)
-class CsvExperimentConfig:
+class CsvExperimentConfig(_CheckedConfig):
     """Architecture expansion and selection on a fixed ingested dataset.
 
     Only seed-dependent methods vary across repeats. PR/AIP columns appear
     when ``active_variables`` (input column names or indices) is given.
+
+    Building one raises a ConfigError naming the key unless every method is
+    known and named once, the operators and architectures build, and no
+    architecture is named twice. The ``active_variables`` need the dataset,
+    so :func:`run_csv_experiment` checks them.
     """
 
     architectures: tuple[str, ...] = ("bu", "ub")
@@ -384,8 +451,11 @@ def _run_cells(cells, methods, repeats, n_selected, seed, tree):
     forest grows. Each method then selects all of the chunk's repeats in one
     :func:`select_top` call, on its (len(reps), q) scores. A method's chunks
     of selections join into one (R, k) block, from which its report entry's
-    metrics and its cell's extras come.
+    metrics and its cell's extras come. Raises SizeOutOfRange for
+    repeats < 1.
     """
+    if repeats < 1:
+        raise SizeOutOfRange(f"repeats={repeats} runs no repeat; need repeats >= 1")
     runtimes = dict.fromkeys((f"{c.key}/{m}" for c in cells for m in methods), 0.0)
     order = sorted(enumerate(methods), key=lambda m: m[1] == "tree-importance")
     # per cell and method, the (selections, ties) of each chunk in order
@@ -486,14 +556,12 @@ def run_signal_experiment(cfg: SignalExperimentConfig) -> ExperimentReport:
 def run_candidates_experiment(cfg: CandidatesExperimentConfig) -> ExperimentReport:
     """Inclusion frequency of each candidate transform over repeats.
 
-    The truth must be one of the candidates (matched by its parsed name) so
-    inclusion of the true transform can be reported.
+    The config's truth is one of its candidates (matched by its parsed name),
+    so inclusion of the true transform can be reported.
     """
     truth_op = _as_unary(cfg.truth)
     cand_ops = [_as_unary(c) for c in cfg.candidates]
     names = [op.name for op in cand_ops]
-    if truth_op.name not in names:
-        raise ConfigError(f"config key 'truth': {cfg.truth!r} is not among the candidates")
     truth_col = names.index(truth_op.name)
     labels = np.zeros(len(cfg.candidates), dtype=bool)
     labels[truth_col] = True

@@ -294,31 +294,33 @@ def parse_univariate(expr: str):
     Supports numbers, x, + - * / **, parentheses, and calls to the built-in
     unary names. Returns a vectorized callable. Raises DimensionMismatch on
     anything outside that grammar, on an integer too large for a float and
-    on a tree deeper than MAX_EXPR_DEPTH levels.
+    on a tree deeper than MAX_EXPR_DEPTH levels. An error message shows an
+    expression longer than 60 characters as its first 60 and its length.
     """
     funcs = {name: op.fn for name, op in BUILTIN_UNARY.items()}
+    shown = f"{expr[:60]!r}... ({len(expr)} characters)" if len(expr) > 60 else repr(expr)
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
-        raise DimensionMismatch(f"cannot parse {expr!r}: {exc}") from None
+        raise DimensionMismatch(f"cannot parse {shown}: {exc}") from None
     except (RecursionError, MemoryError):  # the parser's stack overflowed
-        raise DimensionMismatch(f"cannot parse {expr!r}: nested too deeply") from None
+        raise DimensionMismatch(f"cannot parse {shown}: nested too deeply") from None
 
     def compile_node(node, depth=0):
         if depth > MAX_EXPR_DEPTH:
-            raise DimensionMismatch(f"{expr!r} nests deeper than {MAX_EXPR_DEPTH} levels")
+            raise DimensionMismatch(f"{shown} nests deeper than {MAX_EXPR_DEPTH} levels")
         if isinstance(node, ast.Expression):
             return compile_node(node.body, depth + 1)
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
             try:
                 value = float(node.value)
             except OverflowError:
-                raise DimensionMismatch(f"{expr!r} has an integer too large for a float") from None
+                raise DimensionMismatch(f"{shown} has an integer too large for a float") from None
             return lambda x: value
         if isinstance(node, ast.Name):
             if node.id == "x":
                 return lambda x: x
-            raise DimensionMismatch(f"unknown name {node.id!r} in {expr!r}")
+            raise DimensionMismatch(f"unknown name {node.id!r} in {shown}")
         if isinstance(node, ast.UnaryOp) and type(node.op) in _ALLOWED_UNARYOPS:
             fn = _ALLOWED_UNARYOPS[type(node.op)]
             operand = compile_node(node.operand, depth + 1)
@@ -329,11 +331,11 @@ def parse_univariate(expr: str):
             return lambda x: fn(lhs(x), rhs(x))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             if node.func.id not in funcs or node.keywords or len(node.args) != 1:
-                raise DimensionMismatch(f"unsupported call in {expr!r}")
+                raise DimensionMismatch(f"unsupported call in {shown}")
             fn = funcs[node.func.id]
             arg = compile_node(node.args[0], depth + 1)
             return lambda x: fn(arg(x))
-        raise DimensionMismatch(f"unsupported syntax in {expr!r}")
+        raise DimensionMismatch(f"unsupported syntax in {shown}")
 
     body = compile_node(tree)
 

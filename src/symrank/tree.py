@@ -27,6 +27,7 @@ import numpy as np
 from .core import RankPermutation, _bounded_response, _is_number, derive_rng
 from .errors import (
     ColumnMismatch,
+    ConfigError,
     DimensionMismatch,
     LengthMismatch,
     NonFiniteData,
@@ -436,22 +437,22 @@ def tree_to_json(tree: Tree) -> dict:
 def _finite_number(entry: dict, key: str, i: int) -> float:
     value = entry.get(key)
     if not _is_number(value):
-        raise ColumnMismatch(f"tree node {i}: {key} {value!r} is not a finite number")
+        raise ConfigError(f"tree node {i}: {key} {value!r} is not a finite number")
     return float(value)
 
 
 def tree_from_json(doc: dict) -> Tree:
     """Rebuild a tree from its document.
 
-    Raises ColumnMismatch unless the nodes form one complete tree in
+    Raises ConfigError unless the nodes form one complete tree in
     preorder, every split coordinate lies in [0, n_features) and every
     threshold and leaf mean is finite.
     """
     if not isinstance(doc, dict):
-        raise ColumnMismatch("tree document must be a JSON object")
+        raise ConfigError("tree document must be a JSON object")
     nodes, q = doc.get("nodes"), doc.get("n_features")
     if type(q) is not int or q < 1 or not isinstance(nodes, list) or not nodes:
-        raise ColumnMismatch("tree document needs n_features >= 1 and a nonempty node list")
+        raise ConfigError("tree document needs n_features >= 1 and a nonempty node list")
     size = len(nodes)
     coordinate = np.full(size, -1, dtype=np.intp)
     threshold = np.full(size, np.nan)
@@ -462,21 +463,21 @@ def tree_from_json(doc: dict) -> Tree:
     slots = [-1]
     for i, entry in enumerate(nodes):
         if not slots:
-            raise ColumnMismatch(f"{size - i} trailing nodes in tree document")
+            raise ConfigError(f"{size - i} trailing nodes in tree document")
         parent = slots.pop()
         if parent >= 0:
             right[parent] = i
         if not isinstance(entry, dict):
-            raise ColumnMismatch(f"tree node {i} is not an object")
+            raise ConfigError(f"tree node {i} is not an object")
         if "mean" in entry:
             mean[i] = _finite_number(entry, "mean", i)
             continue
         k = entry.get("coordinate")
         if type(k) is not int or not 0 <= k < q:
-            raise ColumnMismatch(f"tree node {i}: coordinate {k!r} outside [0, {q})")
+            raise ConfigError(f"tree node {i}: coordinate {k!r} outside [0, {q})")
         coordinate[i] = k
         threshold[i] = _finite_number(entry, "threshold", i)
         slots += [i, -1]
     if slots:
-        raise ColumnMismatch(f"tree document ends with {len(slots)} child nodes missing")
+        raise ConfigError(f"tree document ends with {len(slots)} child nodes missing")
     return Tree(q, coordinate, threshold, right, mean)

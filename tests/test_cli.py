@@ -239,6 +239,28 @@ class TestP12:
         assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
         assert not out.exists()
 
+    # errors a transform raises past its document's shape name its key too
+    @pytest.mark.parametrize("transform, error, named", [
+        ({"domain": [0, 1], "segments": [{"expr": "-4*x**2 + 4*x", "direction": "increasing"}]},
+         errors.NotMonotone, "'-4*x**2 + 4*x' is not strictly increasing on [0.0, 1.0]"),
+        ({"domain": [0, 1], "breakpoints": [0.5],
+          "segments": [{"expr": "x", "direction": "increasing"}] * 2},
+         errors.MergeableSegments, "segments around x=0.5 merge into one increasing piece"),
+        ({"domain": [0, 1], "segments": [{"expr": "x", "direction": "up"}]},
+         errors.DimensionMismatch, "direction must be increasing/decreasing, got 'up'"),
+    ], ids=["non-monotone", "mergeable", "unknown-direction"])
+    def test_transform_error_names_the_key(self, transform, error, named, tmp_path, capsys):
+        doc = {**MAPS_DOC, "transform_2": transform}
+        with pytest.raises(error):  # the prefix keeps the error's class
+            cli._p12_maps(doc)
+        maps = tmp_path / "maps.json"
+        maps.write_text(json.dumps(doc))
+        out = tmp_path / "p12"
+        assert main(["p12", "--maps", str(maps), "--c=1.5", "--out-dir", str(out)]) == 2
+        line = one_error_line(capsys)
+        assert line.startswith("error: p12 maps key 'transform_2': ") and named in line
+        assert not out.exists()
+
 
 VALID_CONFIGS = {
     "signal": {"mode": "signal", "n": 20, "noise_vars": [0.0], "architectures": ["bu"],
@@ -814,8 +836,30 @@ class TestTree:
         preds_path = tmp_path / "preds.csv"
         rc = main(["tree", "predict", "--tree", str(tree_path), "--input", str(data3),
                    "--response", "y", "--out", str(preds_path)])
-        assert rc == 1 and not preds_path.exists()
-        assert capsys.readouterr().err.startswith("error: tree node 0: coordinate -1")
+        assert rc == 2 and not preds_path.exists()
+        assert capsys.readouterr().err.startswith(
+            f"error: {tree_path}: tree node 0: coordinate -1")
+
+    LEAF = {"n_features": 3, "nodes": [{"mean": 1.0}]}
+
+    @pytest.mark.parametrize("doc, named", [
+        ([1], "tree document must be a JSON object"),
+        ({"n_features": 3, "nodes": [{"coordinate": 0, "threshold": ""}, {"mean": 1.0},
+                                     {"mean": 2.0}]},
+         "tree node 0: threshold '' is not a finite number"),
+        ({**LEAF, "columns": 2}, "key 'columns' takes an array of strings, got 2"),
+        ({**LEAF, "columns": ["x1", 2, "x3"]}, "key 'columns' takes an array of strings"),
+    ], ids=["array", "string-threshold", "integer-columns", "integer-column-name"])
+    def test_predict_rejects_a_malformed_document_before_reading_the_csv(
+            self, doc, named, data3, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_csv", None)
+        tree_path = tmp_path / "tree.json"
+        tree_path.write_text(json.dumps(doc))
+        preds_path = tmp_path / "preds.csv"
+        rc = main(["tree", "predict", "--tree", str(tree_path), "--input", str(data3),
+                   "--response", "y", "--out", str(preds_path)])
+        assert rc == 2 and not preds_path.exists()
+        assert one_error_line(capsys).startswith(f"error: {tree_path}: {named}")
 
 
 class TestUsage:
@@ -969,7 +1013,10 @@ class TestOversizedInputs:
         path.write_text(json.dumps({**VALID_CONFIGS["candidates"], "truth": expr}))
         out = tmp_path / "o"
         assert main(["experiment", "--config", str(path), "--out-dir", str(out)]) == 2
-        assert one_error_line(capsys).startswith("error: config key 'truth': ")
+        line = one_error_line(capsys)
+        assert line.startswith("error: config key 'truth': ")
+        # a long expression is shown as its first 60 characters and its length
+        assert f"{expr[:60]!r}... ({len(expr)} characters)" in line and len(line) < 200
         assert not out.exists()
 
     @pytest.mark.parametrize("expr", EXPRS.values(), ids=EXPRS.keys())
@@ -980,7 +1027,9 @@ class TestOversizedInputs:
                                                                 "segments": [segment]}}))
         out = tmp_path / "p12"
         assert main(["p12", "--maps", str(maps), "--c=1.5", "--out-dir", str(out)]) == 2
-        assert expr in one_error_line(capsys)
+        line = one_error_line(capsys)
+        assert line.startswith("error: p12 maps key 'transform_1': ")
+        assert f"{expr[:60]!r}... ({len(expr)} characters)" in line and len(line) < 200
         assert not out.exists()
 
     def assert_names_the_file(self, rc, path, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from symrank import evalsel
+from symrank import cli, evalsel
 from symrank.core import TIE_RTOL, Dataset, FeatureMatrix, build_dataset, derive_rng, var
 from symrank.errors import (
     ConfigError,
@@ -508,10 +508,74 @@ class TestExperimentHarness:
             run_signal_experiment(cfg)
 
     def test_truth_must_be_a_candidate(self):
-        cfg = CandidatesExperimentConfig(
-            truth="cos(x)", candidates=("x",), n=10, repeats=1, seed=1)
         with pytest.raises(ConfigError, match=r"config key 'truth': 'cos\(x\)' is not among"):
-            run_candidates_experiment(cfg)
+            CandidatesExperimentConfig(truth="cos(x)", candidates=("x",), n=10, repeats=1,
+                                       seed=1)
+
+    @pytest.mark.parametrize("run, cfg", [
+        (run_signal_experiment, SignalExperimentConfig(n=20, repeats=0)),
+        (run_candidates_experiment,
+         CandidatesExperimentConfig(truth="x", candidates=("x",), n=20, repeats=0)),
+        (partial(run_csv_experiment, synth_3var(20, 0.1)), CsvExperimentConfig(repeats=-1)),
+    ], ids=["signal", "candidates", "csv"])
+    def test_no_repeats_rejected(self, run, cfg):
+        # the runner checks it, as select_top checks k
+        with pytest.raises(SizeOutOfRange, match=f"repeats={cfg.repeats} runs no repeat"):
+            run(cfg)
+
+
+# a small valid config of each mode, as built directly and as the CLI reads it
+LIBRARY_CONFIGS = {
+    "signal": (SignalExperimentConfig, {"n": 20, "noise_vars": (0.0,), "architectures": ("bu",),
+                                        "methods": ("t0",), "repeats": 2, "seed": 1}),
+    "candidates": (CandidatesExperimentConfig, {"truth": "x", "candidates": ("x", "sin(4*x)"),
+                                                "n": 20, "repeats": 2, "methods": ("t0",),
+                                                "seed": 1}),
+    "csv": (CsvExperimentConfig, {"architectures": ("bu",), "methods": ("t0",), "seed": 1}),
+}
+
+
+class TestConfigRules:
+    """Each rule a config type checks when it is built: the CLI's semantic
+    cases (tests/test_cli.py) raise the same ConfigError on the library path."""
+
+    @pytest.mark.parametrize("mode, change", [
+        ("candidates", {"truth": "cos(x)"}),
+        # repeated run labels and candidate expressions
+        ("signal", {"noise_vars": (0.1, 0.1)}),
+        ("signal", {"noise_vars": (0.1, 0.1000001)}),
+        ("signal", {"architectures": ("bu", "ub", "bu")}),
+        ("csv", {"architectures": ("bu", "bu")}),
+        ("candidates", {"candidates": ("x", "sin(4*x)", "x", "sin(4*x)")}),
+        ("candidates", {"candidates": ("x", "sin(4*x)", "sin(4 * x)")}),
+        ("candidates", {"truth": "x", "candidates": ("x", "x"), "n": 30, "repeats": 4}),
+        # unknown and repeated methods
+        ("signal", {"methods": ("lasso",)}),
+        ("candidates", {"methods": ("t0", 3)}),
+        ("csv", {"methods": ("kendall", "t0", "kendall")}),
+        # operators, architectures and expressions that do not build
+        ("signal", {"unary_ops": ("tan",)}),
+        ("csv", {"binary_ops": ("+", "+")}),
+        ("signal", {"architectures": ("bx",)}),
+        ("candidates", {"truth": "x +"}),
+        ("candidates", {"candidates": ("x", "tan(x)")}),
+    ])
+    def test_library_error_is_the_cli_error(self, mode, change, tmp_path, capsys,
+                                            monkeypatch):
+        cls, valid = LIBRARY_CONFIGS[mode]
+        fields = {**valid, **change}
+        with pytest.raises(ConfigError) as built:
+            cls(**fields)
+        monkeypatch.setattr(cli, "load_csv", None)  # the CLI fails before reading a CSV
+        raw = {"mode": mode, **{k: list(v) if isinstance(v, tuple) else v
+                                for k, v in fields.items()}}
+        if mode == "csv":
+            raw.update(input="data.csv", response="y")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["experiment", "--config", str(path),
+                         "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {built.value}"]
 
 
 def per_repeat_entry(method, picks, cell, n_selected):

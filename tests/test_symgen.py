@@ -299,6 +299,15 @@ class TestParser:
         with pytest.raises(DimensionMismatch, match="too large for a float"):
             parse_univariate("x + " + "9" * 400)
 
+    def test_error_echo_is_bounded(self):
+        at_bound, past_bound = "y" + "+x" * 29 + "+", "y" + "+x" * 30  # 60 and 61 characters
+        with pytest.raises(DimensionMismatch) as whole:
+            parse_univariate(at_bound)
+        assert repr(at_bound) in str(whole.value)
+        with pytest.raises(DimensionMismatch) as cut:
+            parse_univariate(past_bound)
+        assert str(cut.value) == f"unknown name 'y' in {past_bound[:60]!r}... (61 characters)"
+
     def test_sin_affine_naming(self):
         assert sin_affine(4, 0.2).name == "sin(4x+0.2)"
         assert sin_affine(5).name == "sin(5x)"

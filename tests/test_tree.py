@@ -13,6 +13,7 @@ from symrank import tree as tree_module
 from symrank.core import derive_rng, make_partition2
 from symrank.errors import (
     ColumnMismatch,
+    ConfigError,
     DimensionMismatch,
     EmptySide,
     LengthMismatch,
@@ -393,6 +394,7 @@ class TestSerialization:
         [],
         [{"coordinate": 0, "threshold": float("nan")}, {"mean": 1.0}, {"mean": 2.0}],
         [{"coordinate": 0, "threshold": float("inf")}, {"mean": 1.0}, {"mean": 2.0}],
+        [{"coordinate": 0, "threshold": ""}, {"mean": 1.0}, {"mean": 2.0}],
         [SPLIT, {"mean": float("nan")}, {"mean": 2.0}],
         [SPLIT, {"mean": 1.0}, {"mean": -float("inf")}],
         [SPLIT, {"mean": 1.0}, {"mean": "2"}],
@@ -402,13 +404,13 @@ class TestSerialization:
         [SPLIT, 3.0, {"mean": 2.0}],
     ])
     def test_malformed_document_rejected(self, nodes):
-        with pytest.raises(ColumnMismatch):
+        with pytest.raises(ConfigError):
             tree_from_json({"n_features": 2, "nodes": nodes})
 
-    @pytest.mark.parametrize("doc", [[], {"nodes": [{"mean": 1.0}]},
+    @pytest.mark.parametrize("doc", [[], [1], {"nodes": [{"mean": 1.0}]},
                                      {"n_features": 0, "nodes": [{"mean": 1.0}]}])
     def test_malformed_width_rejected(self, doc):
-        with pytest.raises(ColumnMismatch):
+        with pytest.raises(ConfigError):
             tree_from_json(doc)
 
     def test_preorder_links(self):
