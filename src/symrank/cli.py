@@ -27,13 +27,14 @@ from pathlib import Path
 import numpy as np
 
 from .core import FeatureMatrix, _is_number, load_csv, read_text, var
-from .errors import ColumnMismatch, ConfigError, SymrankError, UsageError
+from .errors import ColumnMismatch, ConfigError, SymrankError, UsageError, _shown
 from .evalsel import (
     CandidatesExperimentConfig,
     CsvExperimentConfig,
     SCORE_METHODS,
     SignalExperimentConfig,
     TreeParams,
+    _config_key,
     _known_methods,
     run_candidates_experiment,
     run_csv_experiment,
@@ -88,25 +89,23 @@ def _unary_entry(entry):
         return entry
     if entry.get("op") == "sin":
         if "a" not in entry:
-            raise ConfigError(f"unary_ops entry {entry!r}: missing key 'a'")
+            raise ConfigError("missing key 'a'")
         for key in ("a", "b"):
             if not _is_number(entry.get(key, 0.0)):
-                raise ConfigError(f"unary_ops entry {entry!r}: key {key!r} takes "
-                                  f"a finite number, got {entry[key]!r}")
+                raise ConfigError(f"key {_shown(key)} takes "
+                                  f"a finite number, got {_shown(entry[key])}")
         op, keys = sin_affine(entry["a"], entry.get("b", 0.0)), {"op", "a", "b"}
     elif "expr" in entry:
         if type(entry["expr"]) is not str:
-            raise ConfigError(f"unary_ops entry {entry!r}: key 'expr' takes a string, "
-                              f"got {entry['expr']!r}")
+            raise ConfigError(f"key 'expr' takes a string, got {_shown(entry['expr'])}")
         op, keys = unary_from_expr(entry["expr"]), {"expr"}
     elif "op" in entry:
-        raise ConfigError(f"unary_ops entry {entry!r}: key 'op' takes \"sin\", "
-                          f"got {entry['op']!r}")
+        raise ConfigError(f"key 'op' takes \"sin\", got {_shown(entry['op'])}")
     else:
-        raise ConfigError(f"unary_ops entry {entry!r}: needs key 'op' or 'expr'")
+        raise ConfigError("needs key 'op' or 'expr'")
     if entry.keys() - keys:
-        raise ConfigError(f"unary_ops entry {entry!r}: unknown keys "
-                          f"{sorted(entry.keys() - keys)}; takes {sorted(keys)}")
+        raise ConfigError(f"unknown keys {_shown(sorted(entry.keys() - keys))}; "
+                          f"takes {sorted(keys)}")
     return op
 
 
@@ -116,7 +115,7 @@ def _methods_arg(raw: str) -> list[str]:
         return list(SCORE_METHODS)
     methods = [m.strip() for m in raw.split(",") if m.strip()]
     if not methods:
-        raise UsageError(f"--methods {raw!r} names no method")
+        raise UsageError(f"--methods {_shown(raw)} names no method")
     return _known_methods(methods)
 
 
@@ -144,7 +143,7 @@ _STRINGS = _array(" of strings", lambda e: type(e) is str)
 # numpy's checks on array dimensions and sizes.
 _MAX_N = 2**40
 _CONFIG_VALUES = {
-    "n": _integer(1, _MAX_N), "repeats": _integer(1), "n_selected": _integer(1),
+    "n": _integer(2, _MAX_N), "repeats": _integer(1), "n_selected": _integer(1),
     "n_trees": _integer(1), "seed": _integer(0), "depth": _integer(0),
     "noise_var": ("a finite number >= 0", _is_variance, float),
     "value_dedup": ("true or false", lambda v: type(v) is bool, bool),
@@ -173,7 +172,7 @@ def _option(spec):
         except ValueError:
             value = raw
         if not valid(value):
-            raise argparse.ArgumentTypeError(f"takes {kind}, got {raw!r}")
+            raise argparse.ArgumentTypeError(f"takes {kind}, got {_shown(raw)}")
         return value
     return parse
 
@@ -185,8 +184,9 @@ _DEPTH = _option(_CONFIG_VALUES["depth"])
 def _config_value(key: str, value):
     kind, valid, convert = _CONFIG_VALUES[key]
     if not valid(value):
-        raise ConfigError(f"config key {key!r} takes {kind}, got {value!r}")
-    return convert(value)
+        raise ConfigError(f"config key {_shown(key)} takes {kind}, got {_shown(value)}")
+    with _config_key(key):
+        return convert(value)
 
 
 def _config(cls, raw, extra=()):
@@ -202,8 +202,8 @@ def _config(cls, raw, extra=()):
     missing = [name for name, f in fields.items() if name not in raw
                and f.default is f.default_factory is dataclasses.MISSING]
     if unknown or missing:
-        raise ConfigError(f"{cls.__name__} config: unknown keys {unknown}, "
-                          f"missing keys {missing}")
+        raise ConfigError(f"{cls.__name__} config: unknown keys {_shown(unknown)}, "
+                          f"missing keys {_shown(missing)}")
     return cls(**{key: _config_value(key, value)
                   for key, value in raw.items() if key in fields})
 
@@ -249,7 +249,7 @@ def cmd_score(args) -> int:
             failed = True
     for j in np.flatnonzero((fm.z == fm.z[0]).all(axis=0)):
         warnings.append(
-            f"column {ds.column_names[j]!r} has zero variance; "
+            f"column {_shown(ds.column_names[j])} has zero variance; "
             "correlation methods report their worst sentinel")
     out = Path(args.out_dir)
     _write_json(out / "scores.json", {
@@ -292,7 +292,7 @@ def cmd_select(args) -> int:
 def cmd_experiment(args) -> int:
     raw = _load_config(args.config)
     if not isinstance(raw, dict):
-        raise ConfigError(f"experiment config must be a JSON object, got {raw!r}")
+        raise ConfigError(f"experiment config must be a JSON object, got {_shown(raw)}")
     if args.seed is not None:
         raw.setdefault("seed", args.seed)
     mode = raw.get("mode", "signal")
@@ -307,7 +307,7 @@ def cmd_experiment(args) -> int:
         report = run_csv_experiment(load_csv(*source), cfg)
     else:
         raise ConfigError("config key 'mode' takes one of 'signal', 'candidates', "
-                          f"'csv', got {mode!r}")
+                          f"'csv', got {_shown(mode)}")
 
     out = Path(args.out_dir)
     _write_json(out / "report.json", report.primary_document())
@@ -334,7 +334,7 @@ def _c_values(raw: str) -> list[float]:
         except ValueError:
             value = float("nan")
         if not np.isfinite(value):
-            raise UsageError(f"--c takes comma-separated finite numbers, got {field!r}")
+            raise UsageError(f"--c takes comma-separated finite numbers, got {_shown(field)}")
         values.append(value)
     return values
 
@@ -346,22 +346,22 @@ def _p12_maps(doc):
     from .monotonic import TabulatedCDF, load_piecewise
 
     if not isinstance(doc, dict):
-        raise ConfigError(f"p12 maps file must be a JSON object, got {doc!r}")
+        raise ConfigError(f"p12 maps file must be a JSON object, got {_shown(doc)}")
     transforms = []
     for key in ("transform_1", "transform_2"):
         try:
             transforms.append(load_piecewise(doc.get(key)))
         except UsageError as exc:
-            raise type(exc)(f"p12 maps key {key!r}: {exc}") from None
+            raise type(exc)(f"p12 maps key {_shown(key)}: {exc}") from None
     if "cdf" not in doc:
         return (*transforms, None)
     cdf = doc["cdf"]
     if not isinstance(cdf, dict):
-        raise ConfigError(f"p12 maps key 'cdf' takes an object, got {cdf!r}")
+        raise ConfigError(f"p12 maps key 'cdf' takes an object, got {_shown(cdf)}")
     for key in ("x", "p"):
         if type(cdf.get(key)) is not list or not all(map(_is_number, cdf[key])):
-            raise ConfigError(f"p12 maps key 'cdf': key {key!r} takes an array of "
-                              f"finite numbers, got {cdf.get(key)!r}")
+            raise ConfigError(f"p12 maps key 'cdf': key {_shown(key)} takes an array of "
+                              f"finite numbers, got {_shown(cdf.get(key))}")
     return (*transforms, TabulatedCDF(cdf["x"], cdf["p"]))
 
 
@@ -449,13 +449,13 @@ def cmd_tree_predict(args) -> int:
         tree = tree_from_json(doc)
         columns = doc.get("columns", [])
         if type(columns) is not list or not all(type(c) is str for c in columns):
-            raise ConfigError(f"key 'columns' takes an array of strings, got {columns!r}")
+            raise ConfigError(f"key 'columns' takes an array of strings, got {_shown(columns)}")
     except ConfigError as exc:
         raise ConfigError(f"{args.tree}: {exc}") from None
     ds = load_csv(args.input, args.response)
     if "columns" in doc and doc["columns"] != list(ds.column_names):
-        raise ColumnMismatch(f"tree was grown on columns {doc['columns']}, "
-                             f"{args.input} has input columns {list(ds.column_names)}")
+        raise ColumnMismatch(f"tree was grown on columns {_shown(doc['columns'])}, "
+                             f"{args.input} has input columns {_shown(list(ds.column_names))}")
     preds = predict_rows(tree, ds.x)
     _write_csv(Path(args.out), ["prediction"], [(float(p),) for p in preds])
     print(f"wrote {len(preds)} predictions -> {args.out}")

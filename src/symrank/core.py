@@ -18,6 +18,7 @@ from .errors import (
     NonFiniteData,
     TiesInResponse,
     UsageError,
+    _shown,
 )
 
 __all__ = [
@@ -60,9 +61,11 @@ _RESPONSE_BOUND = 2.0**511
 
 
 def _bounded_response(y: np.ndarray) -> None:
-    """NonFiniteData unless the rows of y (along its last axis) are small
-    enough for their squared sums to stay finite."""
+    """NonFiniteData unless the rows of y (along its last axis) are finite and
+    small enough for their squared sums to stay finite."""
     largest = float(np.abs(y).max(initial=0.0))
+    if not np.isfinite(largest):
+        raise NonFiniteData("dataset entries must be finite")
     if not largest * y.shape[-1] < _RESPONSE_BOUND:
         raise NonFiniteData(f"response too large: n * max|y| = {y.shape[-1]} * {largest:g} "
                             f"must stay below 2**511 for its squared sums to be finite")
@@ -260,10 +263,12 @@ def make_partition2(y, left) -> Partition2:
     """The validated Partition2 of ``range(len(y))`` with ``left`` on one
     side and the rest on the other.
 
-    Raises DimensionMismatch unless ``left`` holds distinct indices in
-    0..n-1, and EmptySide unless both sides are nonempty.
+    Raises NonFiniteData unless y is finite, DimensionMismatch unless ``left``
+    holds distinct indices in 0..n-1, and EmptySide unless both sides are nonempty.
     """
     y = np.asarray(y, dtype=float)
+    if not np.isfinite(y).all():
+        raise NonFiniteData("dataset entries must be finite")
     n = y.shape[0]
     left = tuple(sorted(int(i) for i in left))
     left_set = set(left)
@@ -365,7 +370,7 @@ def _bad_row(path, lines, rows, width) -> DimensionMismatch:
     if len(fields) != width:
         return DimensionMismatch(
             f"{path}: row {rows[good]} has {len(fields)} fields, expected {width}")
-    return DimensionMismatch(f"{path}: row {rows[good]}: {fields} are not all numbers")
+    return DimensionMismatch(f"{path}: row {rows[good]}: {_shown(fields)} are not all numbers")
 
 
 def load_csv(path, response: str) -> Dataset:
@@ -396,13 +401,13 @@ def load_csv(path, response: str) -> Dataset:
         raise DimensionMismatch(f"{path}: header column {header.index('') + 1} has no name")
     if len(set(header)) < len(header):
         name = next(h for i, h in enumerate(header) if h in header[:i])
-        raise DimensionMismatch(f"{path}: column name {name!r} appears more than once")
+        raise DimensionMismatch(f"{path}: column name {_shown(name)} appears more than once")
     if response not in header:
-        raise DimensionMismatch(f"{path}: no column named {response!r}")
+        raise DimensionMismatch(f"{path}: no column named {_shown(response)}")
     y_col = header.index(response)
     x_cols = [j for j in range(len(header)) if j != y_col]
     if not x_cols:
-        raise DimensionMismatch(f"{path}: no input columns besides {response!r}")
+        raise DimensionMismatch(f"{path}: no input columns besides {_shown(response)}")
     lines = lines[reader.line_num:]
     rows = range(reader.line_num + 1, reader.line_num + 1 + len(lines))
     if blankish:

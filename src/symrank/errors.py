@@ -1,6 +1,16 @@
 """Semantic exception hierarchy shared by all symrank modules."""
 
 
+def _shown(value) -> str:
+    """An input value as an error message quotes it: its ``repr``, or for a
+    value over 60 characters its first 60 characters and its length."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= 60:
+        return repr(value)
+    head = repr(text[:60]) if isinstance(value, str) else text[:60]
+    return f"{head}... ({len(text)} characters)"
+
+
 class SymrankError(ValueError):
     """Base class for all contract violations raised by this package; the
     command line returns ``exit_code`` for it (1: runtime or method failure)."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -38,6 +39,7 @@ from .errors import (
     SizeMismatch,
     SizeOutOfRange,
     UsageError,
+    _shown,
 )
 from .stats import _RUNS_METHODS, batched_scores, sorted_runs
 from .symgen import (
@@ -72,10 +74,10 @@ SCORE_METHODS = ("t0", "pearson", "spearman", "kendall", "chatterjee", "tree-imp
 def _known_methods(methods):
     unknown = [m for m in methods if m not in SCORE_METHODS]
     if unknown:
-        raise UsageError(f"unknown methods {unknown}; choose from {SCORE_METHODS}")
+        raise UsageError(f"unknown methods {_shown(unknown)}; choose from {SCORE_METHODS}")
     repeated = sorted({m for m in methods if methods.count(m) > 1})
     if repeated:
-        raise UsageError(f"methods {repeated} named more than once")
+        raise UsageError(f"methods {_shown(repeated)} named more than once")
     return methods
 
 
@@ -107,7 +109,7 @@ def score_features(fm: FeatureMatrix, y, method: str, *, seed=0,
     """
     y = np.asarray(y, dtype=float)
     if method not in SCORE_METHODS:
-        raise LengthMismatch(f"unknown method {method!r}; choose from {SCORE_METHODS}")
+        raise LengthMismatch(f"unknown method {_shown(method)}; choose from {SCORE_METHODS}")
     if method == "tree-importance":
         from .tree import ensemble_importance
 
@@ -155,7 +157,7 @@ def _picked(selected: np.ndarray, q: int) -> np.ndarray:
     """Each selection row's indicator over the q columns; LengthMismatch for
     an empty selection or an index outside them."""
     if selected.size == 0 or not ((selected >= 0) & (selected < q)).all():
-        raise LengthMismatch(f"selection {selected.tolist()} is not a nonempty "
+        raise LengthMismatch(f"selection {_shown(selected.tolist())} is not a nonempty "
                              f"set of indices into {q} labels")
     picked = np.zeros((*selected.shape[:-1], q), dtype=bool)
     np.put_along_axis(picked, selected, True, axis=-1)
@@ -271,6 +273,25 @@ def _run_repeats(job, chunks) -> None:
         job(chunk)
 
 
+@contextmanager
+def _config_key(key: str):
+    """Raise a UsageError from the block as a ConfigError that names config key ``key``."""
+    try:
+        yield
+    except UsageError as exc:
+        raise ConfigError(f"config key {_shown(key)}: {exc}") from None
+
+
+def _distinct(entries, label, kind: str) -> None:
+    """ConfigError naming the first two entries with one ``label(entry)``, if any."""
+    first = {}
+    for i, entry in enumerate(entries):
+        j = first.setdefault(label(entry), i)
+        if j != i:
+            raise ConfigError(f"entries {_shown(entries[j])} and {_shown(entry)} "
+                              f"share the {kind} {_shown(label(entry))}")
+
+
 # the run label of each entry of a config array; two entries with one label
 # would share a run's output files, or a candidate's report entry
 _LABELS = {
@@ -295,20 +316,14 @@ class _CheckedConfig:
                           candidates=lambda: [_as_unary(c) for c in self.candidates])
         built = {}
         for key, build in builds.items():
-            try:
+            with _config_key(key):
                 built[key] = build()
-            except UsageError as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from None
         for key, (kind, label) in _LABELS.items():
-            entries = getattr(self, key, ())
-            labels = [label(entry) for entry in entries]
-            for i, name in enumerate(labels):
-                if name in labels[:i]:
-                    raise ConfigError(f"config key {key!r}: entries "
-                                      f"{entries[labels.index(name)]!r} and {entries[i]!r} "
-                                      f"share the {kind} {name!r}")
+            with _config_key(key):
+                _distinct(getattr(self, key, ()), label, kind)
         if "truth" in built and built["truth"].name not in [c.name for c in built["candidates"]]:
-            raise ConfigError(f"config key 'truth': {self.truth!r} is not among the candidates")
+            with _config_key("truth"):
+                raise ConfigError(f"{_shown(self.truth)} is not among the candidates")
 
 
 @dataclass(frozen=True)
@@ -584,12 +599,9 @@ def run_candidates_experiment(cfg: CandidatesExperimentConfig) -> ExperimentRepo
 def run_csv_experiment(ds: Dataset, cfg: CsvExperimentConfig) -> ExperimentReport:
     """Architecture expansion and selection on a fixed ingested dataset."""
     named = cfg.active_variables
-    active = None if named is None else [_input_column(ds, a) for a in named]
-    for i, col in enumerate(active or ()):
-        if col in active[:i]:
-            raise ConfigError(f"config key 'active_variables': entries "
-                              f"{named[active.index(col)]!r} and {named[i]!r} share "
-                              f"the input column {ds.column_names[col]!r}")
+    with _config_key("active_variables"):
+        active = None if named is None else [_input_column(ds, a) for a in named]
+        _distinct(named or (), lambda a: ds.column_names[_input_column(ds, a)], "input column")
     ops = build_operator_set(cfg.unary_ops, cfg.binary_ops)
 
     def cell(ai: int, arch: str) -> _Cell:
@@ -624,12 +636,12 @@ def _input_column(ds: Dataset, entry) -> int:
     """The input column an ``active_variables`` entry names, by name or index."""
     if isinstance(entry, str):
         if entry not in ds.column_names:
-            raise ConfigError(f"active_variables: no input column {entry!r} "
-                              f"in {list(ds.column_names)}")
+            raise ConfigError(f"no input column {_shown(entry)} "
+                              f"in {_shown(list(ds.column_names))}")
         return ds.column_names.index(entry)
     if (isinstance(entry, bool) or not isinstance(entry, (int, np.integer))
             or not 0 <= entry < ds.d):
-        raise ConfigError(f"active_variables: {entry!r} names no column of "
+        raise ConfigError(f"{_shown(entry)} names no column of "
                           f"{ds.d} input columns")
     return int(entry)
 

@@ -25,6 +25,7 @@ from .errors import (
     IntervalSpansBreakpoint,
     MergeableSegments,
     NotMonotone,
+    _shown,
 )
 from .symgen import parse_univariate
 
@@ -84,8 +85,8 @@ def piecewise_monotone(domain, breakpoints, exprs, directions) -> PiecewiseMonot
     monotonicity is spot-checked on a 101-point grid per segment.
     """
     lo, hi = (float(v) for v in domain)
-    if lo >= hi:
-        raise DimensionMismatch("domain must have positive length")
+    if not 0 < hi - lo < np.inf:
+        raise DimensionMismatch("domain must have positive length, below the largest float")
     breakpoints = tuple(float(b) for b in breakpoints)
     if any(b2 <= b1 for b1, b2 in zip(breakpoints, breakpoints[1:])):
         raise DimensionMismatch("breakpoints must be strictly ascending")
@@ -103,16 +104,17 @@ def piecewise_monotone(domain, breakpoints, exprs, directions) -> PiecewiseMonot
     for interval, expr, direction in zip(
             _segment_intervals(lo, hi, breakpoints), exprs, directions):
         if direction not in ("increasing", "decreasing"):
-            raise DimensionMismatch(f"direction must be increasing/decreasing, got {direction!r}")
+            raise DimensionMismatch(
+                f"direction must be increasing/decreasing, got {_shown(direction)}")
         fn = parse_univariate(expr) if isinstance(expr, str) else expr
         grid = np.linspace(interval.lo, interval.hi, MONOTONE_GRID_POINTS)
         vals = np.asarray(fn(grid), dtype=float)
         if not np.isfinite(vals).all():
-            raise NotMonotone(f"{expr!r} is not finite on {interval}")
+            raise NotMonotone(f"{_shown(expr)} is not finite on {interval}")
         diffs = np.diff(vals)
         ok = np.all(diffs > 0) if direction == "increasing" else np.all(diffs < 0)
         if not ok:
-            raise NotMonotone(f"{expr!r} is not strictly {direction} on {interval}")
+            raise NotMonotone(f"{_shown(expr)} is not strictly {direction} on {interval}")
         segments.append(MonotoneSegment(
             interval, expr if isinstance(expr, str) else "<callable>", fn, direction))
 
@@ -139,19 +141,19 @@ def load_piecewise(doc: dict) -> PiecewiseMonotone:
     A document of another shape is a ConfigError that names its bad key.
     """
     if not isinstance(doc, dict):
-        raise ConfigError(f"transform must be a JSON object, got {doc!r}")
+        raise ConfigError(f"transform must be a JSON object, got {_shown(doc)}")
     domain, breakpoints = doc.get("domain"), doc.get("breakpoints", [])
     segments = doc.get("segments")
     if type(domain) is not list or len(domain) != 2 or not all(map(_is_number, domain)):
-        raise ConfigError(f"key 'domain' takes two finite numbers, got {domain!r}")
+        raise ConfigError(f"key 'domain' takes two finite numbers, got {_shown(domain)}")
     if type(breakpoints) is not list or not all(map(_is_number, breakpoints)):
         raise ConfigError(f"key 'breakpoints' takes an array of finite numbers, "
-                          f"got {breakpoints!r}")
+                          f"got {_shown(breakpoints)}")
     if type(segments) is not list or not all(
             isinstance(s, dict) and all(type(s.get(k)) is str for k in ("expr", "direction"))
             for s in segments):
         raise ConfigError(f"key 'segments' takes an array of objects with string keys "
-                          f"'expr' and 'direction', got {segments!r}")
+                          f"'expr' and 'direction', got {_shown(segments)}")
     return piecewise_monotone(
         domain, breakpoints, [s["expr"] for s in segments],
         [s["direction"] for s in segments])
@@ -225,9 +227,9 @@ class TabulatedCDF:
         ps = np.asarray(ps, dtype=float)
         if xs.ndim != 1 or xs.shape != ps.shape or xs.size < 2:
             raise DimensionMismatch("need matching 1-D tables with >= 2 points")
-        if np.any(np.diff(xs) <= 0):
+        if np.any(xs[1:] <= xs[:-1]):
             raise DimensionMismatch("x table must be strictly increasing")
-        if np.any(np.diff(ps) < 0) or ps[0] < 0 or ps[-1] > 1:
+        if np.any(ps[1:] < ps[:-1]) or ps[0] < 0 or ps[-1] > 1:
             raise DimensionMismatch("probability table must be nondecreasing in [0, 1]")
         self.xs, self.ps = xs, ps
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import RankPermutation, _bounded_response, _response_order
-from .errors import LengthMismatch, NonFiniteData
+from .errors import LengthMismatch, NonFiniteData, _shown
 
 __all__ = [
     "batched_scores",
@@ -277,7 +277,7 @@ def batched_scores(method: str, z, y, runs=None) -> np.ndarray:
     every method but Pearson's sorts z itself.
     """
     if method not in _KERNELS:
-        raise LengthMismatch(f"no batched scorer {method!r}; choose from {tuple(_KERNELS)}")
+        raise LengthMismatch(f"no batched scorer {_shown(method)}; choose from {tuple(_KERNELS)}")
     rows, ys = _rows(z, y)
     order = _response_order(ys)
     if runs is None and method in _RUNS_METHODS:

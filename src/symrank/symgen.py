@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import COMMUTATIVE_BINARY_OPS, Dataset, Expression, FeatureMatrix, binary, unary, var
-from .errors import DimensionMismatch, PartialOperatorDomain
+from .errors import DimensionMismatch, PartialOperatorDomain, _shown
 
 __all__ = [
     "Architecture",
@@ -122,10 +122,10 @@ def build_operator_set(unary_names, binary_names) -> OperatorSet:
         elif entry in BUILTIN_UNARY:
             u_ops.append(BUILTIN_UNARY[entry])
         else:
-            raise DimensionMismatch(f"unknown unary operator {entry!r}")
+            raise DimensionMismatch(f"unknown unary operator {_shown(entry)}")
     for entry in binary_names:
         if entry not in BUILTIN_BINARY:
-            raise DimensionMismatch(f"unknown binary operator {entry!r}")
+            raise DimensionMismatch(f"unknown binary operator {_shown(entry)}")
     return OperatorSet(tuple(u_ops), tuple(BUILTIN_BINARY[entry] for entry in binary_names))
 
 
@@ -142,7 +142,7 @@ class Architecture:
     def __post_init__(self):
         if not self.order or any(c not in "ub" for c in self.order):
             raise DimensionMismatch(
-                f"architecture must be a nonempty string over 'u'/'b', got {self.order!r}")
+                f"architecture must be a nonempty string over 'u'/'b', got {_shown(self.order)}")
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +292,14 @@ def parse_univariate(expr: str):
     """Compile an arithmetic expression string in one variable ``x``.
 
     Supports numbers, x, + - * / **, parentheses, and calls to the built-in
-    unary names. Returns a vectorized callable. Raises DimensionMismatch on
+    unary names. Returns a vectorized callable, which gives NaN or inf without
+    a warning; its caller checks for them. Raises DimensionMismatch on
     anything outside that grammar, on an integer too large for a float and
     on a tree deeper than MAX_EXPR_DEPTH levels. An error message shows an
     expression longer than 60 characters as its first 60 and its length.
     """
     funcs = {name: op.fn for name, op in BUILTIN_UNARY.items()}
-    shown = f"{expr[:60]!r}... ({len(expr)} characters)" if len(expr) > 60 else repr(expr)
+    shown = _shown(expr)
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
@@ -320,7 +321,7 @@ def parse_univariate(expr: str):
         if isinstance(node, ast.Name):
             if node.id == "x":
                 return lambda x: x
-            raise DimensionMismatch(f"unknown name {node.id!r} in {shown}")
+            raise DimensionMismatch(f"unknown name {_shown(node.id)} in {shown}")
         if isinstance(node, ast.UnaryOp) and type(node.op) in _ALLOWED_UNARYOPS:
             fn = _ALLOWED_UNARYOPS[type(node.op)]
             operand = compile_node(node.operand, depth + 1)
@@ -341,7 +342,8 @@ def parse_univariate(expr: str):
 
     def evaluate(x, _body=body):
         x = np.asarray(x, dtype=float)
-        return np.broadcast_to(np.asarray(_body(x), dtype=float), x.shape).copy()
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return np.broadcast_to(np.asarray(_body(x), dtype=float), x.shape).copy()
 
     return evaluate
 

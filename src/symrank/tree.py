@@ -32,6 +32,7 @@ from .errors import (
     LengthMismatch,
     NonFiniteData,
     Unsplittable,
+    _shown,
 )
 from .stats import bayes_permutation, dense_ranks, sorted_runs
 
@@ -355,11 +356,13 @@ def _route(coordinate: np.ndarray, threshold: np.ndarray, right: np.ndarray,
 
 
 def predict_rows(tree: Tree, data) -> np.ndarray:
-    """Leaf mean of every row (see :func:`_route`)."""
+    """Leaf mean of every row (see :func:`_route`); NonFiniteData unless finite."""
     z = _matrix(data)
     if z.shape[1] != tree.n_features:
         raise ColumnMismatch(
             f"rows have {z.shape[1]} columns, tree was grown on {tree.n_features}")
+    if not np.isfinite(z).all():
+        raise NonFiniteData("tree predictors must be finite")
     return tree.mean.take(_route(tree.coordinate, tree.threshold, tree.right, z))
 
 
@@ -437,7 +440,7 @@ def tree_to_json(tree: Tree) -> dict:
 def _finite_number(entry: dict, key: str, i: int) -> float:
     value = entry.get(key)
     if not _is_number(value):
-        raise ConfigError(f"tree node {i}: {key} {value!r} is not a finite number")
+        raise ConfigError(f"tree node {i}: {key} {_shown(value)} is not a finite number")
     return float(value)
 
 
@@ -474,7 +477,7 @@ def tree_from_json(doc: dict) -> Tree:
             continue
         k = entry.get("coordinate")
         if type(k) is not int or not 0 <= k < q:
-            raise ConfigError(f"tree node {i}: coordinate {k!r} outside [0, {q})")
+            raise ConfigError(f"tree node {i}: coordinate {_shown(k)} outside [0, {q})")
         coordinate[i] = k
         threshold[i] = _finite_number(entry, "threshold", i)
         slots += [i, -1]

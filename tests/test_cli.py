@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import csv
 import dataclasses
 import io
@@ -284,7 +285,7 @@ FUZZ_KEYS = sorted({"mode", *cli._CONFIG_VALUES})
 _NOT_INTEGRAL = st.floats().filter(lambda v: not v.is_integer())
 _BAD_VARIANCE = st.floats(max_value=-1e-300) | st.sampled_from([math.nan, math.inf])
 FUZZ_RANGES = {
-    "n": st.integers(max_value=0) | st.integers(min_value=2**40 + 1) | _NOT_INTEGRAL,
+    "n": st.integers(max_value=1) | st.integers(min_value=2**40 + 1) | _NOT_INTEGRAL,
     "repeats": st.integers(max_value=0) | _NOT_INTEGRAL,
     "n_selected": st.integers(max_value=10**30) | _NOT_INTEGRAL,
     "seed": st.integers(max_value=10**40) | _NOT_INTEGRAL,
@@ -372,6 +373,97 @@ def mutated_configs(draw):
         else:
             cfg[key] = cfg[key] + cfg[key][:1]
     return cfg
+
+
+# a valid tree document for the data3 CSV: x1 <= 0.5, else x3 <= 0.3
+TREE_DOC = {"n_features": 3, "columns": ["x1", "x2", "x3"],
+            "nodes": [{"coordinate": 0, "threshold": 0.5}, {"mean": 1.0},
+                      {"coordinate": 2, "threshold": 0.3}, {"mean": 2.0}, {"mean": 3.0}]}
+# what a document mutation may set a value to, and the keys it may add to an
+# object; json.dumps writes NaN and Infinity, which json.loads reads back
+DOC_VALUES = (*FUZZ_VALUES, 3, 0.3, -0.5, 1e308, -1e308, math.nan, math.inf, "x1", "1/x",
+              "x**2", "exp(exp(x))", "increasing", "decreasing", [0, 1], [0.5], [1, 0],
+              ["x1", "x2", "x3"], {"expr": "x", "direction": "increasing"})
+DOC_KEYS = ("n_features", "nodes", "columns", "coordinate", "threshold", "mean",
+            "transform_1", "transform_2", "cdf", "domain", "breakpoints", "segments",
+            "expr", "direction", "x", "p")
+
+
+def _json_paths(doc, path=()):
+    """The path of every value in a JSON document, the root's first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _json_paths(value, (*path, key))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_documents(draw, valid):
+    """``valid`` with one or two mutations at any depth: a value replaced by
+    one of DOC_VALUES, a key of DOC_KEYS set in an object, a value dropped,
+    nested in an array or emptied, or an array entry repeated."""
+    doc = copy.deepcopy(valid)
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_json_paths(doc))))
+        value = _at(doc, path)
+        kind = draw(st.sampled_from(["set", "add", "drop", "nest", "empty", "repeat"]))
+        if kind == "add" and isinstance(value, dict):
+            value[draw(st.sampled_from(DOC_KEYS))] = copy.deepcopy(
+                draw(st.sampled_from(DOC_VALUES)))
+        elif kind == "repeat" and isinstance(value, list) and value:
+            value.append(copy.deepcopy(draw(st.sampled_from(value))))
+        elif kind == "drop" and path:
+            del _at(doc, path[:-1])[path[-1]]
+        else:
+            if kind == "nest":
+                value = [value]
+            elif kind == "empty" and isinstance(value, (dict, list)):
+                value = type(value)()
+            else:
+                value = copy.deepcopy(draw(st.sampled_from(DOC_VALUES)))
+            if path:
+                _at(doc, path[:-1])[path[-1]] = value
+            else:
+                doc = value
+    return doc
+
+
+def run_quietly(argv) -> tuple[int, list[str]]:
+    """The exit code of the command line and the lines it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue().splitlines()
+
+
+# a fuzzed document is no larger than this golden input
+GOLDEN_BYTES = (Path(__file__).parent / "golden" / "data.csv").stat().st_size
+
+
+def assert_ran_or_failed_cleanly(argv, doc, runtime_error):
+    """Run ``argv`` on ``doc`` written to {doc} and its output at {out}: it
+    exits 0, or writes nothing and one short error line and exits 2, or 1
+    for the command's declared runtime error, whose message starts with
+    ``runtime_error``."""
+    text = json.dumps(doc)
+    assert len(text) <= GOLDEN_BYTES
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "doc.json").write_text(text)
+        out = Path(tmp) / "out"
+        rc, err = run_quietly([arg.format(doc=Path(tmp) / "doc.json", out=out) for arg in argv])
+        if rc == 0:
+            assert err == [] and out.exists()
+            return
+        (line,) = err
+        assert len(line.encode()) < 300
+        assert rc == 2 or rc == 1 and line.startswith(f"error: {runtime_error}"), line
+        assert not out.exists()
 
 
 class TestExperiment:
@@ -538,6 +630,11 @@ class TestExperiment:
         # unknown keys of unary op objects: a mistyped offset, an expression's extra
         ("signal", {"unary_ops": [{"op": "sin", "a": 4, "B": 0.2}]}),
         ("signal", {"unary_ops": [{"expr": "x**2", "a": 4}]}),
+        # an expression object that does not parse
+        ("signal", {"unary_ops": ["id", {"expr": "x +"}]}),
+        # every rank method needs two samples
+        ("signal", {"n": 1}),
+        ("candidates", {"n": 1}),
     ])
     def test_invalid_config_exits_2_before_any_work(self, mode, change, data3, tmp_path,
                                                     capsys, monkeypatch):
@@ -585,7 +682,7 @@ class TestExperiment:
         out = tmp_path / "out"
         rc = main(["experiment", "--config", str(cfg_path), "--out-dir", str(out)])
         assert rc == 2 and expanded == []
-        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert one_error_line(capsys).startswith("error: config key 'active_variables': ")
         assert not out.exists()
 
     def test_unknown_method_exits_2_before_scoring(self, tmp_path, monkeypatch):
@@ -737,15 +834,13 @@ class TestExperiment:
             cfg_path = Path(tmp) / "cfg.json"
             cfg_path.write_text(json.dumps(cfg))
             out = Path(tmp) / "out"
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                rc = main(["experiment", "--config", str(cfg_path), "--out-dir", str(out)])
+            rc, err = run_quietly(["experiment", "--config", str(cfg_path), "--out-dir", str(out)])
             if rc == 0:
                 assert json.loads((out / "report.json").read_text())["runs"]
                 assert not [p.name for p in out.iterdir() if "[" in p.name or "'" in p.name]
             else:
                 assert rc in (1, 2)
-                (line,) = err.getvalue().splitlines()
+                (line,) = err
                 assert line.startswith("error: ")
                 assert not out.exists()
 
@@ -860,6 +955,33 @@ class TestTree:
                    "--response", "y", "--out", str(preds_path)])
         assert rc == 2 and not preds_path.exists()
         assert one_error_line(capsys).startswith(f"error: {tree_path}: {named}")
+
+
+class TestMutatedDocuments:
+    """Tree documents and p12 maps files with one or two mutations."""
+
+    @given(doc=mutated_documents(TREE_DOC))
+    @example(doc=[1])
+    @example(doc={**TREE_DOC, "columns": 2})
+    @example(doc={**TREE_DOC, "nodes": [{"coordinate": 0, "threshold": ""}, {"mean": 1.0},
+                                        {"mean": 2.0}]})
+    @settings(max_examples=400, deadline=None)
+    def test_tree_predict_runs_or_fails_cleanly(self, data3, doc):
+        # exit 1 only when the tree's columns are not the CSV's
+        assert_ran_or_failed_cleanly(
+            ["tree", "predict", "--tree", "{doc}", "--input", str(data3), "--response", "y",
+             "--out", "{out}"], doc, "tree was grown on columns")
+
+    @given(doc=mutated_documents(MAPS_DOC))
+    @example(doc=[1])
+    @example(doc={**MAPS_DOC, "transform_1": {
+        "domain": [0, 1], "segments": [{"expr": "1/x", "direction": "decreasing"}]}})
+    @settings(max_examples=400, deadline=None)
+    def test_p12_runs_or_fails_cleanly(self, doc):
+        # exit 1 only when both transforms have a pre-image on one interval
+        assert_ran_or_failed_cleanly(
+            ["p12", "--maps", "{doc}", "--c=-1,0.5,1.5", "--out-dir", "{out}"], doc,
+            "both transforms have a pre-image")
 
 
 class TestUsage:
@@ -1030,6 +1152,53 @@ class TestOversizedInputs:
         line = one_error_line(capsys)
         assert line.startswith("error: p12 maps key 'transform_1': ")
         assert f"{expr[:60]!r}... ({len(expr)} characters)" in line and len(line) < 200
+        assert not out.exists()
+
+    LONG = 10**5
+    # each input kind with a value of LONG entries or characters: the files
+    # to write, the arguments after the command name, and what the one
+    # error line names; "{tmp}" is the directory of the files
+    LONG_INPUTS = {
+        "config-n": ({"cfg.json": {**VALID_CONFIGS["signal"], "n": [1] * LONG}},
+                     ["experiment", "--config", "{tmp}/cfg.json"], "config key 'n' takes "),
+        "config-array": ({"cfg.json": [1] * LONG}, ["experiment", "--config", "{tmp}/cfg.json"],
+                         "experiment config must be a JSON object"),
+        "candidate-name": (
+            {"cfg.json": {**VALID_CONFIGS["candidates"], "candidates": ["x", "a" * LONG]}},
+            ["experiment", "--config", "{tmp}/cfg.json"], "config key 'candidates': unknown name"),
+        "long-truth": ({"cfg.json": {**VALID_CONFIGS["candidates"],
+                                     "truth": "x+" + "1" * 300 + ".5"}},
+                       ["experiment", "--config", "{tmp}/cfg.json"], "config key 'truth': "),
+        "maps-array": ({"maps.json": [1] * LONG},
+                       ["p12", "--maps", "{tmp}/maps.json", "--c=1.5"], "p12 maps file "),
+        "c-grid": ({"maps.json": MAPS_DOC},
+                   ["p12", "--maps", "{tmp}/maps.json", "--c=" + "a" * LONG], "--c takes "),
+        "tree-columns": ({"tree.json": {"n_features": 3, "nodes": [{"mean": 1.0}],
+                                        "columns": [1] * LONG}},
+                         ["tree", "predict", "--tree", "{tmp}/tree.json"],
+                         "{tmp}/tree.json: key 'columns'"),
+        "csv-field": ({"data.csv": "x,y\n" + "a" * LONG + ",1\n"},
+                      ["score", "--input", "{tmp}/data.csv"], "{tmp}/data.csv: row 2: "),
+        "methods-unknown": ({}, ["score", "--methods", "a" * LONG], "unknown methods "),
+        "methods-empty": ({}, ["score", "--methods", "," * LONG], "--methods "),
+    }
+
+    @pytest.mark.parametrize("files, argv, named", LONG_INPUTS.values(),
+                             ids=LONG_INPUTS.keys())
+    def test_long_value_gives_a_short_error_line(self, files, argv, named, data3, tmp_path,
+                                                 capsys):
+        for name, content in files.items():
+            text = content if isinstance(content, str) else json.dumps(content)
+            (tmp_path / name).write_text(text)
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        out = tmp_path / "out"
+        if argv[0] in ("tree", "score"):
+            argv += ["--response", "y"] + ([] if "--input" in argv else ["--input", str(data3)])
+        argv += ["--out", str(out)] if argv[0] == "tree" else ["--out-dir", str(out)]
+        assert main(argv) == 2
+        line = one_error_line(capsys)
+        assert len(line.encode()) < 300
+        assert line.startswith("error: " + named.replace("{tmp}", str(tmp_path)))
         assert not out.exists()
 
     def assert_names_the_file(self, rc, path, capsys):

@@ -1,8 +1,10 @@
 """Each input check raises its typed error; where the command line reaches a
 check, it exits with the error's code and one ``error:`` line."""
 
+import ast
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +123,9 @@ CASES = {
     # monotonic
     "empty-domain": (
         lambda _: piecewise_monotone((1, 0), [], *UP),
+        errors.DimensionMismatch, "positive length"),
+    "domain-wider-than-a-float": (
+        lambda _: piecewise_monotone((-1e308, 1e308), [], *UP),
         errors.DimensionMismatch, "positive length"),
     "descending-breakpoints": (
         lambda _: piecewise_monotone((0, 1), [0.6, 0.4], ["x"] * 3, ["increasing"] * 3),
@@ -278,3 +283,41 @@ def test_csv_with_only_the_response_exits_2(tmp_path, capsys):
     assert rc == 2
     one_error_line(capsys, f"{path}: no input columns besides 'y'")
     assert not out.exists()
+
+
+def _repr_conversions() -> list[str]:
+    """Each ``!r`` conversion in an f-string of the package, as file:line,
+    outside ``errors._shown`` and ``__init__.py``."""
+    found = []
+    for path in sorted(Path(errors.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":  # its AttributeError keeps Python's wording
+            continue
+        tree = ast.parse(path.read_text())
+        shown = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_shown"]
+        skipped = {id(node) for fn in shown for node in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.FormattedValue) and node.conversion == ord("r")
+                  and id(node) not in skipped]
+    return found
+
+
+def test_errors_quote_inputs_only_through_shown():
+    # an f-string's !r echoes a value whole, however long it is
+    assert _repr_conversions() == []
+
+
+@pytest.mark.parametrize("value", ["", "x" * 60, "it's", "\u00e9" * 60, "\n", None, 0.1,
+                                   [1, "a"], {"op": "sin"}, ["x" * 55]])
+def test_a_value_of_at_most_60_characters_is_its_repr(value):
+    assert errors._shown(value) == repr(value)
+
+
+@pytest.mark.parametrize("value, shown", [
+    ("x" * 61, repr("x" * 60) + "... (61 characters)"),
+    ("ab\n" * 100, repr("ab\n" * 20) + "... (300 characters)"),
+    ([1] * 100, repr([1] * 100)[:60] + "... (300 characters)"),
+    (["x" * 59], "['" + "x" * 58 + "... (63 characters)"),
+])
+def test_a_longer_value_shows_its_first_60_characters_and_its_length(value, shown):
+    assert errors._shown(value) == shown

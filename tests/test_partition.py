@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symrank.core import derive_rng, make_partition2
-from symrank.errors import SizeOutOfRange, TooLarge
+from symrank.errors import NonFiniteData, SizeOutOfRange, TooLarge
 from symrank.evalsel import synth_3var
 from symrank.partition import (
     brute_force_best_2partition,
@@ -146,6 +146,23 @@ class TestOracleVaryingSize:
                 for c in itertools.combinations(range(n), i)
             )
             assert p.total_sse == pytest.approx(best, rel=1e-12)
+
+
+class TestNonFiniteResponse:
+    # each used to return a partition with NaN or inf losses, or to blame
+    # the response's size
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("y", [[1, 2, np.nan, 4, 5, 6], [1, np.inf, 3, 4, 5],
+                                   [1, 2, 3, -np.inf, 5, 6]], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("oracle", [
+        lambda y: oracle_fixed_size(y, 2),
+        lambda y: brute_force_best_2partition(y, 2),
+        oracle_varying_size,
+        lambda y: make_partition2(y, [0, 1]),
+    ], ids=["fixed-size", "brute-force", "varying-size", "make_partition2"])
+    def test_rejected(self, oracle, y):
+        with pytest.raises(NonFiniteData, match="dataset entries must be finite"):
+            oracle(y)
 
 
 class TestOraclesAtScale:

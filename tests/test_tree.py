@@ -335,6 +335,13 @@ class TestGrowPredict:
         with pytest.raises(NonFiniteData):
             grow(np.array(z), np.array(y))
 
+    @pytest.mark.parametrize("row", [[np.nan, 0.5], [np.inf, 0.1], [0.2, -np.inf]])
+    def test_predict_rejects_non_finite_rows(self, row):
+        # such a row used to get the mean of whichever leaf its comparisons led to
+        tree = grow_tree(np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]]), [0.0, 1.0, 3.0], 2)
+        with pytest.raises(NonFiniteData):
+            predict_rows(tree, np.array([[0.5, 0.5], row]))
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("grow", [
         lambda z, y: grow_tree(z, y, 3),
