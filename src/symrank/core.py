@@ -399,9 +399,11 @@ def load_csv(path, response: str) -> Dataset:
     header = [h.strip() for h in next(reader)]
     if "" in header:
         raise DimensionMismatch(f"{path}: header column {header.index('') + 1} has no name")
-    if len(set(header)) < len(header):
-        name = next(h for i, h in enumerate(header) if h in header[:i])
-        raise DimensionMismatch(f"{path}: column name {_shown(name)} appears more than once")
+    seen = set()
+    for name in header:  # the first name that repeats an earlier one
+        if name in seen:
+            raise DimensionMismatch(f"{path}: column name {_shown(name)} appears more than once")
+        seen.add(name)
     if response not in header:
         raise DimensionMismatch(f"{path}: no column named {_shown(response)}")
     y_col = header.index(response)

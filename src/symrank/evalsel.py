@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -466,8 +466,9 @@ def _run_cells(cells, methods, repeats, n_selected, seed, tree):
     forest grows. Each method then selects all of the chunk's repeats in one
     :func:`select_top` call, on its (len(reps), q) scores. A method's chunks
     of selections join into one (R, k) block, from which its report entry's
-    metrics and its cell's extras come. Raises SizeOutOfRange for
-    repeats < 1.
+    metrics and its cell's extras come. All the run's forests grow on one
+    workspace of the tree grower (see :mod:`.tree`), released when the run
+    ends. Raises SizeOutOfRange for repeats < 1.
     """
     if repeats < 1:
         raise SizeOutOfRange(f"repeats={repeats} runs no repeat; need repeats >= 1")
@@ -494,8 +495,14 @@ def _run_cells(cells, methods, repeats, n_selected, seed, tree):
             cell_picks[mi].append(select_top(scores, n_selected, method))
             runtimes[f"{cell.key}/{method}"] += time.perf_counter() - start
 
-    _run_repeats(job, [(cell, reps, cell_picks) for cell, cell_picks in zip(cells, picks)
-                       for reps in _chunks(cell.n * len(cell.exprs), repeats)])
+    forests = nullcontext()
+    if "tree-importance" in methods:
+        from .tree import _shared_workspace
+
+        forests = _shared_workspace()
+    with forests:
+        _run_repeats(job, [(cell, reps, cell_picks) for cell, cell_picks in zip(cells, picks)
+                           for reps in _chunks(cell.n * len(cell.exprs), repeats)])
     return [{**cell.run,
              "methods": [_method_entry(method, *map(np.concatenate, zip(*cell_picks[mi])), cell)
                          for mi, method in enumerate(methods)]}

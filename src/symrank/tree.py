@@ -15,11 +15,26 @@ bootstrap trees of :func:`ensemble_importance` share one grower,
 :func:`_grow_levels`. It takes each tree's resample of the rows, presorts
 it on integer rank keys, grows the trees one depth level at a time, and
 searches a level's open nodes in a few batched calls of one split kernel.
+
+The kernel and the level loop write their large temporaries into one
+workspace of reusable buffers (see :class:`_Workspace`), at most
+LEVEL_VALUES kernel values and FOREST_VALUES level ids per buffer, about
+2.3 MB in all; a larger node or forest chunk gets arrays of its own. Each
+call of :func:`grow_tree`, :func:`best_split`, :func:`ensemble_importance` or
+the kernel makes its own workspace, freed when it returns, except a forest
+grown inside :func:`_shared_workspace`: an experiment run
+(``evalsel._run_cells``) grows all its forests on one workspace and releases
+it when the run ends. Reusing the buffers saves the page faults of
+allocating them afresh; it has no setting.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,13 +128,51 @@ def _response_pairs(y: np.ndarray) -> np.ndarray:
     return pairs
 
 
+class _Workspace:
+    """Reusable working buffers of the grower, one flat buffer per role.
+
+    :meth:`view` hands out an uninitialised array over a role's buffer,
+    which grows to the largest request of at most ``cap`` values; a larger
+    request gets an array of its own. Asking for a role again reuses its
+    memory, so the previous view of that role is dead from then on.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def view(self, role: str, shape: tuple[int, ...], dtype, cap: int) -> np.ndarray:
+        size = math.prod(shape)
+        if size > cap:
+            return np.empty(shape, dtype)
+        buffer = self._buffers.get(role)
+        if buffer is None or buffer.size < size or buffer.dtype != dtype:
+            buffer = self._buffers[role] = np.empty(size, dtype)
+        return buffer[:size].reshape(shape)
+
+
+# the workspace of every forest grown in a _shared_workspace block
+_SHARED: ContextVar[_Workspace | None] = ContextVar("symrank_tree_workspace", default=None)
+
+
+@contextmanager
+def _shared_workspace() -> Iterator[None]:
+    """Grow every forest of the block, in this thread, on one workspace, and
+    release it when the block ends."""
+    token = _SHARED.set(_Workspace())
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
 # indexed by a cut's inadmissibility: max(loss, -inf) keeps the loss, which is
 # never NaN (the response is bounded), and max(loss, inf) rules the cut out; one
 # take and one maximum cost less than np.putmask
 PENALTY = np.array([-np.inf, np.inf])
 
 
-def _column_split_losses(keys: np.ndarray, pairs: np.ndarray, m=None) -> np.ndarray:
+def _column_split_losses(keys: np.ndarray, pairs: np.ndarray, m=None,
+                         ws: _Workspace | None = None) -> np.ndarray:
     """Two-sided SSE for every cut position of every row, inf where inadmissible.
 
     Each row holds one column's node values, or any keys that order them the
@@ -137,16 +190,27 @@ def _column_split_losses(keys: np.ndarray, pairs: np.ndarray, m=None) -> np.ndar
     each row's length as a (rows, 1) array. A padded row's running sums and
     losses at its real cuts are then those of its unpadded call, and every
     padded cut is inadmissible.
+
+    The temporaries and the returned losses are views of workspace ``ws``,
+    or of a workspace of exactly their size when none is given.
     """
-    width = pairs.shape[1]
+    if ws is None:
+        ws = _Workspace()
+    rows, width = pairs.shape
+    shape = (rows, width - 1)
+    s1, s2, losses, penalty = (ws.view(role, shape, float, LEVEL_VALUES)
+                               for role in ("s1", "s2", "losses", "penalty"))
     sums = pairs.cumsum(axis=1, out=pairs)
     # contiguous copies: the passes below run faster on them than on views
-    s1, s2 = sums.real[:, :-1].copy(), sums.imag[:, :-1].copy()
+    np.copyto(s1, sums.real[:, :-1])
+    np.copyto(s2, sums.imag[:, :-1])
     s1_total, s2_total = sums.real[:, -1:].copy(), sums.imag[:, -1:].copy()
     sizes = np.arange(1.0, width)  # p
-    # m - p, floored at 1 past a padded row's end, where every cut is inadmissible
-    rest = sizes[::-1] if m is None else np.maximum(m - sizes, 1.0)
-    losses = np.square(s1)
+    if m is None:
+        rest = sizes[::-1]
+    else:  # m - p, floored at 1 past a padded row's end, where every cut is inadmissible
+        rest = np.maximum(np.subtract(m, sizes, out=penalty), 1.0, out=penalty)
+    np.square(s1, out=losses)
     losses /= sizes
     np.subtract(s2, losses, out=losses)  # sse_l
     np.subtract(s1_total, s1, out=s1)
@@ -155,8 +219,11 @@ def _column_split_losses(keys: np.ndarray, pairs: np.ndarray, m=None) -> np.ndar
     np.subtract(s2_total, s2, out=s2)
     s2 -= s1  # sse_r
     losses += s2
-    inadmissible = keys[:, :-1] >= keys[:, 1:]
-    return np.maximum(losses, PENALTY.take(inadmissible.view(np.uint8)), out=losses)
+    inadmissible = np.greater_equal(keys[:, :-1], keys[:, 1:],
+                                    out=ws.view("inadmissible", shape, bool, LEVEL_VALUES))
+    # mode="clip": see _grow_levels
+    PENALTY.take(inadmissible.view(np.uint8), out=penalty, mode="clip")
+    return np.maximum(losses, penalty, out=losses)
 
 
 def best_split(data, y) -> SplitRule:
@@ -200,7 +267,7 @@ def _calls(sizes: np.ndarray, w: int):
 
 
 def _grow_levels(keys: np.ndarray, pairs: np.ndarray, rows: np.ndarray, depth: int,
-                 min_leaf: int):
+                 min_leaf: int, ws: _Workspace):
     """Grow trees one depth level at a time; yield (coordinate, cut) per level.
 
     ``keys`` (w, n) holds integer rank keys of w columns and ``pairs`` the
@@ -221,12 +288,20 @@ def _grow_levels(keys: np.ndarray, pairs: np.ndarray, rows: np.ndarray, depth: i
     splits, then their right children. The children that may still split get
     their blocks from two compress calls on the whole level, which filter
     each parent's blocks stably.
+
+    A call's ids, keys and pairs, the kernel's temporaries and each level's
+    ids are views of workspace ``ws``; the levels alternate between two
+    buffers. A take into a view passes mode="clip": its indices are in range
+    by construction, and the default mode="raise" would write to a temporary
+    and copy it.
     """
     w, n = keys.shape
     first_id = np.arange(0, rows.size, n)[:, None]  # each tree's first id
     # (c, w, n): each resample's presort, as positions in the resample
     orders = np.argsort(keys.take(rows, axis=1).swapaxes(0, 1), axis=2, kind="stable")
-    level = (rows + first_id).take(orders + first_id[:, None]).ravel()
+    orders += first_id[:, None]
+    level = (rows + first_id).take(orders).ravel()
+    del orders
     key_flat = np.tile(keys, len(rows)).ravel()
     key_rows = np.arange(w)[:, None] * rows.size  # each key row's start in key_flat
     pairs = np.tile(pairs, len(rows))
@@ -248,22 +323,30 @@ def _grow_levels(keys: np.ndarray, pairs: np.ndarray, rows: np.ndarray, depth: i
             c, mb, sb = batch.size, sizes[batch], starts[batch]
             width = int(mb.max())
             padded = bool((mb < width).any())
+            shape = (c, w, width)
+            index = ws.view("index", shape, np.intp, LEVEL_VALUES)
             if not padded and sb[-1] - sb[0] == (c - 1) * w * width:
-                ids = level[sb[0]:sb[0] + c * w * width].reshape(c, w, width)
+                ids = level[sb[0]:sb[0] + c * w * width].reshape(shape)
             else:  # right-padded with each row's last id
                 at = np.minimum(np.arange(width), mb[:, None] - 1)[:, None, :]
-                ids = level.take(sb[:, None, None] + np.arange(w)[:, None] * mb[:, None, None]
-                                 + at)
-            sorted_pairs = pairs.take(ids)
+                np.add(sb[:, None, None] + np.arange(w)[:, None] * mb[:, None, None], at,
+                       out=index)
+                ids = level.take(index, out=ws.view("ids", shape, np.intp, LEVEL_VALUES),
+                                 mode="clip")
+            sorted_pairs = pairs.take(ids, out=ws.view("pairs", shape, complex, LEVEL_VALUES),
+                                      mode="clip")
             y_sorted = sorted_pairs.real[:, 0]
             constant = (y_sorted == y_sorted[:, :1]).all(axis=1)
             row_sizes = None
             if padded:
                 np.copyto(sorted_pairs, 0, where=np.arange(width) >= mb[:, None, None])
                 row_sizes = np.repeat(mb, w)[:, None]
-            losses = _column_split_losses(key_flat.take(ids + key_rows).reshape(-1, width),
+            sorted_keys = key_flat.take(np.add(ids, key_rows, out=index),
+                                        out=ws.view("keys", shape, key_flat.dtype, LEVEL_VALUES),
+                                        mode="clip")
+            losses = _column_split_losses(sorted_keys.reshape(-1, width),
                                           sorted_pairs.reshape(-1, width),
-                                          row_sizes).reshape(c, -1)
+                                          row_sizes, ws).reshape(c, -1)
             best = losses.argmin(axis=1)
             found = np.isfinite(losses[np.arange(c), best]) & ~constant
             k, pos = np.divmod(best, width - 1)
@@ -285,8 +368,15 @@ def _grow_levels(keys: np.ndarray, pairs: np.ndarray, rows: np.ndarray, depth: i
         m = np.concatenate((left_sizes, m[split] - left_sizes))
         is_open = (m >= min_split) & (not last)
         if is_open.any():
-            goes = side.take(level)
-            level = np.concatenate((level.compress(goes == 0), level.compress(goes == 1)))
+            goes = side.take(level, out=ws.view("goes", level.shape, np.uint8, FOREST_VALUES),
+                             mode="clip")
+            child = ws.view("child", level.shape, bool, FOREST_VALUES)
+            next_level = ws.view(f"level {d % 2}", (w * int(m[is_open].sum()),), np.intp,
+                                 FOREST_VALUES)
+            n_left = np.count_nonzero(np.equal(goes, 0, out=child))
+            level.compress(child, out=next_level[:n_left])
+            level.compress(np.equal(goes, 1, out=child), out=next_level[n_left:])
+            level = next_level
 
 
 def grow_tree(data, y, depth: int, min_leaf: int = 1) -> Tree:
@@ -305,7 +395,8 @@ def grow_tree(data, y, depth: int, min_leaf: int = 1) -> Tree:
     z, y = _matrix_and_response(data, y)
     n, q = z.shape
     leaders, keys = _rank_class_leaders(z)
-    levels = list(_grow_levels(keys, _response_pairs(y), np.arange(n)[None], depth, min_leaf))
+    levels = list(_grow_levels(keys, _response_pairs(y), np.arange(n)[None], depth, min_leaf,
+                               _Workspace()))
     # subtree sizes, deepest level first: level d + 1 lists the left children
     # of level d's splits, then their right children
     subtree = [np.ones(0, dtype=np.intp)]
@@ -401,7 +492,8 @@ def ensemble_importance(data, y, n_trees: int, depth: int, seed: int) -> np.ndar
     about FOREST_VALUES presorted values, one depth level of a whole chunk at
     a time (see :func:`_grow_levels`). Tree j of a chunk owns the ids
     j*n .. j*n + n - 1, one per data row, and its presort is a stable sort of
-    its resample's integer rank keys.
+    its resample's integer rank keys. All chunks grow on the workspace of an
+    enclosing :func:`_shared_workspace` block, else on one of the call's own.
     """
     z, y = _matrix_and_response(data, y)
     if n_trees < 1:
@@ -414,10 +506,11 @@ def ensemble_importance(data, y, n_trees: int, depth: int, seed: int) -> np.ndar
     pairs = _response_pairs(y)
     chunk = max(1, FOREST_VALUES // (w * n))
     counts = np.zeros(w, dtype=np.intp)
+    ws = _SHARED.get() or _Workspace()
     for first in range(0, n_trees, chunk):
         rows = np.stack([derive_rng(seed, t).integers(0, n, size=n)
                          for t in range(first, min(first + chunk, n_trees))])
-        for k, _ in _grow_levels(keys, pairs, rows, depth, 1):
+        for k, _ in _grow_levels(keys, pairs, rows, depth, 1, ws):
             counts += np.bincount(k[k >= 0], minlength=w)
     freq = np.zeros(q)
     if counts.any():

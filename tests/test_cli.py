@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -1200,6 +1201,20 @@ class TestOversizedInputs:
         assert len(line.encode()) < 300
         assert line.startswith("error: " + named.replace("{tmp}", str(tmp_path)))
         assert not out.exists()
+
+    def test_repeat_in_a_wide_header_exits_2_quickly(self, tmp_path, capsys):
+        # a scan of the names before each name took about 10 s here
+        names = [f"x{i}" for i in range(40_000)]
+        names[-1] = "x17"
+        path = tmp_path / "wide.csv"
+        path.write_text(",".join(names + ["y"]) + "\n" + ",".join(["1"] * 40_001) + "\n")
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        rc = main(["score", "--input", str(path), "--response", "y", "--out-dir", str(out)])
+        elapsed = time.perf_counter() - start
+        assert rc == 2
+        assert one_error_line(capsys) == f"error: {path}: column name 'x17' appears more than once"
+        assert elapsed < 2.0 and not out.exists()
 
     def assert_names_the_file(self, rc, path, capsys):
         assert rc == 2

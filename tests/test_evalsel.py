@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 import tracemalloc
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from symrank import cli, evalsel
+from symrank import cli, evalsel, tree as tree_module
 from symrank.core import TIE_RTOL, Dataset, FeatureMatrix, build_dataset, derive_rng, var
 from symrank.errors import (
     ConfigError,
@@ -739,6 +740,26 @@ class TestChunkedRepeats:
             assert read.shape == z.shape and np.shares_memory(read, z)
             assert np.array_equal(read, z)
         assert [len(calls[k]) for k in ("kendall", "tree-importance", "forest")] == [2, 2, 2]
+
+    def test_forests_of_a_run_share_one_workspace(self, monkeypatch):
+        # every forest of the run grows on one workspace, released at its end;
+        # a run without tree importance makes none
+        made = []
+
+        class Counted(tree_module._Workspace):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(tree_module, "_Workspace", Counted)
+        cfg = SignalExperimentConfig(n=60, noise_vars=(0.0, 0.1), repeats=3, seed=4,
+                                     methods=("t0", "tree-importance"),
+                                     tree=TreeParams(n_trees=4, depth=3))
+        report = run_signal_experiment(cfg)
+        assert len(report.runs) == 4 and len(made) == 1
+        assert tree_module._SHARED.get() is None
+        run_signal_experiment(dataclasses.replace(cfg, methods=("t0",)))
+        assert len(made) == 1
 
     def test_memory_stays_bounded_at_1e5_rows(self):
         # each (1e5, 4) repeat is its own chunk: ~37 MB of tracemalloc peak on

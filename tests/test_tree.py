@@ -23,10 +23,14 @@ from symrank.errors import (
 from symrank.partition import oracle_varying_size
 from symrank.stats import bayes_permutation, ranking_metric_T
 from symrank.tree import (
+    FOREST_VALUES,
+    LEVEL_VALUES,
     SplitRule,
     _column_split_losses,
+    _grow_levels,
     _rank_class_leaders,
     _response_pairs,
+    _shared_workspace,
     best_split,
     ensemble_importance,
     grow_tree,
@@ -790,3 +794,83 @@ class TestPresortedGrowthMatchesOracle:
         assert elapsed < 20.0
         assert peak < 80 * 2**20
         assert freq.sum() == pytest.approx(1.0) and freq[1] == freq[3] == 0.0
+
+
+def grown_levels(z, y, rows, depth, min_leaf, ws):
+    """Every level's (coordinate, cut) bytes of the trees grown on the
+    resamples ``rows`` of z, one per row, as one chunk on workspace ws."""
+    keys = _rank_class_leaders(z)[1]
+    return [(k.tobytes(), cut.tobytes())
+            for k, cut in _grow_levels(keys, _response_pairs(y), rows, depth, min_leaf, ws)]
+
+
+class TestSharedWorkspace:
+    def test_reused_buffers_give_the_bits_of_fresh_ones(self):
+        # forests and trees of mixed size, grown on one workspace in a
+        # shuffled order, so that smaller ones follow larger ones and read
+        # buffers that hold a larger one's data, and two key dtypes share the
+        # keys buffer; each must equal itself grown alone on its own workspace
+        rng = derive_rng(51)
+        cases = []
+        for n, q, n_trees, depth in [(40, 3, 5, 4), (100, 9, 20, 3), (260, 5, 7, 6),
+                                     (150, 24, 20, 3), (30, 2, 30, 2), (700, 4, 3, 5)]:
+            x = rng.uniform(size=(n, q))
+            z = np.column_stack([np.round(4 * x[:, 0]), x[:, 1:]])  # a tie-heavy column
+            y = np.round(3 * x[:, 0] + rng.normal(size=n), 1)
+            cases.append((z, y, rng.integers(0, n, size=(n_trees, n)), depth, 1))
+        # a root larger than a kernel call's buffers (w * n > LEVEL_VALUES),
+        # and a tree whose level ids exceed the level buffers
+        wide = rng.uniform(size=(2000, 9))
+        assert 9 * 2000 > LEVEL_VALUES
+        cases.append((wide, wide[:, 0] + rng.normal(size=2000),
+                      rng.integers(0, 2000, size=(2, 2000)), 3, 1))
+        tall = rng.uniform(size=(8000, 9))
+        assert 9 * 8000 > FOREST_VALUES
+        cases.append((tall, tall[:, 2] + rng.normal(size=8000), np.arange(8000)[None], 4, 1))
+        for n, min_leaf in [(300, 1), (50, 2), (1000, 3)]:  # trees with min_leaf
+            x = rng.integers(0, 12, size=(n, 4)).astype(float)
+            cases.append((x, x[:, 1] ** 2 + rng.normal(size=n), np.arange(n)[None], 7,
+                          min_leaf))
+        alone = [grown_levels(*case, tree_module._Workspace()) for case in cases]
+        ws = tree_module._Workspace()
+        for i in rng.permutation(np.repeat(np.arange(len(cases)), 2)):
+            assert grown_levels(*cases[i], ws) == alone[i], i
+        # every case grows past its root, where nodes of several sizes share
+        # padded kernel calls
+        assert all(len(levels) > 2 for levels in alone)
+        # the public path: forests in a shared block, each against itself alone
+        forests = [(z, y, len(rows), depth, seed)
+                   for seed, (z, y, rows, depth, _) in enumerate(cases) if len(rows) > 1]
+        expected = [ensemble_importance(*forest).tobytes() for forest in forests]
+        with _shared_workspace():
+            for i in rng.permutation(np.repeat(np.arange(len(forests)), 2)):
+                assert ensemble_importance(*forests[i]).tobytes() == expected[i]
+
+    def test_block_releases_its_workspace(self):
+        assert tree_module._SHARED.get() is None
+        with pytest.raises(Unsplittable), _shared_workspace():
+            assert tree_module._SHARED.get() is not None
+            ensemble_importance(np.eye(3), [1.0, 2.0, 3.0], 0, 1, seed=0)
+        assert tree_module._SHARED.get() is None
+
+    def test_warm_workspace_allocates_no_working_buffer(self):
+        # a second forest on a warm workspace allocates its presort arrays and
+        # small per-node temporaries, less than one kernel buffer of floats;
+        # with fresh temporaries per call it took about 1.4 MiB more
+        rng = derive_rng(52)
+        n, q, n_trees = 100, 9, 20
+        z = rng.uniform(size=(n, q))
+        y = z[:, 0] + rng.normal(size=n)
+        # a chunk's resamples, its presort ids twice (argsort and level),
+        # sorted keys and tiled keys, tiled response pairs
+        presort = n_trees * n * (8 + 2 * 8 * q + 2 * q + 16)
+        with _shared_workspace():
+            ensemble_importance(z, y, n_trees, 3, seed=1)
+            tracemalloc.start()
+            try:
+                held = tracemalloc.get_traced_memory()[0]
+                ensemble_importance(z, y, n_trees, 3, seed=2)
+                peak = tracemalloc.get_traced_memory()[1] - held
+            finally:
+                tracemalloc.stop()
+        assert peak < presort + LEVEL_VALUES * 8
